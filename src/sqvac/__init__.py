@@ -26,11 +26,10 @@ from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec
 from .phasespace import (GridGeometry, GridReport, IdentityCheck, WignerGrid,
                          add_photon, default_geometry, grid_metrics,
                          identity_residual, l1_relative_residual,
-                         photon_outcomes, policy_extent, rasterize,
+                         outcome_norm_ratio, photon_outcomes, policy_extent, rasterize,
                          refined_geometry, renormalize, sub_photon,
                          wigner_from_density)
-from .special import (bessel_i0, bessel_i0_scaled, elliptic_k, hermite_psi,
-                      hermite_psi_table)
+from .special import bessel_i0_scaled, elliptic_k, hermite_psi_table
 from .verify import (SUITE_NAMES, CaseResult, SuiteConfig, VerificationReport,
                      figure_data, run_all, run_suite)
 

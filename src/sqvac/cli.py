@@ -16,12 +16,11 @@ import sys
 from . import io as sqio
 from .errors import (ConfigurationError, DegenerateInputError, DomainError,
                      GeometryError, TruncationError)
-from .fock import (FockVector, coherent_state, quadrature_moments,
-                   squeezed_vacuum, suggested_truncation)
+from .fock import FockVector, coherent_state, squeezed_vacuum
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, squeeze_parameter
 from .phasespace import (GridGeometry, default_geometry, identity_residual,
-                         photon_outcomes, policy_extent, rasterize, renormalize,
-                         wigner_from_density)
+                         outcome_norm_ratio, photon_outcomes, rasterize,
+                         renormalize, wigner_from_density)
 from .verify import SUITE_NAMES, SuiteConfig, figure_data, run_suite
 
 _FORMATS_HELP = """\
@@ -88,25 +87,13 @@ def _cmd_state(args) -> int:
     return 0
 
 
-def _square_geometry(extent_flag, points_flag, base_extent) -> GridGeometry:
-    extent = extent_flag if extent_flag is not None else base_extent
-    if points_flag is not None:
-        points = points_flag
-    else:
-        points = 257 if extent <= 18.0 else 513
-    return GridGeometry.square(extent, points)
-
-
 def _grid_from_state(state, args):
-    if isinstance(state, FockVector):
-        if args.extent is None and args.points is None:
-            return wigner_from_density(state)
-        x2, p2 = quadrature_moments(state)
-        base = policy_extent(math.sqrt(2.0 * x2), math.sqrt(2.0 * p2))
-        return wigner_from_density(state, _square_geometry(args.extent, args.points, base))
     geometry = default_geometry(state)
     if args.extent is not None or args.points is not None:
-        geometry = _square_geometry(args.extent, args.points, geometry.extent_x)
+        extent = geometry.extent_x if args.extent is None else args.extent
+        geometry = GridGeometry.square(extent, args.points)
+    if isinstance(state, FockVector):
+        return wigner_from_density(state, geometry)
     return rasterize(state, geometry)
 
 
@@ -133,7 +120,7 @@ def _cmd_outcome(args) -> int:
     else:
         raise ConfigurationError(f"{args.command} needs --grid or --state")
     added, subtracted = photon_outcomes(grid)
-    ratio = added.integral() / subtracted.integral()
+    ratio = outcome_norm_ratio(added.integral(), subtracted.integral())
     outcome = renormalize(added if args.command == "add" else subtracted)
     path = _resolve_out(args.out, f"{args.command}.csv")
     sqio.save_grid(path, outcome, _grid_comments(args))

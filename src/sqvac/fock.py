@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigurationError, DegenerateInputError, TruncationError
+from .errors import ConfigurationError, DegenerateInputError, DomainError, TruncationError
 from typing import NamedTuple
 
 #: Probability weight allowed past the truncation edge before operations refuse.
@@ -44,6 +44,8 @@ class FockVector:
             raise ConfigurationError(
                 f"amps shape {self.amps.shape} does not match trunc {self.trunc}"
             )
+        if not np.all(np.isfinite(self.amps)):
+            raise DomainError("amplitudes must be finite")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -182,6 +184,8 @@ def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
     Raises:
         TruncationError: if the tail weight beyond ``trunc`` exceeds budget.
     """
+    if not np.isfinite(z):
+        raise DomainError("squeeze parameter must be finite")
     if trunc is None:
         trunc = suggested_truncation(z)
     if trunc < 2:
@@ -206,6 +210,8 @@ def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
 
 def coherent_state(alpha: complex, trunc: int) -> FockVector:
     """Displaced vacuum with amplitude alpha, renormalized after truncation."""
+    if not np.isfinite(alpha):
+        raise DomainError("coherent amplitude must be finite")
     if trunc < 2:
         raise ConfigurationError("coherent_state needs trunc >= 2")
     amps = np.zeros(trunc, dtype=complex)

@@ -39,6 +39,8 @@ class GaussianComponent:
     sigma_p: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.weight, self.theta, self.sigma_x, self.sigma_p])):
+            raise DomainError("component weight, angle and widths must be finite")
         if not self.weight > 0:
             raise DomainError("component weight must be positive")
         if not (self.sigma_x > 0 and self.sigma_p > 0):
@@ -111,8 +113,8 @@ class AngularAverageSpec:
     sigma_x: float
 
     def __post_init__(self):
-        if not self.sigma_x > 0:
-            raise DomainError("sigma_x must be positive")
+        if not (np.isfinite(self.sigma_x) and self.sigma_x > 0):
+            raise DomainError("sigma_x must be positive and finite")
 
     def radial_coefficients(self) -> tuple[float, float]:
         """(a, b) with W(s) = exp(-a s) I0(b s) / pi, s = x^2 + p^2."""

@@ -9,7 +9,7 @@ import contextlib
 import io as _io
 import json
 import os
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -22,12 +22,16 @@ GRID_MAGIC = "wigner-grid-v1"
 
 
 def atomic_write(path, text: str):
-    """Write text to path via a temp file + rename, so readers never see halves."""
+    """Write text to path via a temp file + rename, so readers never see halves.
+
+    The temp file is created by a plain exclusive open, so the output gets the
+    mode the process umask gives any new file.
+    """
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="-" + os.path.basename(path))
+    d, name = os.path.split(path)
+    tmp = os.path.join(d, f".tmp-{uuid.uuid4().hex}-{name}")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -78,7 +82,8 @@ def obj_to_state(obj: dict):
 
 
 def save_state(path, state):
-    atomic_write(path, json.dumps(state_to_obj(state), indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(state_to_obj(state), indent=2, sort_keys=True,
+                                  allow_nan=False) + "\n")
 
 
 def load_state(path):
@@ -119,6 +124,8 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if data.shape != (nx * num_p, 3):
         raise ConfigurationError(f"{path}: expected {nx * num_p} rows, found {data.shape[0]}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"{path}: grid holds non-finite values")
     grid = WignerGrid(x0, dx, p0, dp, data[:, 2].reshape(nx, num_p))
     if not (np.array_equal(data[:, 0], np.repeat(grid.xs, num_p))
             and np.array_equal(data[:, 1], np.tile(grid.ps, nx))):
@@ -129,7 +136,7 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
 # --- verification reports ---
 
 def save_report(path, report: dict):
-    atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_report(path) -> dict:

@@ -119,7 +119,11 @@ class GridGeometry:
             raise GeometryError("extents must be positive")
 
     @classmethod
-    def square(cls, extent: float, points: int) -> "GridGeometry":
+    def square(cls, extent: float, points: int | None = None) -> "GridGeometry":
+        """Square geometry; by default 257 points, stepping up to 513 once the
+        extent passes 18 (strong squeezing)."""
+        if points is None:
+            points = 257 if extent <= 18.0 else 513
         return cls(extent, extent, points, points)
 
     @property
@@ -140,12 +144,20 @@ def policy_extent(width_x: float, width_p: float) -> float:
     return max(6.0 * width_x, 6.0 * width_p, 6.0)
 
 
-def default_geometry(spec) -> GridGeometry:
-    """Casual-use geometry: extent max(6 sigma_x, 6 sigma_p, 6), 257 points,
-    stepping up to 513 once the extent passes 18 (strong squeezing)."""
-    wx, wp = spec.max_widths()
-    extent = policy_extent(wx, wp)
-    return GridGeometry.square(extent, 257 if extent <= 18.0 else 513)
+def default_geometry(state) -> GridGeometry:
+    """Casual-use geometry of a gaussian spec or a number-basis state.
+
+    The extent is max(6 w_x, 6 w_p, 6) for the widths w of a spec; a
+    number-basis state uses sqrt(2) * rms, its gaussian-equivalent width, so
+    the same physical state gets the same footprint either way. The point
+    count follows ``GridGeometry.square``.
+    """
+    if isinstance(state, (FockVector, DensityMatrix)):
+        x2, p2 = quadrature_moments(state)
+        wx, wp = np.sqrt(2.0 * x2), np.sqrt(2.0 * p2)
+    else:
+        wx, wp = state.max_widths()
+    return GridGeometry.square(policy_extent(wx, wp))
 
 
 def refined_geometry(spec, points_per_width: int = 16) -> GridGeometry:
@@ -237,15 +249,17 @@ def rasterize(spec, geometry: GridGeometry | None = None) -> WignerGrid:
     return WignerGrid.from_geometry(geometry, values)
 
 
-def wigner_from_density(state, geometry: GridGeometry | None = None,
-                        chunk_elems: int = 4_000_000) -> WignerGrid:
+def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGrid:
     """Integral transform of a number-basis state to the phase-space grid.
 
     W(x, p) = (1/2pi) * integral dy <x - y/2| rho |x + y/2> exp(i p y),
     with the position kernel built from orthonormal Hermite functions and the
-    y integral done by Simpson over |y| <= 2 * extent_x at step dx. The
-    density is eigendecomposed first, so the work scales with the number of
-    significantly occupied eigenstates.
+    y integral done by the trapezoid rule over |y| <= 2 * extent_x at step dx.
+    The integrand vanishes at the ends, where Simpson's alternating weights
+    would alias it to p +- pi/dx. Every sample point x +- y/2 lies on the
+    half-step lattice k * dx/2, |k| <= 2 nx - 2, so the eigenvectors of the
+    density are evaluated there once and gathered by index; the work scales
+    with the number of significantly occupied eigenstates.
 
     Raises GeometryError if the grid does not cover six times the state's rms
     quadrature spreads, or if the resulting normalization drifts from the
@@ -257,49 +271,39 @@ def wigner_from_density(state, geometry: GridGeometry | None = None,
         rho = state
     else:
         raise ConfigurationError(f"wigner_from_density cannot handle {type(state).__name__}")
+    if geometry is None:
+        geometry = default_geometry(rho)
     x2, p2 = quadrature_moments(rho)
     rms_x, rms_p = np.sqrt(x2), np.sqrt(p2)
-    if geometry is None:
-        # sqrt(2) * rms is the gaussian-equivalent width, so the automatic
-        # footprint matches rasterize() for the same physical state and the
-        # resulting grid is wide enough for downstream differencing.
-        extent = policy_extent(np.sqrt(2.0) * rms_x, np.sqrt(2.0) * rms_p)
-        geometry = GridGeometry.square(extent, 257 if extent <= 18.0 else 513)
     if geometry.extent_x < 6.0 * rms_x * (1.0 - 1e-9) \
             or geometry.extent_p < 6.0 * rms_p * (1.0 - 1e-9):
         raise GeometryError(
             f"grid extents ({geometry.extent_x:.3g}, {geometry.extent_p:.3g}) do not "
             f"cover 6x the rms spreads ({rms_x:.3g}, {rms_p:.3g})"
         )
-    xs, ps = geometry.axes()
-    dx = geometry.dx
+    _, ps = geometry.axes()
+    nx, dx = geometry.nx, geometry.dx
 
     evals, evecs = np.linalg.eigh(rho.elems)
     keep = evals > 1e-13
     evals, evecs = evals[keep], evecs[:, keep]
 
-    # y grid: span 2x the x extent at the same step; odd count by construction.
-    ny = 2 * geometry.nx - 1
-    ys = -2.0 * geometry.extent_x + np.arange(ny) * dx
-    wy = _simpson_weights(ny, dx)
-    phase = np.exp(1j * np.outer(ys, ps))  # (ny, num_p)
+    # With x_i = -E + i dx, y_j = -2E + j dx and E = (nx - 1) dx / 2:
+    # x_i - y_j/2 = lattice[2i - j + 2nx - 2] and x_i + y_j/2 = lattice[2i + j].
+    lattice = (np.arange(4 * nx - 3) - (2 * nx - 2)) * (dx / 2.0)
+    psi = hermite_psi_table(rho.trunc, lattice) @ evecs  # (lattice, rank)
+    ny = 2 * nx - 1
+    i2 = 2 * np.arange(nx)[:, None]
+    j = np.arange(ny)[None, :]
+    minus, plus = i2 - j + (2 * nx - 2), i2 + j
+    kernel = np.zeros((nx, ny), dtype=complex)
+    for lam, f in zip(evals, psi.T):
+        kernel += lam * f[minus] * f.conj()[plus]
 
-    values = np.empty((xs.size, ps.size))
-    nmax = rho.trunc
-    rows = max(1, int(chunk_elems // (ny * nmax)))
-    for i0 in range(0, xs.size, rows):
-        xi = xs[i0:i0 + rows]
-        um = (xi[:, None] - ys[None, :] / 2.0).ravel()
-        up = (xi[:, None] + ys[None, :] / 2.0).ravel()
-        tm = hermite_psi_table(nmax, um)
-        tp = hermite_psi_table(nmax, up)
-        kernel = np.zeros(um.size, dtype=complex)
-        for lam, vec in zip(evals, evecs.T):
-            fm = tm @ vec
-            fp = tp @ vec.conj()
-            kernel += lam * fm * fp
-        block = kernel.reshape(xi.size, ny) * wy[None, :]
-        values[i0:i0 + rows] = (block @ phase).real / (2.0 * np.pi)
+    ys = -2.0 * geometry.extent_x + np.arange(ny) * dx
+    kernel[:, 0] *= 0.5
+    kernel[:, -1] *= 0.5
+    values = (kernel @ np.exp(1j * np.outer(ys, ps))).real * (dx / (2.0 * np.pi))
 
     grid = WignerGrid.from_geometry(geometry, values)
     drift = abs(grid.integral() - 1.0)
@@ -387,6 +391,20 @@ class IdentityCheck(NamedTuple):
     subtracted_integral: float
 
 
+def outcome_norm_ratio(added_integral: float, subtracted_integral: float) -> float:
+    """integral(A) / integral(S), the norm ratio of the two outcomes.
+
+    Raises DegenerateInputError when integral(S) vanishes (vacuum input:
+    subtraction yields nothing, the sigma_x = 1 exclusion).
+    """
+    if abs(subtracted_integral) < DEGENERATE_INTEGRAL:
+        raise DegenerateInputError(
+            f"subtracted integral {subtracted_integral:.3e} vanishes: identity ratio "
+            "is undefined on the vacuum (sigma_x = 1 exclusion)"
+        )
+    return added_integral / subtracted_integral
+
+
 def l1_relative_residual(added: WignerGrid, subtracted: WignerGrid, ratio: float) -> float:
     """integral |A - ratio * S| / integral |A| over the shared grid."""
     diff = added.values - ratio * subtracted.values
@@ -402,22 +420,14 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     """How far the added and subtracted outcomes are from proportionality.
 
     Computes A and S, scales S by ``ratio`` (by default the integral ratio
-    integral(A)/integral(S), the norm ratio of the two outcomes) and returns
-    the L1-relative residual integral |A - R S| / integral |A|.
-
-    Raises DegenerateInputError when integral(S) vanishes (vacuum input:
-    subtraction yields nothing, the sigma_x = 1 exclusion).
+    integral(A)/integral(S), from ``outcome_norm_ratio``) and returns the
+    L1-relative residual integral |A - R S| / integral |A|.
     """
     added, subtracted = photon_outcomes(grid)
     ia = added.integral()
     isub = subtracted.integral()
     if ratio is None:
-        if abs(isub) < DEGENERATE_INTEGRAL:
-            raise DegenerateInputError(
-                f"subtracted integral {isub:.3e} vanishes: identity ratio is "
-                "undefined on the vacuum (sigma_x = 1 exclusion)"
-            )
-        ratio = ia / isub
+        ratio = outcome_norm_ratio(ia, isub)
     return IdentityCheck(l1_relative_residual(added, subtracted, ratio),
                          float(ratio), ia, isub)
 

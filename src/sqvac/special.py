@@ -1,17 +1,14 @@
-"""Self-contained special functions used by the rest of the library.
+"""Special functions used by the rest of the library.
 
-Deliberately dependency-light (numpy only) so the numerical core can be audited
-in one place:
-
-* ``bessel_i0``      -- modified Bessel function I0, power series / asymptotic
 * ``bessel_i0_scaled`` -- exp(-|t|) I0(t), safe at arguments where I0 overflows
-* ``elliptic_k``     -- complete elliptic integral K(m), parameter m = k**2,
-                        computed with the arithmetic-geometric mean
-* ``hermite_psi``    -- orthonormal Hermite functions (harmonic-oscillator
-                        eigenfunctions) by stable upward recurrence
+                          (scipy.special.i0e)
+* ``elliptic_k``       -- complete elliptic integral K(m), parameter m = k**2
+                          (scipy.special.ellipk, with a domain check)
+* ``hermite_psi_table`` -- orthonormal Hermite functions (harmonic-oscillator
+                          eigenfunctions) by stable upward recurrence
 
-Conventions follow Abramowitz & Stegun: I0 series 9.6.12 and asymptotic
-expansion 9.7.1; K via AGM as in 17.6; Hermite functions normalized so that
+scipy.special is imported where it is called, so importing the command line
+front end does not pay for it. Hermite functions are normalized so that
 integral psi_m psi_n dx = delta_mn.
 """
 
@@ -19,165 +16,50 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-# Branch switchover for I0: below, the power series converges quickly with no
-# cancellation; above, the asymptotic series bottoms out well below 1e-13.
-_I0_SERIES_CUTOFF = 15.0
-# exp(t - 0.5*log(2*pi*t)) exceeds the float64 range just under t = 714.
-_I0_OVERFLOW_EDGE = 713.9
-
-#: Largest Hermite degree accepted by default; the recurrence is stable far
-#: beyond this, the cap exists to catch runaway configuration values.
+#: Largest Hermite degree accepted; the recurrence is stable far beyond this,
+#: the cap exists to catch runaway configuration values.
 HERMITE_DEGREE_CAP = 512
-
-
-def _i0_series(t):
-    """Power series sum_k (t^2/4)^k / (k!)^2 for |t| <= the cutoff."""
-    q = t * t / 4.0
-    total = np.ones_like(t)
-    term = np.ones_like(t)
-    # At t = 15, terms fall below 1e-17 * sum after ~40 iterations.
-    for k in range(1, 64):
-        term = term * q / (k * k)
-        total = total + term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-
-def _i0_asymptotic_factor(t):
-    """Series S(t) with I0(t) = exp(t) / sqrt(2 pi t) * S(t), for t > cutoff.
-
-    Terms ((2k-1)!!)^2 / (k! 8^k t^k) are summed until they stop decreasing
-    (asymptotic series: truncation at the smallest term).
-    """
-    total = np.ones_like(t)
-    term = np.ones_like(t)
-    active = np.ones_like(t, dtype=bool)
-    for k in range(1, 80):
-        nxt = term * (2 * k - 1) ** 2 / (8.0 * k * t)
-        # Freeze lanes whose terms have started to grow again.
-        active = active & (np.abs(nxt) < np.abs(term))
-        term = np.where(active, nxt, 0.0)
-        total = total + term
-        if not np.any(active) or np.all(np.abs(term) <= 1e-17 * total):
-            break
-    return total
-
-
-def _as_array(t):
-    arr = np.asarray(t, dtype=float)
-    return arr, (arr.ndim == 0)
-
-
-def bessel_i0(t):
-    """Modified Bessel function of the first kind, order zero.
-
-    Accepts scalars or arrays; even in ``t``. Relative accuracy is better than
-    1e-12 across |t| <= 700.
-
-    Raises
-    ------
-    OverflowError
-        If exp-scale growth exceeds the float64 range (|t| >~ 714).
-    """
-    arr, scalar = _as_array(t)
-    a = np.abs(arr)
-    if np.any(a > _I0_OVERFLOW_EDGE):
-        raise OverflowError(
-            f"bessel_i0 overflows float64 for |t| > {_I0_OVERFLOW_EDGE}; "
-            "use bessel_i0_scaled for exponentially scaled values"
-        )
-    out = np.empty_like(a)
-    small = a <= _I0_SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _i0_series(a[small])
-    if np.any(~small):
-        big = a[~small]
-        out[~small] = np.exp(big - 0.5 * np.log(2.0 * np.pi * big)) * _i0_asymptotic_factor(big)
-    return float(out) if scalar else out
 
 
 def bessel_i0_scaled(t):
     """exp(-|t|) * I0(t): bounded by 1, usable at any |t| without overflow."""
-    arr, scalar = _as_array(t)
-    a = np.abs(arr)
-    out = np.empty_like(a)
-    small = a <= _I0_SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _i0_series(a[small]) * np.exp(-a[small])
-    if np.any(~small):
-        big = a[~small]
-        out[~small] = _i0_asymptotic_factor(big) / np.sqrt(2.0 * np.pi * big)
-    return float(out) if scalar else out
+    from scipy.special import i0e
+
+    return i0e(t)
 
 
 def elliptic_k(m):
     """Complete elliptic integral of the first kind, parameter convention.
 
     K(m) = integral_0^{pi/2} dt / sqrt(1 - m sin^2 t), with m = k**2 the
-    *parameter* (so elliptic_k(0.5) = 1.8540746773013719). Evaluated through
-    the arithmetic-geometric mean: K(m) = pi / (2 AGM(1, sqrt(1-m))), which
-    converges quadratically.
+    *parameter* (so elliptic_k(0.5) = 1.8540746773013719).
 
     Raises
     ------
     DomainError
         For m < 0 or m >= 1 (K diverges at m = 1).
     """
-    arr, scalar = _as_array(m)
+    from scipy.special import ellipk
+
+    arr = np.asarray(m, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise DomainError("elliptic_k requires 0 <= m < 1 (parameter m = k^2)")
-    a = np.ones_like(arr)
-    b = np.sqrt(1.0 - arr)
-    for _ in range(40):
-        a, b = (a + b) / 2.0, np.sqrt(a * b)
-        if np.all(np.abs(a - b) <= 4e-16 * a):
-            break
-    out = np.pi / (2.0 * a)
-    return float(out) if scalar else out
+    return ellipk(m)
 
 
-def hermite_psi(n, x, degree_cap=HERMITE_DEGREE_CAP):
-    """Orthonormal Hermite function psi_n(x) (oscillator eigenfunction).
+def hermite_psi_table(nmax, x):
+    """All psi_n(x) for n < nmax at once; shape (len(x), nmax).
 
     psi_0 = pi^{-1/4} exp(-x^2/2) and the stable normalized recurrence
     psi_n = x sqrt(2/n) psi_{n-1} - sqrt((n-1)/n) psi_{n-2}. Working with the
     normalized functions directly avoids the factorial overflow of the raw
     Hermite polynomials.
-
-    Parameters
-    ----------
-    n : int
-        Degree, 0 <= n <= degree_cap.
-    x : float or ndarray
-    """
-    if n < 0:
-        raise DomainError("hermite_psi degree must be non-negative")
-    if n > degree_cap:
-        raise ConfigurationError(
-            f"hermite_psi degree {n} exceeds cap {degree_cap}; raise degree_cap explicitly"
-        )
-    arr, scalar = _as_array(x)
-    prev = np.pi ** -0.25 * np.exp(-arr * arr / 2.0)
-    if n == 0:
-        return float(prev) if scalar else prev
-    cur = np.sqrt(2.0) * arr * prev
-    for k in range(2, n + 1):
-        prev, cur = cur, arr * np.sqrt(2.0 / k) * cur - np.sqrt((k - 1) / k) * prev
-    return float(cur) if scalar else cur
-
-
-def hermite_psi_table(nmax, x, degree_cap=HERMITE_DEGREE_CAP):
-    """All psi_n(x) for n < nmax at once; shape (len(x), nmax).
-
-    Columns share the recurrence work, which is what the phase-space transform
-    needs when contracting a number-basis density against position kernels.
     """
     if nmax < 1:
         raise ConfigurationError("hermite_psi_table needs nmax >= 1")
-    if nmax - 1 > degree_cap:
+    if nmax - 1 > HERMITE_DEGREE_CAP:
         raise ConfigurationError(
-            f"hermite_psi_table degree {nmax - 1} exceeds cap {degree_cap}"
+            f"hermite_psi_table degree {nmax - 1} exceeds cap {HERMITE_DEGREE_CAP}"
         )
     arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     table = np.empty((arr.size, nmax))

@@ -119,6 +119,29 @@ def test_vacuum_residual_names_the_exclusion(tmp_path, capsys):
     assert "sigma_x = 1" in err
 
 
+def test_vacuum_outcome_refused_without_output(tmp_path, capsys):
+    state = tmp_path / "vac.json"
+    grid_path = tmp_path / "grid.csv"
+    run(capsys, "state", "--kind", "pure", "--sigma-x", "1", "-o", str(state))
+    run(capsys, "wigner", "--state", str(state), "-o", str(grid_path))
+    for cmd in ("add", "sub"):
+        out_path = tmp_path / f"{cmd}.csv"
+        code, out, err = run(capsys, cmd, "--grid", str(grid_path), "-o", str(out_path))
+        assert code == 1 and out == ""
+        assert "sigma_x = 1" in err
+        assert not out_path.exists()
+
+
+def test_non_finite_state_refused_without_output(tmp_path, capsys):
+    for argv in (("--kind", "pure", "--sigma-x", "2", "--theta", "nan"),
+                 ("--kind", "squeezed", "--z", "nan"),
+                 ("--kind", "angular-average", "--sigma-x", "inf")):
+        out_path = tmp_path / "state.json"
+        code, _, err = run(capsys, "state", *argv, "-o", str(out_path))
+        assert code == 2 and "finite" in err
+        assert not out_path.exists()
+
+
 def test_truncation_refusal_is_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "state", "--kind", "squeezed", "--z", "3",
                        "--trunc", "40", "-o", str(tmp_path / "s.json"))

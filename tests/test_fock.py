@@ -9,6 +9,7 @@ from sqvac import (
     ConfigurationError,
     DegenerateInputError,
     DensityMatrix,
+    DomainError,
     FockVector,
     SqueezeParams,
     TruncationError,
@@ -42,6 +43,12 @@ def test_fock_vector_validation():
         FockVector(1, np.array([1.0]))
     with pytest.raises(ConfigurationError):
         FockVector(4, np.zeros(3))
+    with pytest.raises(DomainError):
+        FockVector(2, np.array([1.0, math.nan]))
+    with pytest.raises(DomainError):
+        squeezed_vacuum(math.nan)
+    with pytest.raises(DomainError):
+        coherent_state(math.inf, 40)
 
 
 def test_density_matrix_rejects_non_hermitian():

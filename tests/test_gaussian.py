@@ -91,6 +91,13 @@ def test_component_validation():
         GaussianComponent(1.0, 0.0, -2.0, 0.5)
     with pytest.raises(DomainError):
         GaussianComponent(1.0, 0.0, 0.5, 0.5)  # below the uncertainty floor
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            GaussianComponent(1.0, bad, 2.0, 0.5)
+        with pytest.raises(DomainError):
+            GaussianComponent(1.0, 0.0, bad, 0.5)
+        with pytest.raises(DomainError):
+            AngularAverageSpec(bad)
 
 
 def test_component_angle_is_pi_periodic():

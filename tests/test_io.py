@@ -113,6 +113,22 @@ def test_grid_rejects_truncated_file(tmp_path):
         load_grid(path)
 
 
+def test_grid_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "grid.csv"
+    save_grid(path, small_grid())
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError):
+        load_grid(path)
+
+
+def test_save_report_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        save_report(tmp_path / "r.json", {"measured": math.nan})
+    assert os.listdir(tmp_path) == []
+
+
 def test_grid_rejects_tampered_coordinates(tmp_path):
     path = tmp_path / "grid.csv"
     save_grid(path, small_grid())
@@ -143,3 +159,15 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write(target, "payload\n")
     assert target.read_text() == "payload\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_honours_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        atomic_write(tmp_path / "out.txt", "payload\n")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("payload\n")
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "out.txt").st_mode & 0o777
+    assert mode == os.stat(tmp_path / "plain.txt").st_mode & 0o777 == 0o644

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from sqvac import (
     AngularAverageSpec,
@@ -32,6 +33,7 @@ from sqvac import (
     wigner_from_density,
     wigner_value,
 )
+from sqvac.phasespace import BOUNDARY_DECAY
 
 PURE2 = GaussianWignerSpec.pure_state(2.0)
 IMPURE = GaussianWignerSpec.single(4.0, 0.5)
@@ -67,6 +69,12 @@ def test_default_geometry_policy():
     assert default_geometry(IMPURE) == GridGeometry.square(24.0, 513)
     assert default_geometry(GaussianWignerSpec.pure_state(1.0)) \
         == GridGeometry.square(6.0, 257)
+    # number-basis states: sqrt(2) rms is the gaussian-equivalent width
+    fock2 = default_geometry(squeezed_vacuum(-math.log(2.0), 68))
+    assert fock2.extent_x == pytest.approx(12.0, rel=1e-12) and fock2.nx == 257
+    strong = default_geometry(squeezed_vacuum(-math.log(4.0), 300))
+    assert strong.extent_x == pytest.approx(24.0, rel=1e-12) and strong.nx == 513
+    assert default_geometry(FockVector(8, np.eye(8)[0])) == GridGeometry.square(6.0, 257)
 
 
 def test_refined_geometry_policy():
@@ -151,6 +159,23 @@ def test_rasterize_default_geometry_normalized():
 
 # ---------------------------------------------------- number-basis transform
 
+def laguerre_wigner(rho, x, p):
+    """Matrix-element form of W (Cahill & Glauber, Phys. Rev. 177, 1882):
+    W = sum_mn rho_mn (-1)^m <n|D(beta)|m> / pi with beta = sqrt(2)(x + i p)
+    and <n|D|m> = sqrt(m!/n!) beta^(n-m) exp(-|beta|^2/2) L_m^(n-m)(|beta|^2)
+    for n >= m, -beta* in place of beta and m, n swapped otherwise."""
+    beta = math.sqrt(2.0) * (x + 1j * p)
+    b2 = np.abs(beta) ** 2
+    total = np.zeros(b2.shape, dtype=complex)
+    for m, n in zip(*np.nonzero(rho)):
+        lo, hi = min(m, n), max(m, n)
+        shift = beta if n >= m else -beta.conj()
+        element = math.sqrt(math.factorial(lo) / math.factorial(hi)) * shift ** (hi - lo) \
+            * np.exp(-b2 / 2.0) * eval_genlaguerre(lo, hi - lo, b2)
+        total += rho[m, n] * (-1) ** m * element
+    return total.real / math.pi
+
+
 def test_transform_single_photon():
     vec = FockVector(8, np.eye(8)[1])
     grid = wigner_from_density(vec)
@@ -158,12 +183,39 @@ def test_transform_single_photon():
     closed = (2.0 * s - 1.0) * np.exp(-s) / math.pi
     assert np.max(np.abs(grid.values - closed)) < 1e-8
 
+    # Number states, a rank-3 mixture with coherences and, last, a
+    # superposition whose W is not even in p, so a swapped x +- y/2 gather
+    # would mirror it.
+    rng = np.random.default_rng(7)
+    vecs = [FockVector(8, rng.normal(size=8) + 1j * rng.normal(size=8)).normalized()
+            for _ in range(3)]
+    states = [FockVector(8, np.eye(8)[n]) for n in (0, 1, 2, 5)] + [
+        DensityMatrix.mixture([0.5, 0.3, 0.2], vecs),
+        FockVector(8, np.array([1.0, 1j, 0, 0, 0, 0, 0, 0]) / math.sqrt(2.0)),
+    ]
+    for state in states:
+        rho = state if isinstance(state, DensityMatrix) else DensityMatrix.from_pure(state)
+        grid = wigner_from_density(state)
+        oracle = laguerre_wigner(rho.elems, grid.xs[:, None], grid.ps[None, :])
+        assert np.max(np.abs(grid.values - oracle)) < 1e-10
+    assert np.max(np.abs(oracle - oracle[:, ::-1])) > 0.1
+
 
 def test_transform_squeezed_matches_closed_form():
     z = -math.log(2.0)  # sigma_x = 2
     grid = wigner_from_density(squeezed_vacuum(z, 68))
     closed = wigner_value(PURE2, grid.xs[:, None], grid.ps[None, :])
     assert np.max(np.abs(grid.values - closed)) < 1e-7
+
+    # z = 1: the default grid's p edge is clean (alternating y weights would
+    # put a ghost at p +- pi/dx) and, on a grid fine enough for the
+    # stencils, the identity holds.
+    state = squeezed_vacuum(1.0)
+    grid = wigner_from_density(state)
+    assert grid.boundary_max() <= BOUNDARY_DECAY
+    extent = default_geometry(state).extent_x
+    fine = wigner_from_density(state, GridGeometry.square(extent, 769))
+    assert identity_residual(fine).residual < 1e-4
 
 
 def test_transform_coherent_is_shifted_vacuum():

@@ -10,26 +10,27 @@ import scipy.special
 from sqvac import ConfigurationError, DomainError
 from sqvac.special import (
     HERMITE_DEGREE_CAP,
-    bessel_i0,
     bessel_i0_scaled,
     elliptic_k,
-    hermite_psi,
     hermite_psi_table,
 )
 
 
-# ---------------------------------------------------------------- bessel_i0
+# --------------------------------------------------------- bessel_i0_scaled
 
 def test_i0_at_one():
     # A&S table 9.8: I0(1) = 1.26606 58777 52008...
-    assert bessel_i0(1.0) == pytest.approx(1.2660658777520083, rel=1e-15)
+    assert bessel_i0_scaled(1.0) * math.e == pytest.approx(1.2660658777520083, rel=1e-15)
 
 
 @pytest.mark.parametrize(
     "t", [0.0, 0.3, 1.0, 5.0, 14.9, 15.0, 15.1, 40.0, 120.0, 700.0]
 )
 def test_i0_matches_scipy_across_both_branches(t):
-    assert bessel_i0(t) == pytest.approx(scipy.special.i0(t), rel=1e-12)
+    # Undoing the scaling must give scipy's unscaled I0 on both Chebyshev
+    # ranges of the Cephes algorithm (|t| <= 8 and |t| > 8) up to the
+    # float64 edge near t = 714.
+    assert bessel_i0_scaled(t) * math.exp(t) == pytest.approx(scipy.special.i0(t), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.0, 2.0, 15.0, 1e3, 1e6])
@@ -38,21 +39,21 @@ def test_i0_scaled_matches_scipy(t):
 
 
 def test_i0_is_even():
-    assert bessel_i0(-3.7) == bessel_i0(3.7)
+    assert bessel_i0_scaled(-3.7) == bessel_i0_scaled(3.7)
     assert bessel_i0_scaled(-20.0) == bessel_i0_scaled(20.0)
 
 
 def test_i0_array_input():
     ts = np.array([0.5, 10.0, 100.0])
-    np.testing.assert_allclose(bessel_i0(ts), scipy.special.i0(ts), rtol=1e-12)
+    out = bessel_i0_scaled(ts)
+    assert out.shape == ts.shape
+    np.testing.assert_allclose(out * np.exp(ts), scipy.special.i0(ts), rtol=1e-12)
 
 
 def test_i0_overflow_guard():
-    assert math.isfinite(bessel_i0(713.0))
-    with pytest.raises(OverflowError):
-        bessel_i0(714.0)
-    # scaled variant has no such limit
+    # I0 itself overflows float64 past t ~ 714; the scaled form does not
     assert 0.0 < bessel_i0_scaled(714.0) < 1.0
+    assert 0.0 < bessel_i0_scaled(1e300) < 1.0
 
 
 # --------------------------------------------------------------- elliptic_k
@@ -80,18 +81,20 @@ def test_elliptic_k_rejects_out_of_domain(m):
         elliptic_k(m)
 
 
-# -------------------------------------------------------------- hermite_psi
+# -------------------------------------------------------- hermite_psi_table
 
 def test_hermite_ground_state():
-    assert hermite_psi(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-15)
-    assert hermite_psi(0, 0.0) == pytest.approx(0.7511255444649425, rel=1e-15)
+    psi0 = hermite_psi_table(1, 0.0)[0, 0]
+    assert psi0 == pytest.approx(math.pi ** -0.25, rel=1e-15)
+    assert psi0 == pytest.approx(0.7511255444649425, rel=1e-15)
 
 
 def test_hermite_origin_values():
     # psi_2(0) = -2 / sqrt(8 sqrt(pi)); odd degrees vanish by parity
-    assert hermite_psi(2, 0.0) == pytest.approx(-0.5311259660135984, rel=1e-14)
-    assert hermite_psi(1, 0.0) == 0.0
-    assert hermite_psi(7, 0.0) == 0.0
+    row = hermite_psi_table(8, 0.0)[0]
+    assert row[2] == pytest.approx(-0.5311259660135984, rel=1e-14)
+    assert row[1] == 0.0
+    assert row[7] == 0.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 8, 12])
@@ -101,7 +104,7 @@ def test_hermite_matches_scipy_polynomials(n):
         2.0 ** n * math.factorial(n) * math.sqrt(math.pi)
     )
     np.testing.assert_allclose(
-        hermite_psi(n, xs),
+        hermite_psi_table(n + 1, xs)[:, n],
         scipy.special.eval_hermite(n, xs) * weight,
         rtol=1e-12,
         atol=1e-15,
@@ -118,22 +121,22 @@ def test_hermite_table_orthonormal():
 
 
 def test_hermite_table_agrees_with_single_degree():
+    # A column does not depend on how many degrees the table holds: the
+    # table stopping at degree 17 ends in the same column as a wider one.
     xs = np.linspace(-3.0, 3.0, 7)
-    table = hermite_psi_table(40, xs)
-    np.testing.assert_array_equal(table[:, 17], hermite_psi(17, xs))
+    np.testing.assert_array_equal(hermite_psi_table(40, xs)[:, 17],
+                                  hermite_psi_table(18, xs)[:, -1])
 
 
 def test_hermite_large_degree_stays_bounded():
     # Normalized recurrence must not blow up at the cap.
-    val = hermite_psi(HERMITE_DEGREE_CAP, np.array([0.0, 1.0, 5.0]))
-    assert np.all(np.abs(val) < 1.0)
+    table = hermite_psi_table(HERMITE_DEGREE_CAP + 1, np.array([0.0, 1.0, 5.0]))
+    assert np.all(np.abs(table[:, -1]) < 1.0)
 
 
 def test_hermite_degree_validation():
-    with pytest.raises(DomainError):
-        hermite_psi(-1, 0.0)
-    with pytest.raises(ConfigurationError):
-        hermite_psi(HERMITE_DEGREE_CAP + 1, 0.0)
-    hermite_psi(HERMITE_DEGREE_CAP + 1, 0.0, degree_cap=HERMITE_DEGREE_CAP + 1)
     with pytest.raises(ConfigurationError):
         hermite_psi_table(0, 0.0)
+    with pytest.raises(ConfigurationError):
+        hermite_psi_table(HERMITE_DEGREE_CAP + 2, 0.0)
+    assert hermite_psi_table(HERMITE_DEGREE_CAP + 1, 0.0).shape == (1, HERMITE_DEGREE_CAP + 1)
