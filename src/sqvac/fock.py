@@ -6,12 +6,14 @@ run (TruncationError) instead of silently corrupting norms.
 
 Conventions: hbar = 1, quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2),
 so the vacuum has <x^2> = <p^2> = 1/2.
+
+scipy.linalg is imported where expm is called, so importing the command line
+does not load it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TruncationError
 from typing import NamedTuple
@@ -83,6 +85,8 @@ class DensityMatrix:
         self.elems = np.asarray(self.elems, dtype=complex)
         if self.elems.shape != (self.trunc, self.trunc):
             raise ConfigurationError("elems must be a square trunc x trunc matrix")
+        if not np.all(np.isfinite(self.elems)):
+            raise DomainError("density matrix elements must be finite")
         herm = np.max(np.abs(self.elems - self.elems.conj().T))
         if herm > _HERMITICITY_TOL:
             raise ConfigurationError(f"not Hermitian: max asymmetry {herm:.2e}")
@@ -242,6 +246,7 @@ def squeeze_operator(z, trunc: int, phi: float | None = None) -> np.ndarray:
     gen = (zeta * (a @ a) - np.conj(zeta) * (a.T @ a.T)) / 2.0
     if zeta.imag == 0.0:
         gen = gen.real
+    from scipy.linalg import expm
     return expm(gen)
 
 
@@ -251,6 +256,7 @@ def displacement_operator(alpha: complex, trunc: int) -> np.ndarray:
     gen = alpha * a.T - np.conj(alpha) * a
     if complex(alpha).imag == 0.0:
         gen = np.real(gen)
+    from scipy.linalg import expm
     return expm(gen)
 
 

@@ -6,7 +6,6 @@ expression that created them.
 """
 
 import contextlib
-import io as _io
 import json
 import os
 import uuid
@@ -21,18 +20,20 @@ from .phasespace import WignerGrid
 GRID_MAGIC = "wigner-grid-v1"
 
 
-def atomic_write(path, text: str):
-    """Write text to path via a temp file + rename, so readers never see halves.
+def atomic_write(path, chunks):
+    """Write an iterable of str chunks to path via a temp file + rename, so
+    readers never see halves; a caller with one string passes a 1-tuple.
 
     The temp file is created by a plain exclusive open, so the output gets the
-    mode the process umask gives any new file.
+    mode the process umask gives any new file. If the chunks raise part-way,
+    the temp file is removed and an existing target keeps its old content.
     """
     path = os.fspath(path)
     d, name = os.path.split(path)
     tmp = os.path.join(d, f".tmp-{uuid.uuid4().hex}-{name}")
     try:
         with open(tmp, "x") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -82,8 +83,8 @@ def obj_to_state(obj: dict):
 
 
 def save_state(path, state):
-    atomic_write(path, json.dumps(state_to_obj(state), indent=2, sort_keys=True,
-                                  allow_nan=False) + "\n")
+    atomic_write(path, (json.dumps(state_to_obj(state), indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n",))
 
 
 def load_state(path):
@@ -94,19 +95,23 @@ def load_state(path):
 # --- grid CSV ---
 
 def save_grid(path, grid: WignerGrid, comments=()):
-    """CSV rows x,p,value after a layout header; extra comments one per line."""
-    buf = _io.StringIO()
-    buf.write(f"# {GRID_MAGIC} {grid.x0:.17g} {grid.dx:.17g} {grid.nx} "
-              f"{grid.p0:.17g} {grid.dp:.17g} {grid.num_p}\n")
+    """CSV rows x,p,value after a layout header; extra comments one per line.
+
+    Rows are streamed to disk one x row at a time, every float written with
+    "%.17g", so files keep the v1 format byte for byte.
+    """
+    atomic_write(path, _grid_chunks(grid, comments))
+
+
+def _grid_chunks(grid: WignerGrid, comments):
+    yield (f"# {GRID_MAGIC} {grid.x0:.17g} {grid.dx:.17g} {grid.nx} "
+           f"{grid.p0:.17g} {grid.dp:.17g} {grid.num_p}\n")
     for c in comments:
-        buf.write(f"# {c}\n")
-    table = np.column_stack([
-        np.repeat(grid.xs, grid.num_p),
-        np.tile(grid.ps, grid.nx),
-        grid.values.ravel(),
-    ])
-    np.savetxt(buf, table, fmt="%.17g", delimiter=",")
-    atomic_write(path, buf.getvalue())
+        yield f"# {c}\n"
+    # x.join(parts) gives "x,p_0,%.17g\nx,p_1,%.17g\n...": the row template.
+    parts = [""] + [f",{p:.17g},%.17g\n" for p in grid.ps.tolist()]
+    for x, row in zip(grid.xs.tolist(), grid.values):
+        yield f"{x:.17g}".join(parts) % tuple(row.tolist())
 
 
 def load_grid(path) -> tuple[WignerGrid, list[str]]:
@@ -136,7 +141,7 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
 # --- verification reports ---
 
 def save_report(path, report: dict):
-    atomic_write(path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    atomic_write(path, (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",))
 
 
 def load_report(path) -> dict:

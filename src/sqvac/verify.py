@@ -321,7 +321,7 @@ def _save_table(path: str, headers, columns) -> str:
     lines = [f"# {h}" for h in headers]
     for row in zip(*columns):
         lines.append(",".join(f"{v:.17g}" for v in row))
-    sqio.atomic_write(path, "\n".join(lines) + "\n")
+    sqio.atomic_write(path, ("\n".join(lines) + "\n",))
     return path
 
 

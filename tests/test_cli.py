@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ def test_explicit_out_beats_environment(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert target.exists()
     assert os.listdir(env_dir) == []
+
+
+def test_import_loads_no_scipy_submodules():
+    # every sqvac command pays its import; scipy is imported where it is used
+    import sqvac
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    code = ("import sys, sqvac.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed():

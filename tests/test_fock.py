@@ -66,6 +66,17 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(2, np.array([[1.5, 0.0], [0.0, -0.5]]))
 
 
+@pytest.mark.parametrize("elems", [
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[0.5, math.nan], [math.nan, 0.5]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+])
+def test_density_matrix_rejects_non_finite(elems):
+    # NaN makes every ">" tolerance check false, so it must be refused first
+    with pytest.raises(DomainError):
+        DensityMatrix(2, np.array(elems))
+
+
 def test_mixture_weights_and_purity():
     rho = DensityMatrix.mixture(
         [0.5, 0.5], [basis_vector(0, 8), basis_vector(2, 8)]

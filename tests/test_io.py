@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from sqvac import (
     ConfigurationError,
     GaussianWignerSpec,
     GridGeometry,
+    WignerGrid,
     coherent_state,
     identity_residual,
     rasterize,
@@ -97,6 +99,29 @@ def test_roundtrip_preserves_residual_bitwise(tmp_path):
     assert identity_residual(loaded) == identity_residual(grid)
 
 
+@pytest.mark.parametrize("comments", [[], ["alpha"], ["alpha", "seed 7; x,p"]])
+def test_grid_bytes_match_savetxt_reference(tmp_path, comments):
+    # non-square, so an x/p transposition cannot pass; steps that are not
+    # exact binary fractions, so every coordinate needs all 17 digits
+    nx, num_p = 33, 35
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((nx, num_p)) * 10.0 ** rng.integers(-20, 5, (nx, num_p))
+    values.flat[:8] = [-0.0, 5e-324, 1e-300, 1.0, 0.1, -1.0, -2.5e-7, 0.0]
+    grid = WignerGrid(-1.7, 0.1, -2.3, 0.1 / 3, values)
+    path = tmp_path / "grid.csv"
+    save_grid(path, grid, comments)
+
+    ref = io.StringIO()
+    ref.write("# wigner-grid-v1 %.17g %.17g %d %.17g %.17g %d\n"
+              % (grid.x0, grid.dx, nx, grid.p0, grid.dp, num_p))
+    for c in comments:
+        ref.write(f"# {c}\n")
+    table = np.column_stack([np.repeat(grid.xs, num_p), np.tile(grid.ps, nx), values.ravel()])
+    np.savetxt(ref, table, fmt="%.17g", delimiter=",")
+    assert path.read_bytes() == ref.getvalue().encode()
+    assert path.read_bytes().splitlines()[len(comments) + 1] == b"-1.7,-2.2999999999999998,-0"
+
+
 def test_grid_rejects_wrong_magic(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("# some-other-format 0 1 33 0 1 33\n")
@@ -156,15 +181,31 @@ def test_report_roundtrip_and_determinism(tmp_path):
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
-    atomic_write(target, "payload\n")
+    atomic_write(target, ("payload\n",))
     assert target.read_text() == "payload\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_failing_stream_leaves_nothing(tmp_path):
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("stream broke")
+
+    target = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError):
+        atomic_write(target, chunks())
+    assert os.listdir(tmp_path) == []
+    atomic_write(target, ("old\n",))
+    with pytest.raises(RuntimeError):
+        atomic_write(target, chunks())
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert target.read_text() == "old\n"
 
 
 def test_atomic_write_honours_umask(tmp_path):
     old = os.umask(0o022)
     try:
-        atomic_write(tmp_path / "out.txt", "payload\n")
+        atomic_write(tmp_path / "out.txt", ("payload\n",))
         with open(tmp_path / "plain.txt", "w") as fh:
             fh.write("payload\n")
     finally:
