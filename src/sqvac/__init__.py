@@ -11,18 +11,14 @@ the three descriptions agree.
 
 from .errors import (ConfigurationError, DegenerateInputError, DomainError,
                      GeometryError, SqvacError, TruncationError)
-from .fock import (DensityMatrix, FockVector, OutcomeRatio, SqueezeParams,
-                   StateMetrics, annihilate, bogoliubov_annihilate,
-                   coherent_state, create, displacement_operator,
-                   lowering_matrix, outcome_ratio, quadrature_moments,
-                   squeeze_operator, squeezed_vacuum, state_metrics,
+from .fock import (DensityMatrix, FockVector, OutcomeRatio, annihilate,
+                   bogoliubov_annihilate, coherent_state, create, lowering_matrix,
+                   outcome_ratio, quadrature_moments, squeezed_vacuum,
                    suggested_truncation)
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
-                       added_outcome_value, amplitude_ratio,
-                       angular_average_purity, angular_average_value,
-                       norm_ratio, outcome_factors, spec_norm_ratio,
-                       squeeze_parameter, squeezed_wavefunction,
-                       subtracted_outcome_value, wigner_value)
+                       amplitude_ratio, angular_average_purity,
+                       angular_average_value, norm_ratio, outcome_factors,
+                       spec_norm_ratio, squeeze_parameter, wigner_value)
 from .phasespace import (GridGeometry, GridReport, IdentityCheck, WignerGrid,
                          add_photon, default_geometry, grid_metrics,
                          identity_residual, l1_relative_residual,

@@ -54,8 +54,24 @@ def _require(value, flag: str, kind: str):
     return value
 
 
+# The flags each state kind reads; `state` refuses any other flag it is given.
+_KIND_FLAGS = {
+    "pure": ("sigma_x", "theta"),
+    "impure": ("sigma_x", "sigma_p", "theta"),
+    "mixture": ("sigma_x", "theta", "theta2", "weight"),
+    "angular-average": ("sigma_x",),
+    "squeezed": ("z", "sigma_x", "trunc"),
+    "coherent": ("alpha", "trunc"),
+}
+_STATE_FLAGS = ("sigma_x", "sigma_p", "theta", "theta2", "weight", "z", "alpha", "trunc")
+
+
 def _build_state(args):
     kind = args.kind
+    for name in _STATE_FLAGS:
+        if getattr(args, name) is not None and name not in _KIND_FLAGS.get(kind, ()):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigurationError(f"state kind {kind!r} does not use {flag}")
     theta = args.theta if args.theta is not None else 0.0
     if kind == "pure":
         return GaussianWignerSpec.pure_state(_require(args.sigma_x, "--sigma-x", kind), theta)
@@ -64,12 +80,15 @@ def _build_state(args):
                                          _require(args.sigma_p, "--sigma-p", kind), theta)
     if kind == "mixture":
         theta2 = args.theta2 if args.theta2 is not None else math.pi / 4.0
+        weight = args.weight if args.weight is not None else 0.5
         return GaussianWignerSpec.two_angle_mixture(
-            args.weight, theta, theta2, _require(args.sigma_x, "--sigma-x", kind))
+            weight, theta, theta2, _require(args.sigma_x, "--sigma-x", kind))
     if kind == "angular-average":
         return AngularAverageSpec(_require(args.sigma_x, "--sigma-x", kind))
     if kind == "squeezed":
         if args.z is not None:
+            if args.sigma_x is not None:
+                raise ConfigurationError("state kind 'squeezed' takes --z or --sigma-x, not both")
             z = args.z
         else:
             z = squeeze_parameter(_require(args.sigma_x, "--z or --sigma-x", kind))
@@ -197,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sigma-p", type=float, dest="sigma_p")
     ps.add_argument("--theta", type=float)
     ps.add_argument("--theta2", type=float, help="second mixture angle (default pi/4)")
-    ps.add_argument("--weight", type=float, default=0.5,
-                    help="first-component weight for mixtures")
+    ps.add_argument("--weight", type=float,
+                    help="first-component weight for mixtures (default 0.5)")
     ps.add_argument("--z", type=float, help="squeeze parameter for fock states")
     ps.add_argument("--alpha", type=float, help="coherent displacement")
     ps.add_argument("--trunc", type=int, help="number-basis size")

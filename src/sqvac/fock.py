@@ -6,17 +6,14 @@ run (TruncationError) instead of silently corrupting norms.
 
 Conventions: hbar = 1, quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2),
 so the vacuum has <x^2> = <p^2> = 1/2.
-
-scipy.linalg is imported where expm is called, so importing the command line
-does not load it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TruncationError
-from typing import NamedTuple
 
 #: Probability weight allowed past the truncation edge before operations refuse.
 TRUNCATION_BUDGET = 1e-10
@@ -57,19 +54,6 @@ class FockVector:
         if n < 1e-14:
             raise DegenerateInputError("cannot normalize a zero vector")
         return FockVector(self.trunc, self.amps / n)
-
-    def mean_photon(self) -> float:
-        w = np.abs(self.amps) ** 2
-        return float(np.sum(np.arange(self.trunc) * w) / np.sum(w))
-
-    def inner(self, other: "FockVector") -> complex:
-        _check_same_trunc(self, other)
-        return complex(np.vdot(self.amps, other.amps))
-
-
-def _check_same_trunc(a, b):
-    if a.trunc != b.trunc:
-        raise ConfigurationError(f"truncation mismatch: {a.trunc} vs {b.trunc}")
 
 
 @dataclass
@@ -115,19 +99,6 @@ class DensityMatrix:
             u = v.normalized().amps
             rho += w * np.outer(u, u.conj())
         return cls(n, rho)
-
-
-@dataclass
-class SqueezeParams:
-    """Squeeze magnitude and phase; the magnitude is kept non-negative, a sign
-    flip is the phi -> phi + pi member of the same family."""
-
-    z: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ConfigurationError("SqueezeParams.z must be >= 0; use phi for the sign")
 
 
 def lowering_matrix(trunc: int) -> np.ndarray:
@@ -231,35 +202,6 @@ def coherent_state(alpha: complex, trunc: int) -> FockVector:
     return FockVector(trunc, amps / np.linalg.norm(amps))
 
 
-def squeeze_operator(z, trunc: int, phi: float | None = None) -> np.ndarray:
-    """Matrix exponential of the squeeze generator (zeta a^2 - zeta* a^dag^2)/2.
-
-    Accepts either a SqueezeParams or a plain float z (any sign; phi may be
-    given separately). Unitary on the lower half of the basis; the top rows
-    feel the truncation, which is why callers should size trunc generously.
-    """
-    if isinstance(z, SqueezeParams):
-        zeta = z.z * np.exp(1j * z.phi)
-    else:
-        zeta = float(z) * np.exp(1j * (phi or 0.0))
-    a = lowering_matrix(trunc)
-    gen = (zeta * (a @ a) - np.conj(zeta) * (a.T @ a.T)) / 2.0
-    if zeta.imag == 0.0:
-        gen = gen.real
-    from scipy.linalg import expm
-    return expm(gen)
-
-
-def displacement_operator(alpha: complex, trunc: int) -> np.ndarray:
-    """Matrix exponential of alpha a^dag - alpha* a."""
-    a = lowering_matrix(trunc)
-    gen = alpha * a.T - np.conj(alpha) * a
-    if complex(alpha).imag == 0.0:
-        gen = np.real(gen)
-    from scipy.linalg import expm
-    return expm(gen)
-
-
 def bogoliubov_annihilate(z: float, state: FockVector) -> FockVector:
     """Apply a cosh(z) - a^dag sinh(z) (hyperbolic mix of the ladder pair).
 
@@ -301,27 +243,6 @@ def outcome_ratio(state: FockVector) -> OutcomeRatio:
     c = complex(np.vdot(added.amps, subbed.amps)) / add_sq
     res = float(np.linalg.norm(subbed.amps - c * added.amps) / np.sqrt(sub_sq))
     return OutcomeRatio(c, res)
-
-
-class StateMetrics(NamedTuple):
-    norm: float
-    purity: float
-    mean_photon: float
-
-
-def state_metrics(state) -> StateMetrics:
-    """Norm/trace, purity and mean photon number of a vector or density matrix."""
-    if isinstance(state, FockVector):
-        w = np.abs(state.amps) ** 2
-        total = float(np.sum(w))
-        nbar = float(np.sum(np.arange(state.trunc) * w) / total)
-        return StateMetrics(float(np.sqrt(total)), 1.0, nbar)
-    if isinstance(state, DensityMatrix):
-        tr = float(np.trace(state.elems).real)
-        purity = float(np.trace(state.elems @ state.elems).real)
-        nbar = float(np.sum(np.arange(state.trunc) * np.diag(state.elems).real) / tr)
-        return StateMetrics(tr, purity, nbar)
-    raise ConfigurationError(f"state_metrics cannot handle {type(state).__name__}")
 
 
 def quadrature_moments(state) -> tuple[float, float]:

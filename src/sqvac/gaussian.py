@@ -160,14 +160,6 @@ def norm_ratio(sigma_x: float) -> float:
     return r * r
 
 
-def squeezed_wavefunction(x, sigma_x: float):
-    """Position wavefunction exp(-x^2 / (2 sigma_x^2)) / sqrt(sigma_x sqrt(pi))."""
-    if not sigma_x > 0:
-        raise DomainError("sigma_x must be positive")
-    x = np.asarray(x, dtype=float)
-    return np.exp(-x * x / (2.0 * sigma_x ** 2)) / np.sqrt(sigma_x * np.sqrt(np.pi))
-
-
 def _rotated(c: GaussianComponent, x, p):
     ct, st = np.cos(c.theta), np.sin(c.theta)
     return x * ct + p * st, p * ct - x * st
@@ -215,49 +207,6 @@ def outcome_factors(x, p, sigma_x: float, sigma_p: float):
               + (sp2 * (2.0 * sx2 - 1.0) - sx2) / (sp2 * sx2 * dm)
               + 2.0 * x ** 2 * (sx2 - 1.0) ** 2 / (sx2 ** 2 * dm))
     return fplus, fminus
-
-
-def _unnormalized_outcome(c: GaussianComponent, x, p, sign: int):
-    """weight-of-outcome * f * W for one component, safe for vacuum components.
-
-    sign=+1 is addition, sign=-1 subtraction. Equal to (added|subtracted)_weight
-    times f_plus/f_minus times W, but written without the D denominator so a
-    vacuum component contributes its exact zero instead of 0/0.
-    """
-    sx2, sp2 = c.sigma_x ** 2, c.sigma_p ** 2
-    s = float(sign)
-    xr, pr = _rotated(c, x, p)
-    w = np.exp(-xr ** 2 / sx2 - pr ** 2 / sp2) / (np.pi * c.sigma_x * c.sigma_p)
-    quad = (2.0 * pr ** 2 * (sp2 + s) ** 2 / sp2 ** 2
-            - s * (sp2 * (2.0 * sx2 + s) + s * sx2) / (sp2 * sx2)
-            + 2.0 * xr ** 2 * (sx2 + s) ** 2 / sx2 ** 2)
-    return quad / 4.0 * w
-
-
-def added_outcome_value(spec: GaussianWignerSpec, x, p):
-    """Renormalized Wigner function after adding one photon to the mixture."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    num = sum(c.weight * _unnormalized_outcome(c, x, p, +1) for c in spec.components)
-    den = sum(c.weight * c.added_weight() for c in spec.components)
-    return num / den
-
-
-def subtracted_outcome_value(spec: GaussianWignerSpec, x, p):
-    """Renormalized Wigner function after subtracting one photon.
-
-    Raises DegenerateInputError when the spec carries (almost) no photons.
-    """
-    den = sum(c.weight * c.subtracted_weight() for c in spec.components)
-    if den < _VACUUM_GAP:
-        raise DegenerateInputError(
-            "cannot renormalize the subtracted outcome: the state holds no "
-            "photons (vacuum, the sigma_x = 1 exclusion)"
-        )
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    num = sum(c.weight * _unnormalized_outcome(c, x, p, -1) for c in spec.components)
-    return num / den
 
 
 def spec_norm_ratio(spec: GaussianWignerSpec) -> float:

@@ -205,19 +205,6 @@ class WignerGrid:
     def from_geometry(cls, geometry: GridGeometry, values: np.ndarray) -> "WignerGrid":
         return cls(-geometry.extent_x, geometry.dx, -geometry.extent_p, geometry.dp, values)
 
-    @classmethod
-    def from_axes(cls, xs, ps, values) -> "WignerGrid":
-        """Build from explicit axis arrays, which must be uniformly spaced."""
-        xs = np.asarray(xs, dtype=float)
-        ps = np.asarray(ps, dtype=float)
-        if xs.ndim != 1 or ps.ndim != 1:
-            raise ConfigurationError("axes must be 1-d arrays")
-        grid = cls(xs[0], xs[1] - xs[0], ps[0], ps[1] - ps[0], values)
-        if np.max(np.abs(xs - grid.xs)) > 1e-9 * grid.dx \
-                or np.max(np.abs(ps - grid.ps)) > 1e-9 * grid.dp:
-            raise GeometryError("grid axes must be uniformly spaced")
-        return grid
-
     def with_values(self, values: np.ndarray) -> "WignerGrid":
         """Same layout, new samples."""
         return WignerGrid(self.x0, self.dx, self.p0, self.dp, values)

@@ -21,8 +21,8 @@ from .fock import (bogoliubov_annihilate, coherent_state, outcome_ratio,
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
                        angular_average_purity, angular_average_value, norm_ratio,
                        outcome_factors, spec_norm_ratio)
-from .phasespace import (GridGeometry, add_photon, default_geometry, grid_metrics,
-                         identity_residual, l1_relative_residual, photon_outcomes,
+from .phasespace import (add_photon, default_geometry, grid_metrics, identity_residual,
+                         l1_relative_residual, outcome_norm_ratio, photon_outcomes,
                          rasterize, refined_geometry, renormalize,
                          wigner_from_density)
 from .special import elliptic_k
@@ -32,23 +32,25 @@ SUITE_NAMES = ("pure-identity", "impure-difference", "fock-ratio", "commutator",
 
 _NEG_INV_PI = -1.0 / math.pi
 
+# every tolerance name some suite reads through SuiteConfig.tol
+_TOLERANCE_NAMES = ("annihilation", "coherent_floor", "commutator", "maxdiff_floor",
+                    "mixture_floor", "origin", "purity", "ratio", "residual",
+                    "residual_floor", "second_round_floor")
+
 
 @dataclass
 class SuiteConfig:
-    """Suite knobs; anything left unset falls back to the suite's defaults.
-
-    ``sigma_list`` doubles as the squeeze-parameter grid for the number-basis
-    suites (fock-ratio, bogoliubov), where the natural parameter is z.
-    """
+    """Tolerance overrides and number-basis size; unset values fall back to
+    the suite's defaults."""
 
     tolerances: dict = field(default_factory=dict)
     trunc: int | None = None
-    geometry: GridGeometry | None = None
-    sigma_list: tuple = ()
-    theta_list: tuple = ()
 
     def __post_init__(self):
         for name, value in self.tolerances.items():
+            if name not in _TOLERANCE_NAMES:
+                raise ConfigurationError(
+                    f"unknown tolerance {name!r}; choose from {', '.join(_TOLERANCE_NAMES)}")
             if not value > 0:
                 raise ConfigurationError(f"tolerance {name!r} must be positive")
 
@@ -107,32 +109,28 @@ def _expect_degenerate(label: str, fn) -> CaseResult:
     return CaseResult(label, 1.0, 0.0)
 
 
-def _outcome_checks(label: str, spec, cfg: SuiteConfig, closed_ratio: float,
-                    check_origin: bool = True) -> list:
+def _outcomes(spec):
+    """Outcomes of a spec on its refined grid: added, subtracted, ratio, residual."""
+    added, subtracted = photon_outcomes(rasterize(spec, refined_geometry(spec)))
+    ratio = outcome_norm_ratio(added.integral(), subtracted.integral())
+    return added, subtracted, ratio, l1_relative_residual(added, subtracted, ratio)
+
+
+def _outcome_checks(label: str, spec, cfg: SuiteConfig, closed_ratio: float) -> list:
     """Shared positive-case body: residual, ratio against closed form, origin."""
-    geometry = cfg.geometry or refined_geometry(spec)
-    grid = rasterize(spec, geometry)
-    added, subtracted = photon_outcomes(grid)
-    ia, isub = added.integral(), subtracted.integral()
-    ratio = ia / isub
-    residual = l1_relative_residual(added, subtracted, ratio)
-    cases = [
+    added, _, ratio, residual = _outcomes(spec)
+    origin = grid_metrics(renormalize(added)).origin_value
+    return [
         _upper(f"{label}-residual", residual, cfg.tol("residual", 1e-4)),
         _upper(f"{label}-ratio-err", abs(ratio - closed_ratio), cfg.tol("ratio", 1e-3)),
+        _upper(f"{label}-origin-err", abs(origin - _NEG_INV_PI), cfg.tol("origin", 1e-3)),
     ]
-    if check_origin:
-        origin = grid_metrics(renormalize(added)).origin_value
-        cases.append(_upper(f"{label}-origin-err", abs(origin - _NEG_INV_PI),
-                            cfg.tol("origin", 1e-3)))
-    return cases
 
 
 def _suite_pure_identity(cfg: SuiteConfig) -> list:
-    sigmas = cfg.sigma_list or (0.5, 2.0, 2.2, 4.0)
-    thetas = cfg.theta_list or (0.0, math.pi / 4.0)
     cases = []
-    for sx in sigmas:
-        for th in thetas:
+    for sx in (0.5, 2.0, 2.2, 4.0):
+        for th in (0.0, math.pi / 4.0):
             spec = GaussianWignerSpec.pure_state(sx, th)
             cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}", spec, cfg, norm_ratio(sx))
     return cases
@@ -141,11 +139,7 @@ def _suite_pure_identity(cfg: SuiteConfig) -> list:
 def _suite_impure_difference(cfg: SuiteConfig) -> list:
     sx, sp = 4.0, 0.5
     spec = GaussianWignerSpec.single(sx, sp)
-    geometry = cfg.geometry or refined_geometry(spec)
-    grid = rasterize(spec, geometry)
-    added, subtracted = photon_outcomes(grid)
-    ratio = added.integral() / subtracted.integral()
-    residual = l1_relative_residual(added, subtracted, ratio)
+    added, subtracted, ratio, residual = _outcomes(spec)
     w_plus = renormalize(added)
     w_minus = renormalize(subtracted)
     maxdiff = float(np.max(np.abs(w_plus.values - w_minus.values)))
@@ -160,9 +154,8 @@ def _suite_impure_difference(cfg: SuiteConfig) -> list:
 
 
 def _suite_fock_ratio(cfg: SuiteConfig) -> list:
-    zs = cfg.sigma_list or (0.1, math.log(2.0), 1.0)
     cases = []
-    for z in zs:
+    for z in (0.1, math.log(2.0), 1.0):
         n = cfg.trunc or suggested_truncation(z)
         result = outcome_ratio(squeezed_vacuum(z, n))
         cases.append(_upper(f"z{z:.4g}-ratio-err", abs(result.ratio + math.tanh(z)),
@@ -176,12 +169,12 @@ def _commutator_inputs(cfg: SuiteConfig):
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
             spec = GaussianWignerSpec.pure_state(sx, th)
-            yield f"pure-sx{sx:g}-th{th:.4g}", rasterize(spec, cfg.geometry)
+            yield f"pure-sx{sx:g}-th{th:.4g}", rasterize(spec)
     impure = GaussianWignerSpec.single(4.0, 0.5)
-    yield "impure-sx4-sp0.5", rasterize(impure, cfg.geometry)
+    yield "impure-sx4-sp0.5", rasterize(impure)
     mix = GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4.0, 2.2)
-    yield "two-angle-mixture", rasterize(mix, cfg.geometry)
-    yield "angular-average", rasterize(AngularAverageSpec(2.2), cfg.geometry)
+    yield "two-angle-mixture", rasterize(mix)
+    yield "angular-average", rasterize(AngularAverageSpec(2.2))
     yield "coherent-alpha1", wigner_from_density(coherent_state(1.0, cfg.trunc or 40))
 
 
@@ -205,8 +198,7 @@ def _suite_mixtures(cfg: SuiteConfig) -> list:
         cases += _outcome_checks(label, spec, cfg, spec_norm_ratio(spec))
     unequal = GaussianWignerSpec((GaussianComponent.pure(0.0, 2.0, 0.5),
                                   GaussianComponent.pure(0.0, 3.0, 0.5)))
-    geometry = cfg.geometry or refined_geometry(unequal)
-    chk = identity_residual(rasterize(unequal, geometry))
+    chk = identity_residual(rasterize(unequal, refined_geometry(unequal)))
     cases.append(_floor("unequal-widths-residual-floor", chk.residual,
                         cfg.tol("mixture_floor", 0.01)))
     return cases
@@ -219,8 +211,7 @@ def _suite_angular_average(cfg: SuiteConfig) -> list:
     closed_ratio = (sx ** 2 + sp ** 2 + 2.0) / (sx ** 2 + sp ** 2 - 2.0)
     cases = _outcome_checks("angavg", spec, cfg, closed_ratio)
 
-    geometry = cfg.geometry or refined_geometry(spec)
-    grid_purity = grid_metrics(rasterize(spec, geometry)).purity
+    grid_purity = grid_metrics(rasterize(spec, refined_geometry(spec))).purity
     closed = angular_average_purity(sx)
     cases.append(_upper("angavg-purity-grid-vs-closed", abs(grid_purity - closed),
                         cfg.tol("purity", 1e-4)))
@@ -239,9 +230,8 @@ def _suite_angular_average(cfg: SuiteConfig) -> list:
 
 
 def _suite_bogoliubov(cfg: SuiteConfig) -> list:
-    zs = cfg.sigma_list or (0.1, math.log(2.0), 1.0)
     cases = []
-    for z in zs:
+    for z in (0.1, math.log(2.0), 1.0):
         n = cfg.trunc or suggested_truncation(z)
         state = squeezed_vacuum(-z, n)
         killed = bogoliubov_annihilate(z, state)
@@ -259,8 +249,7 @@ def _suite_negative_cases(cfg: SuiteConfig) -> list:
     cases = [
         _expect_degenerate(
             "vacuum-grid-degenerate-error",
-            lambda: identity_residual(rasterize(GaussianWignerSpec.pure_state(1.0),
-                                                cfg.geometry))),
+            lambda: identity_residual(rasterize(GaussianWignerSpec.pure_state(1.0)))),
         _expect_degenerate(
             "vacuum-fock-degenerate-error",
             lambda: outcome_ratio(squeezed_vacuum(0.0, cfg.trunc or 33))),
@@ -271,19 +260,8 @@ def _suite_negative_cases(cfg: SuiteConfig) -> list:
                         identity_residual(coherent_grid).residual,
                         cfg.tol("coherent_floor", 0.1)))
 
-    unequal = GaussianWignerSpec((GaussianComponent.pure(0.0, 2.0, 0.5),
-                                  GaussianComponent.pure(0.0, 3.0, 0.5)))
-    chk = identity_residual(rasterize(unequal, cfg.geometry or refined_geometry(unequal)))
-    cases.append(_floor("unequal-widths-residual-floor", chk.residual,
-                        cfg.tol("mixture_floor", 0.01)))
-
-    impure = GaussianWignerSpec.single(4.0, 0.5)
-    chk = identity_residual(rasterize(impure, cfg.geometry or refined_geometry(impure)))
-    cases.append(_floor("impure-residual-floor", chk.residual,
-                        cfg.tol("impure_floor", 0.05)))
-
     pure = GaussianWignerSpec.pure_state(2.0)
-    grid = rasterize(pure, cfg.geometry or refined_geometry(pure))
+    grid = rasterize(pure, refined_geometry(pure))
     second = renormalize(add_photon(grid))
     cases.append(_floor("second-round-residual-floor",
                         identity_residual(second).residual,
@@ -325,8 +303,7 @@ def _save_table(path: str, headers, columns) -> str:
     return path
 
 
-def figure_data(which: str, out_dir: str, cfg: SuiteConfig | None = None,
-                seed: int | None = None) -> list:
+def figure_data(which: str, out_dir: str, seed: int | None = None) -> list:
     """Emit the data files behind one of the three reference figures.
 
     fig1: impure input (sigma_x 4, sigma_p 1/2) -- renormalized added and
@@ -338,13 +315,12 @@ def figure_data(which: str, out_dir: str, cfg: SuiteConfig | None = None,
 
     ``seed`` is only recorded in the output headers.
     """
-    cfg = cfg or SuiteConfig()
     os.makedirs(out_dir, exist_ok=True)
     tail = [] if seed is None else [f"seed {seed}"]
     paths = []
     if which == "fig1":
         spec = GaussianWignerSpec.single(4.0, 0.5)
-        grid = rasterize(spec, cfg.geometry or default_geometry(spec))
+        grid = rasterize(spec, default_geometry(spec))
         added, subtracted = photon_outcomes(grid)
         w_plus, w_minus = renormalize(added), renormalize(subtracted)
         diff = w_plus.with_values(w_plus.values - w_minus.values)
@@ -362,7 +338,7 @@ def figure_data(which: str, out_dir: str, cfg: SuiteConfig | None = None,
                 ("fig2_two_angle_outcome.csv", mix,
                  "two-angle mixture P=0.5 theta=0,pi/4 sigma_x=2.2"),
                 ("fig2_angular_average_outcome.csv", av, "angular average sigma_x=2.2")):
-            grid = rasterize(spec, cfg.geometry or refined_geometry(spec))
+            grid = rasterize(spec, refined_geometry(spec))
             outcome = renormalize(add_photon(grid))
             path = os.path.join(out_dir, name)
             sqio.save_grid(path, outcome, [f"{note}; renormalized added outcome"] + tail)

@@ -16,7 +16,7 @@ from sqvac import (
     rasterize,
 )
 from sqvac.cli import main
-from sqvac.io import load_grid, load_report
+from sqvac.io import load_grid, load_report, load_state
 
 
 def run(capsys, *argv):
@@ -143,6 +143,34 @@ def test_non_finite_state_refused_without_output(tmp_path, capsys):
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--kind", "squeezed", "--z", "0.5", "--theta", "1.0"), "--theta"),
+        (("--kind", "coherent", "--alpha", "1", "--sigma-x", "3"), "--sigma-x"),
+        (("--kind", "pure", "--sigma-x", "2", "--weight", "0.9", "--z", "4"), "--weight"),
+        (("--kind", "impure", "--sigma-x", "4", "--sigma-p", "0.5", "--theta2", "1"),
+         "--theta2"),
+        (("--kind", "angular-average", "--sigma-x", "2.2", "--trunc", "40"), "--trunc"),
+        (("--kind", "squeezed", "--z", "0.5", "--sigma-x", "2"), "--sigma-x"),
+    ],
+)
+def test_state_refuses_flags_its_kind_ignores(tmp_path, capsys, argv, flag):
+    out_path = tmp_path / "state.json"
+    code, out, err = run(capsys, "state", *argv, "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert flag in err
+    assert not out_path.exists()
+
+
+def test_mixture_weight_flag(tmp_path, capsys):
+    for argv, weight in (((), 0.5), (("--weight", "0.3"), 0.3)):
+        path = tmp_path / "mix.json"
+        assert run(capsys, "state", "--kind", "mixture", "--sigma-x", "2.2", *argv,
+                   "-o", str(path))[0] == 0
+        assert load_state(path).components[0].weight == weight
+
+
 def test_truncation_refusal_is_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "state", "--kind", "squeezed", "--z", "3",
                        "--trunc", "40", "-o", str(tmp_path / "s.json"))
@@ -161,6 +189,7 @@ def test_truncation_refusal_is_exit_one(tmp_path, capsys):
         ("add",),                             # neither --grid nor --state
         ("verify", "--suite", "fock-ratio", "--tol", "junk"),
         ("verify", "--suite", "fock-ratio", "--tol", "ratio=-1"),
+        ("verify", "--suite", "fock-ratio", "--tol", "ratoi=1e-30"),
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,19 +12,15 @@ from sqvac import (
     DensityMatrix,
     DomainError,
     FockVector,
-    SqueezeParams,
     TruncationError,
     annihilate,
     bogoliubov_annihilate,
     coherent_state,
     create,
-    displacement_operator,
     lowering_matrix,
     outcome_ratio,
     quadrature_moments,
-    squeeze_operator,
     squeezed_vacuum,
-    state_metrics,
     suggested_truncation,
 )
 
@@ -34,6 +31,32 @@ def basis_vector(n, trunc):
     amps = np.zeros(trunc)
     amps[n] = 1.0
     return FockVector(trunc, amps)
+
+
+def mean_photon(amps):
+    w = np.abs(amps) ** 2
+    return float(np.sum(np.arange(amps.size) * w) / np.sum(w))
+
+
+def rotated(state, theta):
+    """The phase rotation exp(i theta n): amplitudes times e^{+i n theta}."""
+    return FockVector(state.trunc, state.amps * np.exp(1j * theta * np.arange(state.trunc)))
+
+
+# Oracles: the squeeze and displacement unitaries as matrix exponentials of
+# their generators, an independent route to the recurrences in sqvac.fock.
+
+def squeeze_operator(z, trunc, phi=0.0):
+    """exp((zeta a^2 - zeta* a^dag^2) / 2) with zeta = z e^{i phi}."""
+    zeta = z * np.exp(1j * phi)
+    a = lowering_matrix(trunc)
+    return scipy.linalg.expm((zeta * (a @ a) - np.conj(zeta) * (a.T @ a.T)) / 2.0)
+
+
+def displacement_operator(alpha, trunc):
+    """exp(alpha a^dag - alpha* a)."""
+    a = lowering_matrix(trunc)
+    return scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
 
 
 # ------------------------------------------------------------- construction
@@ -81,10 +104,9 @@ def test_mixture_weights_and_purity():
     rho = DensityMatrix.mixture(
         [0.5, 0.5], [basis_vector(0, 8), basis_vector(2, 8)]
     )
-    m = state_metrics(rho)
-    assert m.norm == pytest.approx(1.0, abs=1e-14)
-    assert m.purity == pytest.approx(0.5, abs=1e-14)
-    assert m.mean_photon == pytest.approx(1.0, abs=1e-14)
+    assert np.trace(rho.elems).real == pytest.approx(1.0, abs=1e-14)
+    assert np.trace(rho.elems @ rho.elems).real == pytest.approx(0.5, abs=1e-14)
+    assert np.diag(rho.elems).real @ np.arange(8) == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------- ladder algebra
@@ -135,7 +157,7 @@ def test_squeezed_vacuum_amplitudes():
 
 def test_squeezed_vacuum_mean_photon():
     # sinh^2(ln 2) = (3/4)^2
-    assert squeezed_vacuum(LN2, 68).mean_photon() == pytest.approx(0.5625, abs=1e-10)
+    assert mean_photon(squeezed_vacuum(LN2, 68).amps) == pytest.approx(0.5625, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +187,7 @@ def test_coherent_amplitudes():
     for n in (0, 1, 3):
         expect = math.exp(-0.5) / math.sqrt(math.factorial(n))
         assert st_.amps[n].real == pytest.approx(expect, rel=1e-12)
-    assert st_.mean_photon() == pytest.approx(1.0, abs=1e-12)
+    assert mean_photon(st_.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_refuses_small_basis():
@@ -189,13 +211,8 @@ def test_squeeze_operator_matches_recurrence():
 
 
 def test_squeeze_operator_unitary():
-    s = squeeze_operator(SqueezeParams(LN2), 68)
+    s = squeeze_operator(LN2, 68)
     assert np.max(np.abs(s.conj().T @ s - np.eye(68))) < 1e-12
-
-
-def test_squeeze_params_reject_negative_magnitude():
-    with pytest.raises(ConfigurationError):
-        SqueezeParams(-0.2)
 
 
 def test_displacement_matches_coherent_recurrence():
@@ -210,6 +227,19 @@ def test_outcome_ratio_squeezed(z):
     res = outcome_ratio(squeezed_vacuum(z, suggested_truncation(z)))
     assert abs(res.ratio - (-math.tanh(z))) < 1e-6
     assert res.residual < 1e-6
+
+
+def test_outcome_ratio_rotated_squeezed():
+    # a psi = -tanh(z) e^{2i theta} a^dag psi for the rotated squeezed vacuum;
+    # the phase fixes the order of the overlap in the least-squares ratio
+    theta = 0.3
+    psi = rotated(squeezed_vacuum(LN2, 68), theta)
+    res = outcome_ratio(psi)
+    assert abs(res.ratio - (-math.tanh(LN2) * np.exp(2j * theta))) < 1e-6
+    assert res.residual < 1e-6
+    # the same state is the squeeze of phase -2 theta (oracle on a wider basis)
+    col = squeeze_operator(LN2, 136, phi=-2.0 * theta)[:68, 0]
+    assert np.max(np.abs(col - psi.amps)) < 1e-12
 
 
 def test_outcome_ratio_vacuum_degenerate():
@@ -266,15 +296,10 @@ def test_bogoliubov_on_vacuum():
 # ----------------------------------------------------------------- metrics
 
 def test_state_metrics_pure():
-    m = state_metrics(squeezed_vacuum(LN2, 68))
-    assert m.norm == pytest.approx(1.0, abs=1e-13)
-    assert m.purity == 1.0
-    assert m.mean_photon == pytest.approx(0.5625, abs=1e-10)
-
-
-def test_state_metrics_rejects_unknown():
-    with pytest.raises(ConfigurationError):
-        state_metrics(np.zeros(3))
+    rho = DensityMatrix.from_pure(squeezed_vacuum(LN2, 68)).elems
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
+    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-13)
+    assert np.diag(rho).real @ np.arange(68) == pytest.approx(0.5625, abs=1e-10)
 
 
 def test_quadrature_moments_density_matrix():

@@ -1,7 +1,9 @@
-"""Closed-form layer: wavefunctions, Wigner evaluators, outcome factors.
+"""Closed-form layer: Wigner evaluators, outcome factors, norm ratios.
 
 Reference values are either textbook constants or integrals recomputed here
-with scipy.integrate against an independent formula.
+with scipy.integrate against an independent formula. The squeezed
+wavefunction and the per-component outcome Wigner functions live here as
+oracles.
 """
 
 import math
@@ -20,7 +22,6 @@ from sqvac import (
     DomainError,
     GaussianComponent,
     GaussianWignerSpec,
-    added_outcome_value,
     amplitude_ratio,
     angular_average_purity,
     angular_average_value,
@@ -28,8 +29,6 @@ from sqvac import (
     outcome_factors,
     spec_norm_ratio,
     squeeze_parameter,
-    squeezed_wavefunction,
-    subtracted_outcome_value,
     wigner_value,
 )
 
@@ -42,6 +41,44 @@ def grid_2d(extent, n):
 def integrate_2d(vals, xs):
     inner = scipy.integrate.simpson(vals, x=xs, axis=1)
     return scipy.integrate.simpson(inner, x=xs)
+
+
+# ------------------------------------------------------------------ oracles
+
+def squeezed_wavefunction(x, sigma_x):
+    """Position wavefunction exp(-x^2 / (2 sigma_x^2)) / sqrt(sigma_x sqrt(pi))."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-x * x / (2.0 * sigma_x ** 2)) / np.sqrt(sigma_x * np.sqrt(np.pi))
+
+
+def _unnormalized_outcome(c, x, p, sign):
+    """Outcome weight times f times W for one component (sign +1 adds, -1
+    subtracts), written without the D denominator of ``outcome_factors`` so a
+    vacuum component contributes its exact zero."""
+    sx2, sp2 = c.sigma_x ** 2, c.sigma_p ** 2
+    s = float(sign)
+    ct, st_ = math.cos(c.theta), math.sin(c.theta)
+    xr, pr = x * ct + p * st_, p * ct - x * st_
+    w = np.exp(-xr ** 2 / sx2 - pr ** 2 / sp2) / (np.pi * c.sigma_x * c.sigma_p)
+    quad = (2.0 * pr ** 2 * (sp2 + s) ** 2 / sp2 ** 2
+            - s * (sp2 * (2.0 * sx2 + s) + s * sx2) / (sp2 * sx2)
+            + 2.0 * xr ** 2 * (sx2 + s) ** 2 / sx2 ** 2)
+    return quad / 4.0 * w
+
+
+def added_outcome_value(spec, x, p):
+    """Renormalized Wigner function after adding one photon to the mixture."""
+    num = sum(c.weight * _unnormalized_outcome(c, x, p, +1) for c in spec.components)
+    return num / sum(c.weight * c.added_weight() for c in spec.components)
+
+
+def subtracted_outcome_value(spec, x, p):
+    """Renormalized Wigner function after subtracting one photon."""
+    den = sum(c.weight * c.subtracted_weight() for c in spec.components)
+    if den < 1e-12:
+        raise DegenerateInputError("the state holds no photons to subtract")
+    num = sum(c.weight * _unnormalized_outcome(c, x, p, -1) for c in spec.components)
+    return num / den
 
 
 # ------------------------------------------------------------ scalar ratios
@@ -80,6 +117,13 @@ def test_wavefunction_normalized():
     assert squeezed_wavefunction(0.0, 2.0) == pytest.approx(
         (2.0 * math.sqrt(math.pi)) ** -0.5, rel=1e-14
     )
+    # the position marginal of the pure-state Wigner function is |psi|^2
+    spec = GaussianWignerSpec.pure_state(2.0)
+    for x in (0.0, 0.7, 2.5):
+        marginal, _ = scipy.integrate.quad(
+            lambda p: float(wigner_value(spec, x, p)), -np.inf, np.inf
+        )
+        assert marginal == pytest.approx(squeezed_wavefunction(x, 2.0) ** 2, rel=1e-10)
 
 
 # ---------------------------------------------------------------- specs
@@ -224,7 +268,11 @@ def test_outcome_values_integrate_to_one():
 
 
 def test_subtract_from_vacuum_degenerate():
+    # the vacuum's subtracted weight is an exact zero, so nothing renormalizes it
     spec = GaussianWignerSpec.pure_state(1.0)
+    assert spec.components[0].subtracted_weight() == 0.0
+    with pytest.raises(DegenerateInputError):
+        spec_norm_ratio(spec)
     with pytest.raises(DegenerateInputError):
         subtracted_outcome_value(spec, 0.0, 0.0)
 

@@ -87,22 +87,6 @@ def test_refined_geometry_policy():
 
 # --------------------------------------------------------------- WignerGrid
 
-def test_grid_from_axes_roundtrip():
-    g = GridGeometry.square(6.0, 33)
-    xs, ps = g.axes()
-    vals = np.zeros((33, 33))
-    grid = WignerGrid.from_axes(xs, ps, vals)
-    assert grid.x0 == -6.0 and grid.nx == 33
-
-
-def test_grid_from_axes_rejects_nonuniform():
-    xs = np.linspace(-6.0, 6.0, 33)
-    bad = xs.copy()
-    bad[10] += 1e-3
-    with pytest.raises(GeometryError):
-        WignerGrid.from_axes(bad, xs, np.zeros((33, 33)))
-
-
 def test_grid_shape_validation():
     with pytest.raises(ConfigurationError):
         WignerGrid(0.0, 0.1, 0.0, 0.1, np.zeros(33))
@@ -216,6 +200,18 @@ def test_transform_squeezed_matches_closed_form():
     extent = default_geometry(state).extent_x
     fine = wigner_from_density(state, GridGeometry.square(extent, 769))
     assert identity_residual(fine).residual < 1e-4
+
+
+def test_transform_rotated_squeezed_matches_rotated_spec():
+    # amplitudes times e^{+i n theta} rotate W the way a spec's theta does:
+    # this pins the number-basis and grid angle conventions to each other
+    z, theta = math.log(2.0), 0.3
+    vac = squeezed_vacuum(z, 68)
+    rotated = FockVector(68, vac.amps * np.exp(1j * theta * np.arange(68)))
+    spec = GaussianWignerSpec.pure_state(math.exp(-z), theta)
+    geometry = default_geometry(spec)
+    grid = wigner_from_density(rotated, geometry)
+    assert np.max(np.abs(grid.values - rasterize(spec, geometry).values)) < 1e-8
 
 
 def test_transform_coherent_is_shifted_vacuum():

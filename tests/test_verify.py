@@ -9,6 +9,7 @@ import pytest
 from sqvac import (
     ConfigurationError,
     SuiteConfig,
+    TruncationError,
     figure_data,
     run_suite,
 )
@@ -74,11 +75,19 @@ def test_tolerances_must_be_positive():
         SuiteConfig(tolerances={"ratio": -1.0})
 
 
+def test_unknown_tolerance_refused():
+    # a misspelled name would otherwise be ignored silently
+    with pytest.raises(ConfigurationError, match="ratoi") as exc:
+        SuiteConfig(tolerances={"ratoi": 1e-30})
+    assert "ratio" in str(exc.value) and "second_round_floor" in str(exc.value)
+    with pytest.raises(ConfigurationError):
+        SuiteConfig(tolerances={"impure_floor": 0.05})
+
+
 def test_parameter_overrides_bind():
-    report = run_suite("fock-ratio", SuiteConfig(sigma_list=(0.3,), trunc=96))
-    assert len(report.cases) == 2
-    assert all("z0.3" in c.label for c in report.cases)
-    assert report.passed
+    with pytest.raises(TruncationError):
+        run_suite("fock-ratio", SuiteConfig(trunc=20))
+    assert run_suite("fock-ratio", SuiteConfig(trunc=200)).passed
 
 
 # -------------------------------------------------------------- figure data
