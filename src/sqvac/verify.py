@@ -33,9 +33,9 @@ SUITE_NAMES = ("pure-identity", "impure-difference", "fock-ratio", "commutator",
 _NEG_INV_PI = -1.0 / math.pi
 
 # every tolerance name some suite reads through SuiteConfig.tol
-_TOLERANCE_NAMES = ("annihilation", "coherent_floor", "commutator", "maxdiff_floor",
-                    "mixture_floor", "origin", "purity", "ratio", "residual",
-                    "residual_floor", "second_round_floor")
+_TOLERANCE_NAMES = ("annihilation", "coherent_floor", "commutator", "fock_ratio",
+                    "fock_residual", "maxdiff_floor", "mixture_floor", "origin", "purity",
+                    "ratio", "residual", "residual_floor", "second_round_floor")
 
 
 @dataclass
@@ -109,21 +109,15 @@ def _expect_degenerate(label: str, fn) -> CaseResult:
     return CaseResult(label, 1.0, 0.0)
 
 
-def _outcomes(spec):
-    """Outcomes of a spec on its refined grid: added, subtracted, ratio, residual."""
-    added, subtracted = photon_outcomes(rasterize(spec, refined_geometry(spec)))
-    ratio = outcome_norm_ratio(added.integral(), subtracted.integral())
-    return added, subtracted, ratio, l1_relative_residual(added, subtracted, ratio)
-
-
 def _outcome_checks(label: str, spec, cfg: SuiteConfig, closed_ratio: float) -> list:
     """Shared positive-case body: residual, ratio against closed form, origin."""
-    added, _, ratio, residual = _outcomes(spec)
-    origin = grid_metrics(renormalize(added)).origin_value
+    chk = identity_residual(rasterize(spec, refined_geometry(spec)))
     return [
-        _upper(f"{label}-residual", residual, cfg.tol("residual", 1e-4)),
-        _upper(f"{label}-ratio-err", abs(ratio - closed_ratio), cfg.tol("ratio", 1e-3)),
-        _upper(f"{label}-origin-err", abs(origin - _NEG_INV_PI), cfg.tol("origin", 1e-3)),
+        _upper(f"{label}-residual", chk.residual, cfg.tol("residual", 1e-4)),
+        _upper(f"{label}-ratio-err", abs(chk.ratio_used - closed_ratio),
+               cfg.tol("ratio", 1e-3)),
+        _upper(f"{label}-origin-err", abs(chk.added_origin - _NEG_INV_PI),
+               cfg.tol("origin", 1e-3)),
     ]
 
 
@@ -139,7 +133,9 @@ def _suite_pure_identity(cfg: SuiteConfig) -> list:
 def _suite_impure_difference(cfg: SuiteConfig) -> list:
     sx, sp = 4.0, 0.5
     spec = GaussianWignerSpec.single(sx, sp)
-    added, subtracted, ratio, residual = _outcomes(spec)
+    added, subtracted = photon_outcomes(rasterize(spec, refined_geometry(spec)))
+    ratio = outcome_norm_ratio(added.integral(), subtracted.integral())
+    residual = l1_relative_residual(added, subtracted, ratio)
     w_plus = renormalize(added)
     w_minus = renormalize(subtracted)
     maxdiff = float(np.max(np.abs(w_plus.values - w_minus.values)))
@@ -159,9 +155,9 @@ def _suite_fock_ratio(cfg: SuiteConfig) -> list:
         n = cfg.trunc or suggested_truncation(z)
         result = outcome_ratio(squeezed_vacuum(z, n))
         cases.append(_upper(f"z{z:.4g}-ratio-err", abs(result.ratio + math.tanh(z)),
-                            cfg.tol("ratio", 1e-6)))
+                            cfg.tol("fock_ratio", 1e-6)))
         cases.append(_upper(f"z{z:.4g}-residual", result.residual,
-                            cfg.tol("residual", 1e-6)))
+                            cfg.tol("fock_residual", 1e-6)))
     return cases
 
 
@@ -182,8 +178,8 @@ def _suite_commutator(cfg: SuiteConfig) -> list:
     bound = cfg.tol("commutator", 1e-4)
     cases = []
     for label, grid in _commutator_inputs(cfg):
-        added, subtracted = photon_outcomes(grid)
-        gap = added.integral() - subtracted.integral()
+        chk = identity_residual(grid)
+        gap = chk.added_integral - chk.subtracted_integral
         cases.append(_upper(f"{label}-weight-gap", abs(gap - 1.0), bound))
     return cases
 

@@ -221,7 +221,7 @@ def test_verify_subcommand(tmp_path, capsys):
 
 def test_verify_reports_failures(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "fock-ratio",
-                       "--tol", "ratio=1e-30", "-o", str(tmp_path))
+                       "--tol", "fock_ratio=1e-30", "-o", str(tmp_path))
     assert code == 1
     assert "FAIL" in out and "measured=" in out
 

@@ -1,9 +1,12 @@
 """Grid layer: geometry policies, transform, differencing, residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from sqvac import (
@@ -33,10 +36,12 @@ from sqvac import (
     wigner_from_density,
     wigner_value,
 )
-from sqvac.phasespace import BOUNDARY_DECAY
+from sqvac.phasespace import _BLOCK_ROWS, BOUNDARY_DECAY, DEGENERATE_INTEGRAL, _d1, _d2
 
 PURE2 = GaussianWignerSpec.pure_state(2.0)
 IMPURE = GaussianWignerSpec.single(4.0, 0.5)
+# rotated and impure: no symmetry of W hides a transposed or shifted row
+SKEW = GaussianWignerSpec.single(2.0, 0.7, theta=0.4)
 
 
 # ----------------------------------------------------------------- geometry
@@ -296,6 +301,12 @@ def test_vacuum_input_degenerate():
         identity_residual(grid)
     with pytest.raises(DegenerateInputError):
         renormalize(sub_photon(grid))
+    # an explicit ratio skips the guard: S vanishes, so |A - S| = |A|
+    chk = identity_residual(grid, ratio=1.0)
+    assert chk.ratio_used == 1.0
+    assert abs(chk.subtracted_integral) < DEGENERATE_INTEGRAL
+    assert chk.added_integral == pytest.approx(1.0, abs=1e-9)  # <a a^dag> on |0>
+    assert chk.residual == pytest.approx(1.0, abs=1e-4)
 
 
 def test_renormalize_zero_grid_degenerate():
@@ -313,3 +324,68 @@ def test_doubling_resolution_shrinks_residual():
     coarse = identity_residual(rasterize(PURE2, GridGeometry.square(12.0, 769)))
     fine = identity_residual(rasterize(PURE2, GridGeometry.square(12.0, 1537)))
     assert coarse.residual / fine.residual > 8.0
+
+
+# ------------------------------------------------------------ row blocks
+
+def full_array_outcomes(grid):
+    """The whole-grid stencil assembly that predates the row-block kernel:
+    the oracle the blocked outcomes must reproduce bit for bit."""
+    W, xs, ps = grid.values, grid.xs, grid.ps
+    laplacian = (_d2(W, grid.dx, 0) + _d2(W, grid.dp, 1)) * 0.125
+    drift = _d1(W, grid.dx, 0) * xs[:, None] + _d1(W, grid.dp, 1) * ps[None, :]
+    radial = (0.5 * xs * xs)[:, None] + (0.5 * (ps * ps - 1.0))[None, :]
+    added = laplacian - 0.5 * drift + radial * W
+    return added, added + W + drift
+
+
+def grid_of(spec, nx, num_p):
+    extent = default_geometry(spec).extent_x
+    return rasterize(spec, GridGeometry(extent, extent, nx, num_p))
+
+
+@pytest.mark.parametrize("shape", [
+    (33, 35),                    # smaller than one block
+    (129, 97),                   # non-square
+    (4 * _BLOCK_ROWS + 1, 41),   # last block is a single row
+])
+def test_blocked_outcomes_match_full_array_assembly(shape):
+    grid = grid_of(SKEW, *shape)
+    added, subtracted = photon_outcomes(grid)
+    want_added, want_subtracted = full_array_outcomes(grid)
+    assert np.array_equal(added.values, want_added)
+    assert np.array_equal(subtracted.values, want_subtracted)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(16, 150).map(lambda k: 2 * k + 1),
+       num_p=st.integers(16, 150).map(lambda k: 2 * k + 1),
+       sx=st.floats(1.5, 3.0), sp=st.floats(0.7, 1.2), theta=st.floats(0.0, math.pi))
+def test_identity_residual_matches_full_array_oracle(nx, num_p, sx, sp, theta):
+    grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), nx, num_p)
+    added, subtracted = full_array_outcomes(grid)
+    added, subtracted = grid.with_values(added), grid.with_values(subtracted)
+    ia, isub = added.integral(), subtracted.integral()
+    ratio = ia / isub
+    chk = identity_residual(grid)
+    assert _rel(chk.added_integral, ia) < 1e-12
+    assert _rel(chk.subtracted_integral, isub) < 1e-12
+    assert _rel(chk.ratio_used, ratio) < 1e-12
+    assert _rel(chk.residual, l1_relative_residual(added, subtracted, ratio)) < 1e-12
+    assert _rel(chk.added_origin, grid_metrics(renormalize(added)).origin_value) < 1e-12
+
+
+def test_identity_residual_holds_no_full_size_grid():
+    grid = rasterize(PURE2, GridGeometry.square(12.0, 1025))
+    tracemalloc.start()
+    try:
+        identity_residual(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # whole-grid outcomes allocate about four times the input
+    assert peak < 1.0 * grid.values.nbytes

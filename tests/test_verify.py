@@ -65,9 +65,17 @@ def test_error_expectation_case_encoding():
 
 
 def test_tolerance_overrides_bind():
-    report = run_suite("fock-ratio", SuiteConfig(tolerances={"ratio": 1e-30}))
+    report = run_suite("fock-ratio", SuiteConfig(tolerances={"fock_ratio": 1e-30}))
     assert not report.passed
     assert all(c.label.endswith("-ratio-err") for c in report.failures)
+
+
+def test_grid_tolerances_leave_fock_bounds_alone():
+    # the grid suites' ratio and residual bounds are 1e-3 and 1e-4; loosening
+    # them must not loosen the number-basis bounds of 1e-6
+    cfg = SuiteConfig(tolerances={"ratio": 1e-3, "residual": 1e-3})
+    cases = run_suite("fock-ratio", cfg).cases
+    assert [c.bound for c in cases] == [1e-6] * 6  # three ratio-err, three residual
 
 
 def test_tolerances_must_be_positive():
