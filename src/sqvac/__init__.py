@@ -21,7 +21,7 @@ from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec
                        spec_norm_ratio, squeeze_parameter, wigner_value)
 from .phasespace import (GridGeometry, GridReport, IdentityCheck, WignerGrid,
                          add_photon, default_geometry, grid_metrics,
-                         identity_residual, l1_relative_residual,
+                         identity_residual, l1_relative_residual, outcome_integrals,
                          outcome_norm_ratio, photon_outcomes, policy_extent, rasterize,
                          refined_geometry, renormalize, sub_photon,
                          wigner_from_density)

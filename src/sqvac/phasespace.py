@@ -79,8 +79,8 @@ def _d1(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
     O[1] = sum(wj * G[j] for j, wj in enumerate(_D1_EDGE1))
     O[-1] = -sum(wj * G[-1 - j] for j, wj in enumerate(_D1_EDGE0))
     O[-2] = -sum(wj * G[-1 - j] for j, wj in enumerate(_D1_EDGE1))
-    for row in (O[0], O[1], O[-2], O[-1]):
-        row *= 1.0 / h
+    O[:2] *= 1.0 / h
+    O[-2:] *= 1.0 / h
     return out
 
 
@@ -100,8 +100,8 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
     O[1] = sum(wj * G[j] for j, wj in enumerate(_D2_EDGE1))
     O[-1] = sum(wj * G[-1 - j] for j, wj in enumerate(_D2_EDGE0))
     O[-2] = sum(wj * G[-1 - j] for j, wj in enumerate(_D2_EDGE1))
-    for row in (O[0], O[1], O[-2], O[-1]):
-        row *= 1.0 / (h * h)
+    O[:2] *= 1.0 / (h * h)
+    O[-2:] *= 1.0 / (h * h)
     return out
 
 
@@ -180,7 +180,9 @@ class WignerGrid:
     """Real samples values[i, j] = W(x0 + i*dx, p0 + j*dp) on a uniform grid."""
 
     def __init__(self, x0: float, dx: float, p0: float, dp: float, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        # contiguous storage: BLAS sums a strided view (as io.load_grid
+        # builds) in a different order, which moves results in their last bits
+        values = np.ascontiguousarray(values, dtype=float)
         if values.ndim != 2:
             raise ConfigurationError("values must be a 2-d array")
         _validate_count(values.shape[0])
@@ -416,6 +418,33 @@ def outcome_norm_ratio(added_integral: float, subtracted_integral: float) -> flo
     return added_integral / subtracted_integral
 
 
+def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
+    """Simpson integrals of the added and subtracted outcomes, forming neither.
+
+    The Simpson weights are separable and each stencil acts along one axis, so
+    wx^T A wp needs only r = W wp, c = wx W and 1-d stencils on them:
+
+        integral W     = wx . r
+        radial term    = (wx x^2 / 2) . r + c . (wp (p^2 - 1) / 2)
+        drift term     = (wx x) . d1(r) + d1(c) . (wp p)
+        Laplacian / 8  = (wx . d2(r) + d2(c) . wp) / 8
+
+    with integral(A) = radial - drift / 2 + Laplacian / 8 and
+    integral(S) = integral(A) + integral W + drift.
+    """
+    _check_boundary(grid)
+    wx = _simpson_weights(grid.nx, grid.dx)
+    wp = _simpson_weights(grid.num_p, grid.dp)
+    r = grid.values @ wp
+    c = wx @ grid.values
+    xs, ps = grid.xs, grid.ps
+    radial = float((0.5 * wx * xs * xs) @ r + c @ (0.5 * wp * (ps * ps - 1.0)))
+    drift = float((wx * xs) @ _d1(r, grid.dx, 0) + _d1(c, grid.dp, 0) @ (wp * ps))
+    laplacian = float(wx @ _d2(r, grid.dx, 0) + _d2(c, grid.dp, 0) @ wp)
+    added = radial - 0.5 * drift + 0.125 * laplacian
+    return added, added + float(wx @ r) + drift
+
+
 def _l1_sums(added: np.ndarray, subtracted: np.ndarray, ratio: float,
              wx: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
     """Simpson sums of |A - ratio * S| and |A| over matching rows of A and S."""
@@ -424,12 +453,21 @@ def _l1_sums(added: np.ndarray, subtracted: np.ndarray, ratio: float,
     return float(wx @ diff @ wp), float(wx @ np.abs(added) @ wp)
 
 
+def _relative(num: float, den: float) -> float:
+    """num / den for an L1 residual; refuses a vanishing integral |A|."""
+    if den < DEGENERATE_INTEGRAL:
+        raise DegenerateInputError(
+            f"integral |A| = {den:.3e} vanishes: the added outcome is zero, so the "
+            "relative residual is undefined"
+        )
+    return num / den
+
+
 def l1_relative_residual(added: WignerGrid, subtracted: WignerGrid, ratio: float) -> float:
     """integral |A - ratio * S| / integral |A| over the shared grid."""
-    num, den = _l1_sums(added.values, subtracted.values, ratio,
-                        _simpson_weights(added.nx, added.dx),
-                        _simpson_weights(added.num_p, added.dp))
-    return num / den
+    return _relative(*_l1_sums(added.values, subtracted.values, ratio,
+                               _simpson_weights(added.nx, added.dx),
+                               _simpson_weights(added.num_p, added.dp)))
 
 
 def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityCheck:
@@ -438,25 +476,21 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     Scales S by ``ratio`` (by default the integral ratio integral(A)/integral(S),
     from ``outcome_norm_ratio``) and returns the L1-relative residual
     integral |A - R S| / integral |A|, the outcome integrals and the origin
-    value of A / integral(A). Two passes over row blocks (integrals, then the
-    L1 sums) mean no full-size outcome grid is ever held.
+    value of A / integral(A). The integrals come from ``outcome_integrals``;
+    the L1 sums take one pass over row blocks, so no full-size outcome grid is
+    ever held.
     """
-    _check_boundary(grid)
-    wx = _simpson_weights(grid.nx, grid.dx)
-    wp = _simpson_weights(grid.num_p, grid.dp)
-    ia = isub = 0.0
-    for i0, i1 in _row_blocks(grid.nx):
-        added, subtracted = _outcome_rows(grid, i0, i1)
-        ia += float(wx[i0:i1] @ added @ wp)
-        isub += float(wx[i0:i1] @ subtracted @ wp)
+    ia, isub = outcome_integrals(grid)
     if ratio is None:
         ratio = outcome_norm_ratio(ia, isub)
+    wx = _simpson_weights(grid.nx, grid.dx)
+    wp = _simpson_weights(grid.num_p, grid.dp)
     num = den = 0.0
     for i0, i1 in _row_blocks(grid.nx):
         block_num, block_den = _l1_sums(*_outcome_rows(grid, i0, i1), ratio, wx[i0:i1], wp)
         num += block_num
         den += block_den
-    residual = num / den
+    residual = _relative(num, den)
     i, j, tx, tp = _bilinear_cell(grid, 0.0, 0.0)
     patch = _outcome_rows(grid, i, i + 2)[0][:, j:j + 2] / ia
     return IdentityCheck(residual, float(ratio), ia, isub, _interpolate(patch, tx, tp))

@@ -22,8 +22,8 @@ from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec
                        angular_average_purity, angular_average_value, norm_ratio,
                        outcome_factors, spec_norm_ratio)
 from .phasespace import (add_photon, default_geometry, grid_metrics, identity_residual,
-                         l1_relative_residual, outcome_norm_ratio, photon_outcomes,
-                         rasterize, refined_geometry, renormalize,
+                         l1_relative_residual, outcome_integrals, outcome_norm_ratio,
+                         photon_outcomes, rasterize, refined_geometry, renormalize,
                          wigner_from_density)
 from .special import elliptic_k
 
@@ -178,8 +178,8 @@ def _suite_commutator(cfg: SuiteConfig) -> list:
     bound = cfg.tol("commutator", 1e-4)
     cases = []
     for label, grid in _commutator_inputs(cfg):
-        chk = identity_residual(grid)
-        gap = chk.added_integral - chk.subtracted_integral
+        added_integral, subtracted_integral = outcome_integrals(grid)
+        gap = added_integral - subtracted_integral
         cases.append(_upper(f"{label}-weight-gap", abs(gap - 1.0), bound))
     return cases
 

@@ -11,12 +11,14 @@ import pytest
 
 from sqvac import (
     GaussianWignerSpec,
+    GridGeometry,
+    WignerGrid,
     default_geometry,
     identity_residual,
     rasterize,
 )
 from sqvac.cli import main
-from sqvac.io import load_grid, load_report, load_state
+from sqvac.io import load_grid, load_report, load_state, save_grid
 
 
 def run(capsys, *argv):
@@ -118,6 +120,21 @@ def test_vacuum_residual_names_the_exclusion(tmp_path, capsys):
     code, _, err = run(capsys, "residual", "--grid", str(grid_path))
     assert code == 1
     assert "sigma_x = 1" in err
+
+
+def test_vanishing_added_outcome_exits_one_without_traceback(tmp_path):
+    import sqvac
+    grid_path = tmp_path / "zero.csv"
+    save_grid(grid_path, WignerGrid.from_geometry(GridGeometry.square(1.0, 33),
+                                                  np.zeros((33, 33))))
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    proc = subprocess.run([sys.executable, "-m", "sqvac.cli", "residual",
+                           "--grid", str(grid_path), "--ratio", "1"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "integral |A|" in proc.stderr
 
 
 def test_vacuum_outcome_refused_without_output(tmp_path, capsys):

@@ -26,6 +26,7 @@ from sqvac import (
     identity_residual,
     l1_relative_residual,
     outcome_factors,
+    outcome_integrals,
     photon_outcomes,
     policy_extent,
     rasterize,
@@ -255,6 +256,8 @@ def test_outcomes_need_decayed_boundary():
     grid = rasterize(IMPURE, GridGeometry.square(8.0, 257))
     with pytest.raises(GeometryError):
         photon_outcomes(grid)
+    with pytest.raises(GeometryError):
+        outcome_integrals(grid)
 
 
 def test_outcome_integrals_are_ladder_norms():
@@ -315,6 +318,15 @@ def test_renormalize_zero_grid_degenerate():
         renormalize(grid)
 
 
+def test_vanishing_added_outcome_degenerate():
+    # with an explicit ratio nothing guards S, so integral |A| = 0 must refuse
+    zero = WignerGrid.from_geometry(GridGeometry.square(1.0, 33), np.zeros((33, 33)))
+    with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
+        identity_residual(zero, ratio=1.0)
+    with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
+        l1_relative_residual(zero, zero, 1.0)
+
+
 def test_l1_residual_of_identical_grids_is_zero():
     added, _ = photon_outcomes(rasterize(PURE2))
     assert l1_relative_residual(added, added, 1.0) == 0.0
@@ -324,6 +336,23 @@ def test_doubling_resolution_shrinks_residual():
     coarse = identity_residual(rasterize(PURE2, GridGeometry.square(12.0, 769)))
     fine = identity_residual(rasterize(PURE2, GridGeometry.square(12.0, 1537)))
     assert coarse.residual / fine.residual > 8.0
+
+
+# ------------------------------------------------------------ stencils
+
+@pytest.mark.parametrize("stencil", [_d1, _d2])
+@pytest.mark.parametrize("n", [6, 7, 41])  # 6 rows: the fewest the edge rows need
+def test_stencils_on_vectors_match_columns(stencil, n):
+    f = np.exp(np.sin(0.3 * np.arange(n)))
+    assert np.array_equal(stencil(f, 0.37, 0), stencil(f[:, None], 0.37, 0)[:, 0])
+
+
+def test_stencils_scale_vector_edge_rows():
+    # 4th-order stencils are exact on quadratics, edge rows included:
+    # f = k^2 = (x / h)^2 has f' = 2k / h and f'' = 2 / h^2
+    k = np.arange(40.0)
+    assert np.allclose(_d1(k * k, 0.5, 0), 4.0 * k, rtol=0, atol=1e-12)
+    assert np.allclose(_d2(k * k, 0.5, 0), np.full(40, 8.0), rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------------ row blocks
@@ -389,3 +418,59 @@ def test_identity_residual_holds_no_full_size_grid():
         tracemalloc.stop()
     # whole-grid outcomes allocate about four times the input
     assert peak < 1.0 * grid.values.nbytes
+
+
+# ------------------------------------------------------- outcome integrals
+
+def _simpson_integrals(grid):
+    added, subtracted = full_array_outcomes(grid)
+    return grid.with_values(added).integral(), grid.with_values(subtracted).integral()
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(16, 150).map(lambda k: 2 * k + 1),
+       num_p=st.integers(16, 150).map(lambda k: 2 * k + 1),
+       sx=st.floats(1.5, 3.0), sp=st.floats(0.7, 1.2), theta=st.floats(0.0, math.pi))
+def test_outcome_integrals_match_full_array_oracle(nx, num_p, sx, sp, theta):
+    grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), nx, num_p)
+    ia, isub = outcome_integrals(grid)
+    want_a, want_s = _simpson_integrals(grid)
+    assert _rel(ia, want_a) < 1e-12
+    assert _rel(isub, want_s) < 1e-12
+
+
+def test_outcome_integrals_of_transformed_coherent_state():
+    # off-axis amplitude: <a a^dag> = 1 + |alpha|^2 and <a^dag a> = |alpha|^2
+    alpha = 0.8 + 0.6j
+    grid = wigner_from_density(coherent_state(alpha, 40))
+    ia, isub = outcome_integrals(grid)
+    want_a, want_s = _simpson_integrals(grid)
+    assert _rel(ia, want_a) < 1e-12
+    assert _rel(isub, want_s) < 1e-12
+    assert ia == pytest.approx(2.0, abs=1e-6)
+    assert isub == pytest.approx(1.0, abs=1e-6)
+
+
+def test_strided_values_give_bitwise_results():
+    # io.load_grid builds its grid from a column view of the parsed table
+    grid = rasterize(SKEW)
+    table = np.zeros((grid.nx * grid.num_p, 3))
+    table[:, 2] = grid.values.ravel()
+    view = table[:, 2].reshape(grid.nx, grid.num_p)
+    assert not view.flags.c_contiguous
+    strided = WignerGrid(grid.x0, grid.dx, grid.p0, grid.dp, view)
+    assert strided.values.flags.c_contiguous
+    assert outcome_integrals(strided) == outcome_integrals(grid)
+    assert identity_residual(strided) == identity_residual(grid)
+
+
+def test_outcome_integrals_allocate_no_grid():
+    grid = rasterize(PURE2, GridGeometry.square(12.0, 1025))
+    tracemalloc.start()
+    try:
+        outcome_integrals(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # only axis-length vectors: r = W wp, c = wx W and their stencils
+    assert peak < 0.05 * grid.values.nbytes
