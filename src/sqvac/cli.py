@@ -133,6 +133,9 @@ def _cmd_wigner(args) -> int:
 
 def _cmd_outcome(args) -> int:
     if args.grid:
+        for name in ("state", "extent", "points"):
+            if getattr(args, name) is not None:
+                raise ConfigurationError(f"{args.command} --grid does not use --{name}")
         grid, _ = sqio.load_grid(args.grid)
     elif args.state:
         grid = _grid_from_state(sqio.load_state(args.state), args)

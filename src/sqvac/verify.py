@@ -109,9 +109,9 @@ def _expect_degenerate(label: str, fn) -> CaseResult:
     return CaseResult(label, 1.0, 0.0)
 
 
-def _outcome_checks(label: str, spec, cfg: SuiteConfig, closed_ratio: float) -> list:
+def _outcome_checks(label: str, grid, cfg: SuiteConfig, closed_ratio: float) -> list:
     """Shared positive-case body: residual, ratio against closed form, origin."""
-    chk = identity_residual(rasterize(spec, refined_geometry(spec)))
+    chk = identity_residual(grid)
     return [
         _upper(f"{label}-residual", chk.residual, cfg.tol("residual", 1e-4)),
         _upper(f"{label}-ratio-err", abs(chk.ratio_used - closed_ratio),
@@ -126,7 +126,10 @@ def _suite_pure_identity(cfg: SuiteConfig) -> list:
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
             spec = GaussianWignerSpec.pure_state(sx, th)
-            cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}", spec, cfg, norm_ratio(sx))
+            # the grid is freed before the next one is made (3073^2 for sx 4)
+            cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}",
+                                     rasterize(spec, refined_geometry(spec)), cfg,
+                                     norm_ratio(sx))
     return cases
 
 
@@ -191,7 +194,8 @@ def _suite_mixtures(cfg: SuiteConfig) -> list:
     for weight, th1, th2 in samples:
         spec = GaussianWignerSpec.two_angle_mixture(weight, th1, th2, sx)
         label = f"two-angle-P{weight:g}-th{th1:g}-{th2:g}"
-        cases += _outcome_checks(label, spec, cfg, spec_norm_ratio(spec))
+        cases += _outcome_checks(label, rasterize(spec, refined_geometry(spec)), cfg,
+                                 spec_norm_ratio(spec))
     unequal = GaussianWignerSpec((GaussianComponent.pure(0.0, 2.0, 0.5),
                                   GaussianComponent.pure(0.0, 3.0, 0.5)))
     chk = identity_residual(rasterize(unequal, refined_geometry(unequal)))
@@ -205,9 +209,10 @@ def _suite_angular_average(cfg: SuiteConfig) -> list:
     spec = AngularAverageSpec(sx)
     sp = 1.0 / sx
     closed_ratio = (sx ** 2 + sp ** 2 + 2.0) / (sx ** 2 + sp ** 2 - 2.0)
-    cases = _outcome_checks("angavg", spec, cfg, closed_ratio)
+    grid = rasterize(spec, refined_geometry(spec))
+    cases = _outcome_checks("angavg", grid, cfg, closed_ratio)
 
-    grid_purity = grid_metrics(rasterize(spec, refined_geometry(spec))).purity
+    grid_purity = grid_metrics(grid).purity
     closed = angular_average_purity(sx)
     cases.append(_upper("angavg-purity-grid-vs-closed", abs(grid_purity - closed),
                         cfg.tol("purity", 1e-4)))

@@ -180,6 +180,28 @@ def test_state_refuses_flags_its_kind_ignores(tmp_path, capsys, argv, flag):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("cmd", ["add", "sub"])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--points", "769", "--extent", "3"),
+        ("--points", "769"),
+        ("--extent", "3"),
+        ("--state", "missing.json"),
+    ],
+)
+def test_outcome_from_grid_refuses_state_and_geometry_flags(tmp_path, capsys, cmd, extra):
+    # the grid file fixes the state and the geometry; these flags would be ignored
+    grid_path = tmp_path / "w.csv"
+    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    out_path = tmp_path / f"{cmd}.csv"
+    code, out, err = run(capsys, cmd, "--grid", str(grid_path), *extra, "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert "--grid does not use" in err
+    assert any(flag in err for flag in extra if flag.startswith("--"))
+    assert not out_path.exists()
+
+
 def test_mixture_weight_flag(tmp_path, capsys):
     for argv, weight in (((), 0.5), (("--weight", "0.3"), 0.3)):
         path = tmp_path / "mix.json"
@@ -267,11 +289,13 @@ def test_explicit_out_beats_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_import_loads_no_scipy_submodules():
-    # every sqvac command pays its import; scipy is imported where it is used
+    # every sqvac command pays its import; scipy and the thread pool are
+    # imported where they are used
     import sqvac
     src = os.path.dirname(os.path.dirname(sqvac.__file__))
     code = ("import sys, sqvac.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'concurrent.futures') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "[]"

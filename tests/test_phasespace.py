@@ -1,6 +1,9 @@
 """Grid layer: geometry policies, transform, differencing, residuals."""
 
 import math
+import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,7 +40,9 @@ from sqvac import (
     wigner_from_density,
     wigner_value,
 )
-from sqvac.phasespace import _BLOCK_ROWS, BOUNDARY_DECAY, DEGENERATE_INTEGRAL, _d1, _d2
+from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY, DEGENERATE_INTEGRAL,
+                              _d1, _d2, _l1_sums, _map_blocks, _outcome_rows, _row_blocks,
+                              _simpson_weights, _worker_count)
 
 PURE2 = GaussianWignerSpec.pure_state(2.0)
 IMPURE = GaussianWignerSpec.single(4.0, 0.5)
@@ -418,6 +423,60 @@ def test_identity_residual_holds_no_full_size_grid():
         tracemalloc.stop()
     # whole-grid outcomes allocate about four times the input
     assert peak < 1.0 * grid.values.nbytes
+
+
+# ------------------------------------------------------------- worker pool
+
+def _serial_residual(grid, ratio):
+    """The in-order serial L1 pass that the pooled one must reproduce."""
+    wx = _simpson_weights(grid.nx, grid.dx)
+    wp = _simpson_weights(grid.num_p, grid.dp)
+    num = den = 0.0
+    for i0, i1 in _row_blocks(grid.nx):
+        block_num, block_den = _l1_sums(*_outcome_rows(grid, i0, i1), ratio, wx[i0:i1], wp)
+        num += block_num
+        den += block_den
+    return num / den
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    assert _worker_count() == workers
+
+    def early_blocks_slowest(k):
+        time.sleep(0.01 * (4 - k))  # with two or more workers, block 1 finishes first
+        return k
+
+    assert _map_blocks(early_blocks_slowest, range(4)) == [0, 1, 2, 3]
+    # several blocks in every pass: 5 in rasterize, 9 in the outcome passes
+    geometry = GridGeometry.square(default_geometry(SKEW).extent_x, 513)
+    xs, ps = geometry.axes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        grid = rasterize(SKEW, geometry)
+        added, subtracted = photon_outcomes(grid)
+        chk = identity_residual(grid)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(grid.values, wigner_value(SKEW, xs[:, None], ps[None, :]))
+    want_added, want_subtracted = full_array_outcomes(grid)
+    assert np.array_equal(added.values, want_added)
+    assert np.array_equal(subtracted.values, want_subtracted)
+    assert chk.residual == _serial_residual(grid, chk.ratio_used)
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert _worker_count() == _MAX_WORKERS
+    # platforms without an affinity mask fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _worker_count() == _MAX_WORKERS
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count() == 1
 
 
 # ------------------------------------------------------- outcome integrals
