@@ -10,13 +10,12 @@ import numpy as np
 from sqvac import (
     GaussianComponent,
     GaussianWignerSpec,
-    add_photon,
     coherent_state,
     identity_residual,
+    photon_outcomes,
     rasterize,
     refined_geometry,
     renormalize,
-    sub_photon,
     wigner_from_density,
 )
 
@@ -32,8 +31,7 @@ def main():
     grid = rasterize(impure, refined_geometry(impure))
     chk = identity_residual(grid)
     show("impure sigma_x=4 sigma_p=1/2", chk.residual, 0.05)
-    wp = renormalize(add_photon(grid))
-    wm = renormalize(sub_photon(grid))
+    wp, wm = (renormalize(outcome) for outcome in photon_outcomes(grid))
     print(f"  {'':<28} max|W+ - W-| = {np.max(np.abs(wp.values - wm.values)):.4f}")
 
     coh = wigner_from_density(coherent_state(1.0, 40))
@@ -46,7 +44,7 @@ def main():
 
     # the added outcome is itself no longer a squeezed vacuum
     pure = GaussianWignerSpec.pure_state(2.0)
-    once = renormalize(add_photon(rasterize(pure, refined_geometry(pure))))
+    once = renormalize(photon_outcomes(rasterize(pure, refined_geometry(pure)))[0])
     show("second round on added state", identity_residual(once).residual, 0.01)
 
     print()

@@ -16,17 +16,16 @@ from .fock import (DensityMatrix, FockVector, OutcomeRatio, annihilate,
                    outcome_ratio, quadrature_moments, squeezed_vacuum,
                    suggested_truncation)
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
-                       amplitude_ratio, angular_average_purity,
-                       angular_average_value, norm_ratio, outcome_factors,
-                       spec_norm_ratio, squeeze_parameter, wigner_value)
+                       angular_average_purity, angular_average_value, norm_ratio,
+                       outcome_factors, spec_norm_ratio, squeeze_parameter,
+                       wigner_value)
 from .phasespace import (GridGeometry, GridReport, IdentityCheck, WignerGrid,
-                         add_photon, default_geometry, grid_metrics,
-                         identity_residual, l1_relative_residual, outcome_integrals,
-                         outcome_norm_ratio, photon_outcomes, policy_extent, rasterize,
-                         refined_geometry, renormalize, sub_photon,
-                         wigner_from_density)
+                         default_geometry, grid_metrics, identity_residual,
+                         l1_relative_residual, outcome_integrals, outcome_norm_ratio,
+                         photon_outcomes, policy_extent, rasterize, refined_geometry,
+                         renormalize, wigner_from_density)
 from .special import bessel_i0_scaled, elliptic_k, hermite_psi_table
 from .verify import (SUITE_NAMES, CaseResult, SuiteConfig, VerificationReport,
-                     figure_data, run_all, run_suite)
+                     figure_data, run_suite)
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ from .errors import (ConfigurationError, DegenerateInputError, DomainError,
 from .fock import FockVector, coherent_state, squeezed_vacuum
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, squeeze_parameter
 from .phasespace import (GridGeometry, default_geometry, identity_residual,
-                         outcome_norm_ratio, photon_outcomes, rasterize,
-                         renormalize, wigner_from_density)
+                         outcome_integrals, outcome_norm_ratio, photon_outcomes,
+                         rasterize, renormalize, wigner_from_density)
 from .verify import SUITE_NAMES, SuiteConfig, figure_data, run_suite
 
 _FORMATS_HELP = """\
@@ -33,7 +33,7 @@ file formats:
                   rows "x,p,value"; 17 significant digits throughout, so a
                   reloaded grid is bit-identical
   report JSON     {"suite": name, "cases": [{"label", "measured", "bound",
-                  "pass"}, ...], "artifacts": [paths]}
+                  "pass"}, ...]}
 
 The environment variable SQVAC_OUT names the default output directory;
 explicit -o flags win.
@@ -94,7 +94,8 @@ def _build_state(args):
             z = squeeze_parameter(_require(args.sigma_x, "--z or --sigma-x", kind))
         return squeezed_vacuum(z, args.trunc)
     if kind == "coherent":
-        return coherent_state(_require(args.alpha, "--alpha", kind), args.trunc or 40)
+        trunc = 40 if args.trunc is None else args.trunc
+        return coherent_state(_require(args.alpha, "--alpha", kind), trunc)
     raise ConfigurationError(f"unknown state kind {kind!r}")
 
 
@@ -141,9 +142,8 @@ def _cmd_outcome(args) -> int:
         grid = _grid_from_state(sqio.load_state(args.state), args)
     else:
         raise ConfigurationError(f"{args.command} needs --grid or --state")
-    added, subtracted = photon_outcomes(grid)
-    ratio = outcome_norm_ratio(added.integral(), subtracted.integral())
-    outcome = renormalize(added if args.command == "add" else subtracted)
+    ratio = outcome_norm_ratio(*outcome_integrals(grid))
+    outcome = renormalize(photon_outcomes(grid)[0 if args.command == "add" else 1])
     path = _resolve_out(args.out, f"{args.command}.csv")
     sqio.save_grid(path, outcome, _grid_comments(args))
     print(path)

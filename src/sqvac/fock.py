@@ -86,20 +86,6 @@ class DensityMatrix:
         v = vec.normalized().amps
         return cls(vec.trunc, np.outer(v, v.conj()))
 
-    @classmethod
-    def mixture(cls, weights, vecs) -> "DensityMatrix":
-        """Convex mixture of pure states (weights must sum to 1)."""
-        if len(weights) != len(vecs) or not vecs:
-            raise ConfigurationError("mixture needs matching, non-empty weights/vecs")
-        n = vecs[0].trunc
-        rho = np.zeros((n, n), dtype=complex)
-        for w, v in zip(weights, vecs):
-            if v.trunc != n:
-                raise ConfigurationError("mixture components must share trunc")
-            u = v.normalized().amps
-            rho += w * np.outer(u, u.conj())
-        return cls(n, rho)
-
 
 def lowering_matrix(trunc: int) -> np.ndarray:
     """Matrix of the annihilation operator: a|n> = sqrt(n)|n-1>."""

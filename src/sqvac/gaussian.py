@@ -137,26 +137,22 @@ def squeeze_parameter(sigma_x: float) -> float:
     return -float(np.log(sigma_x))
 
 
-def amplitude_ratio(sigma_x: float) -> float:
-    """Pointwise ratio (added)/(subtracted) wavefunction, (sx^2+1)/(sx^2-1).
+def norm_ratio(sigma_x: float) -> float:
+    """Norm of the added outcome over the subtracted one for a pure state.
 
-    Negative for sigma_x < 1, positive for sigma_x > 1, |ratio| > 1 always;
-    diverges at the vacuum width sigma_x = 1, which is excluded.
+    The square of the pointwise wavefunction ratio (sx^2+1)/(sx^2-1), so
+    always above 1; diverges at the vacuum width sigma_x = 1, which is
+    excluded.
     """
     if not sigma_x > 0:
         raise DomainError("sigma_x must be positive")
     s2 = sigma_x * sigma_x
     if abs(s2 - 1.0) < _VACUUM_GAP:
         raise DegenerateInputError(
-            "amplitude ratio diverges at sigma_x = 1 (vacuum): subtraction "
+            "norm ratio diverges at sigma_x = 1 (vacuum): subtraction "
             "annihilates the state"
         )
-    return (s2 + 1.0) / (s2 - 1.0)
-
-
-def norm_ratio(sigma_x: float) -> float:
-    """Squared amplitude ratio: norm of added outcome over subtracted outcome."""
-    r = amplitude_ratio(sigma_x)
+    r = (s2 + 1.0) / (s2 - 1.0)
     return r * r
 
 

@@ -142,8 +142,3 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
 
 def save_report(path, report: dict):
     atomic_write(path, (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",))
-
-
-def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

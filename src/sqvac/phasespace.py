@@ -29,7 +29,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigurationError, DegenerateInputError, GeometryError
+from .errors import ConfigurationError, DegenerateInputError, DomainError, GeometryError
 from .fock import DensityMatrix, FockVector, quadrature_moments
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, wigner_value
 from .special import hermite_psi_table
@@ -59,13 +59,6 @@ def _validate_count(n: int):
         raise GeometryError(f"grids need at least {_MIN_POINTS} points per axis")
     if n % 2 == 0:
         raise GeometryError("point counts must be odd (Simpson integration)")
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
 
 
 def _d1(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -168,15 +161,15 @@ def default_geometry(state) -> GridGeometry:
     return GridGeometry.square(policy_extent(wx, wp))
 
 
-def refined_geometry(spec, points_per_width: int = 16) -> GridGeometry:
-    """Finite-difference-grade geometry: dx = (narrowest width)/points_per_width.
+def refined_geometry(spec) -> GridGeometry:
+    """Finite-difference-grade geometry: dx = (narrowest width)/16.
 
     The 4th-order stencil error scales like (dx/width)^4; sixteen points per
     width keeps identity residuals near 1e-5, an order under the 1e-4 gate.
     """
     wx, wp = spec.max_widths()
     extent = policy_extent(wx, wp)
-    step = spec.min_width() / points_per_width
+    step = spec.min_width() / 16
     n = int(np.ceil(2.0 * extent / step)) + 1
     n = max(n if n % 2 == 1 else n + 1, 257)
     return GridGeometry.square(extent, n)
@@ -219,9 +212,16 @@ class WignerGrid:
         """Same layout, new samples."""
         return WignerGrid(self.x0, self.dx, self.p0, self.dp, values)
 
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Simpson weights (wx, wp) along x and p: h/3 * (1, 4, 2, ..., 4, 1)."""
+        wx, wp = np.ones(self.nx), np.ones(self.num_p)
+        for w in (wx, wp):
+            w[1:-1:2] = 4.0
+            w[2:-1:2] = 2.0
+        return wx * (self.dx / 3.0), wp * (self.dp / 3.0)
+
     def integral(self) -> float:
-        wx = _simpson_weights(self.nx, self.dx)
-        wp = _simpson_weights(self.num_p, self.dp)
+        wx, wp = self.weights()
         return float(wx @ self.values @ wp)
 
     def boundary_max(self) -> float:
@@ -410,16 +410,6 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     return (grid.with_values(added), grid.with_values(subtracted))
 
 
-def add_photon(grid: WignerGrid) -> WignerGrid:
-    """Photon-added outcome grid, un-renormalized (integral = <a a^dag>)."""
-    return photon_outcomes(grid)[0]
-
-
-def sub_photon(grid: WignerGrid) -> WignerGrid:
-    """Photon-subtracted outcome grid, un-renormalized (integral = <a^dag a>)."""
-    return photon_outcomes(grid)[1]
-
-
 def renormalize(grid: WignerGrid) -> WignerGrid:
     """Scale a grid to unit integral; refuses on a vanishing integral."""
     total = grid.integral()
@@ -468,10 +458,10 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
     integral(S) = integral(A) + integral W + drift.
     """
     _check_boundary(grid)
-    wx = _simpson_weights(grid.nx, grid.dx)
-    wp = _simpson_weights(grid.num_p, grid.dp)
-    r = grid.values @ wp
-    c = wx @ grid.values
+    wx, wp = grid.weights()
+    # einsum, not BLAS: its sums keep one order whatever the BLAS thread count
+    r = np.einsum("ij,j->i", grid.values, wp)
+    c = np.einsum("i,ij->j", wx, grid.values)
     xs, ps = grid.xs, grid.ps
     radial = float((0.5 * wx * xs * xs) @ r + c @ (0.5 * wp * (ps * ps - 1.0)))
     drift = float((wx * xs) @ _d1(r, grid.dx, 0) + _d1(c, grid.dp, 0) @ (wp * ps))
@@ -482,10 +472,12 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
 
 def _l1_sums(added: np.ndarray, subtracted: np.ndarray, ratio: float,
              wx: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
-    """Simpson sums of |A - ratio * S| and |A| over matching rows of A and S."""
+    """Simpson sums of |A - ratio * S| and |A| over matching rows of A and S,
+    reduced by einsum so they do not depend on the BLAS thread count."""
     diff = added - ratio * subtracted
     np.abs(diff, out=diff)
-    return float(wx @ diff @ wp), float(wx @ np.abs(added) @ wp)
+    return (float(wx @ np.einsum("ij,j->i", diff, wp)),
+            float(wx @ np.einsum("ij,j->i", np.abs(added), wp)))
 
 
 def _relative(num: float, den: float) -> float:
@@ -500,9 +492,7 @@ def _relative(num: float, den: float) -> float:
 
 def l1_relative_residual(added: WignerGrid, subtracted: WignerGrid, ratio: float) -> float:
     """integral |A - ratio * S| / integral |A| over the shared grid."""
-    return _relative(*_l1_sums(added.values, subtracted.values, ratio,
-                               _simpson_weights(added.nx, added.dx),
-                               _simpson_weights(added.num_p, added.dp)))
+    return _relative(*_l1_sums(added.values, subtracted.values, ratio, *added.weights()))
 
 
 def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityCheck:
@@ -515,12 +505,15 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     the L1 sums take one pass over row blocks, so no full-size outcome grid is
     ever held. The blocks run on a thread pool and their sums are added in
     block order, so the residual does not depend on the worker count.
+
+    Raises DomainError for a non-finite ``ratio``.
     """
+    if ratio is not None and not np.isfinite(ratio):
+        raise DomainError(f"ratio {ratio!r} is not finite")
     ia, isub = outcome_integrals(grid)
     if ratio is None:
         ratio = outcome_norm_ratio(ia, isub)
-    wx = _simpson_weights(grid.nx, grid.dx)
-    wp = _simpson_weights(grid.num_p, grid.dp)
+    wx, wp = grid.weights()
 
     def block_sums(block):
         i0, i1 = block
@@ -559,9 +552,8 @@ def _interpolate(v: np.ndarray, tx: float, tp: float) -> float:
 
 def grid_metrics(grid: WignerGrid) -> GridReport:
     """Integral, purity 2 pi integral W^2, mean photon number and origin value."""
-    wx = _simpson_weights(grid.nx, grid.dx)
-    wp = _simpson_weights(grid.num_p, grid.dp)
-    total = float(wx @ grid.values @ wp)
+    wx, wp = grid.weights()
+    total = grid.integral()
     purity = float(2.0 * np.pi * (wx @ (grid.values * grid.values) @ wp))
     s2 = grid.xs[:, None] ** 2 + grid.ps[None, :] ** 2
     energy = float(wx @ (s2 * grid.values) @ wp)

@@ -16,7 +16,6 @@ from sqvac import (
     GaussianComponent,
     GaussianWignerSpec,
     GridGeometry,
-    add_photon,
     angular_average_purity,
     annihilate,
     bogoliubov_annihilate,
@@ -204,7 +203,7 @@ def test_c08_negative_controls():
         failures.append(f"unequal-width residual {uneq:.3f} < 0.01")
 
     pure = GaussianWignerSpec.pure_state(2.0)
-    once = renormalize(add_photon(rasterize(pure, refined_geometry(pure))))
+    once = renormalize(photon_outcomes(rasterize(pure, refined_geometry(pure)))[0])
     second = identity_residual(once).residual
     if second < 0.01:
         failures.append(f"second-round residual {second:.3f} < 0.01")

@@ -1,5 +1,6 @@
 """CLI front end, driven in-process through main() for speed."""
 
+import json
 import math
 import os
 import shutil
@@ -18,7 +19,7 @@ from sqvac import (
     rasterize,
 )
 from sqvac.cli import main
-from sqvac.io import load_grid, load_report, load_state, save_grid
+from sqvac.io import load_grid, load_state, save_grid
 
 
 def run(capsys, *argv):
@@ -72,6 +73,19 @@ def test_add_and_sub_outcomes(tmp_path, capsys):
         assert outcome.integral() == pytest.approx(1.0, abs=1e-12)
         center = outcome.values[outcome.nx // 2, outcome.num_p // 2]
         assert center == pytest.approx(-1.0 / math.pi, abs=1e-3)
+
+
+def test_add_sub_and_residual_print_the_same_ratio(tmp_path, capsys):
+    # one grid, one norm ratio: every command takes R from the same integrals
+    grid_path = tmp_path / "grid.csv"
+    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    printed = set()
+    for argv in (("add", "-o", str(tmp_path / "a.csv")), ("sub", "-o", str(tmp_path / "s.csv")),
+                 ("residual",)):
+        code, out, _ = run(capsys, argv[0], "--grid", str(grid_path), *argv[1:])
+        assert code == 0
+        printed |= {line for line in out.splitlines() if line.startswith("R_used=")}
+    assert len(printed) == 1, printed
 
 
 def test_fock_state_pipeline(tmp_path, capsys):
@@ -158,6 +172,29 @@ def test_non_finite_state_refused_without_output(tmp_path, capsys):
         code, _, err = run(capsys, "state", *argv, "-o", str(out_path))
         assert code == 2 and "finite" in err
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+def test_residual_refuses_non_finite_ratio(tmp_path, capsys, ratio):
+    grid_path = tmp_path / "grid.csv"
+    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    code, out, err = run(capsys, "residual", "--grid", str(grid_path), f"--ratio={ratio}")
+    assert code == 2 and out == ""
+    assert "not finite" in err
+
+
+def test_zero_trunc_refused(tmp_path, capsys):
+    # --trunc 0 is a bad basis size, not "use the default"
+    out_path = tmp_path / "coherent.json"
+    code, out, _ = run(capsys, "state", "--kind", "coherent", "--alpha", "1", "--trunc", "0",
+                       "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert not out_path.exists()
+    code, out, err = run(capsys, "verify", "--suite", "fock-ratio", "--trunc", "0",
+                         "-o", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "trunc" in err
+    assert not (tmp_path / "verify_fock-ratio.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -254,7 +291,7 @@ def test_verify_subcommand(tmp_path, capsys):
                        "-o", str(tmp_path))
     assert code == 0
     assert "fock-ratio: PASS (6 cases)" in out
-    report = load_report(tmp_path / "verify_fock-ratio.json")
+    report = json.loads((tmp_path / "verify_fock-ratio.json").read_text())
     assert report["suite"] == "fock-ratio" and len(report["cases"]) == 6
 
 
@@ -299,6 +336,20 @@ def test_import_loads_no_scipy_submodules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_reports_do_not_depend_on_blas_thread_count(tmp_path):
+    # OpenBLAS splits its sums by its thread count; the reports must not see it
+    import sqvac
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-m", "sqvac.cli", "verify", "--suite",
+                        "angular-average", "-o", str(out_dir)], check=True, capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        reports.append((out_dir / "verify_angular-average.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_console_script_installed():

@@ -33,6 +33,12 @@ def basis_vector(n, trunc):
     return FockVector(trunc, amps)
 
 
+def mixture(weights, vecs):
+    """Convex mixture of pure number-basis states as a density matrix."""
+    return DensityMatrix(vecs[0].trunc,
+                         sum(w * DensityMatrix.from_pure(v).elems for w, v in zip(weights, vecs)))
+
+
 def mean_photon(amps):
     w = np.abs(amps) ** 2
     return float(np.sum(np.arange(amps.size) * w) / np.sum(w))
@@ -101,7 +107,7 @@ def test_density_matrix_rejects_non_finite(elems):
 
 
 def test_mixture_weights_and_purity():
-    rho = DensityMatrix.mixture(
+    rho = mixture(
         [0.5, 0.5], [basis_vector(0, 8), basis_vector(2, 8)]
     )
     assert np.trace(rho.elems).real == pytest.approx(1.0, abs=1e-14)
@@ -303,7 +309,7 @@ def test_state_metrics_pure():
 
 
 def test_quadrature_moments_density_matrix():
-    rho = DensityMatrix.mixture(
+    rho = mixture(
         [0.5, 0.5], [basis_vector(0, 8), basis_vector(2, 8)]
     )
     x2, p2 = quadrature_moments(rho)

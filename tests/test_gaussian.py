@@ -22,7 +22,6 @@ from sqvac import (
     DomainError,
     GaussianComponent,
     GaussianWignerSpec,
-    amplitude_ratio,
     angular_average_purity,
     angular_average_value,
     norm_ratio,
@@ -49,6 +48,13 @@ def squeezed_wavefunction(x, sigma_x):
     """Position wavefunction exp(-x^2 / (2 sigma_x^2)) / sqrt(sigma_x sqrt(pi))."""
     x = np.asarray(x, dtype=float)
     return np.exp(-x * x / (2.0 * sigma_x ** 2)) / np.sqrt(sigma_x * np.sqrt(np.pi))
+
+
+def ladder_amplitudes(x, sigma_x, h=1e-4):
+    """(a^dag psi, a psi)(x) = (x psi -+ psi') / sqrt(2), psi' by central difference."""
+    d = (squeezed_wavefunction(x + h, sigma_x) - squeezed_wavefunction(x - h, sigma_x)) / (2 * h)
+    psi = squeezed_wavefunction(x, sigma_x)
+    return (x * psi - d) / np.sqrt(2.0), (x * psi + d) / np.sqrt(2.0)
 
 
 def _unnormalized_outcome(c, x, p, sign):
@@ -84,14 +90,18 @@ def subtracted_outcome_value(spec, x, p):
 # ------------------------------------------------------------ scalar ratios
 
 def test_amplitude_ratio_values():
-    assert amplitude_ratio(2.0) == pytest.approx(5.0 / 3.0, rel=1e-15)
-    assert amplitude_ratio(0.5) == pytest.approx(-5.0 / 3.0, rel=1e-15)
-    assert norm_ratio(2.0) == pytest.approx(25.0 / 9.0, rel=1e-15)
+    # a^dag psi / a psi is the constant (sx^2+1)/(sx^2-1); norm_ratio is its square
+    for sx, amp in ((2.0, 5.0 / 3.0), (0.5, -5.0 / 3.0)):
+        added, subtracted = ladder_amplitudes(np.array([-1.3, 0.4, 2.1]), sx)
+        assert np.allclose(added / subtracted, amp, rtol=1e-7)
+        assert norm_ratio(sx) == pytest.approx(amp * amp, rel=1e-15)
+    with pytest.raises(DomainError):
+        norm_ratio(-2.0)
 
 
 def test_amplitude_ratio_unit_width_degenerate():
-    with pytest.raises(DegenerateInputError):
-        amplitude_ratio(1.0)
+    # the vacuum: a psi vanishes, so the ratio diverges
+    assert np.max(np.abs(ladder_amplitudes(np.linspace(-3, 3, 7), 1.0)[1])) < 1e-7
     with pytest.raises(DegenerateInputError):
         norm_ratio(1.0)
 

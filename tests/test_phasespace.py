@@ -22,7 +22,6 @@ from sqvac import (
     GeometryError,
     GridGeometry,
     WignerGrid,
-    add_photon,
     coherent_state,
     default_geometry,
     grid_metrics,
@@ -36,18 +35,23 @@ from sqvac import (
     refined_geometry,
     renormalize,
     squeezed_vacuum,
-    sub_photon,
     wigner_from_density,
     wigner_value,
 )
 from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY, DEGENERATE_INTEGRAL,
                               _d1, _d2, _l1_sums, _map_blocks, _outcome_rows, _row_blocks,
-                              _simpson_weights, _worker_count)
+                              _worker_count)
 
 PURE2 = GaussianWignerSpec.pure_state(2.0)
 IMPURE = GaussianWignerSpec.single(4.0, 0.5)
 # rotated and impure: no symmetry of W hides a transposed or shifted row
 SKEW = GaussianWignerSpec.single(2.0, 0.7, theta=0.4)
+
+
+def mixture(weights, vecs):
+    """Convex mixture of pure number-basis states as a density matrix."""
+    return DensityMatrix(vecs[0].trunc,
+                         sum(w * DensityMatrix.from_pure(v).elems for w, v in zip(weights, vecs)))
 
 
 # ----------------------------------------------------------------- geometry
@@ -185,7 +189,7 @@ def test_transform_single_photon():
     vecs = [FockVector(8, rng.normal(size=8) + 1j * rng.normal(size=8)).normalized()
             for _ in range(3)]
     states = [FockVector(8, np.eye(8)[n]) for n in (0, 1, 2, 5)] + [
-        DensityMatrix.mixture([0.5, 0.3, 0.2], vecs),
+        mixture([0.5, 0.3, 0.2], vecs),
         FockVector(8, np.array([1.0, 1j, 0, 0, 0, 0, 0, 0]) / math.sqrt(2.0)),
     ]
     for state in states:
@@ -234,7 +238,7 @@ def test_transform_coherent_is_shifted_vacuum():
 
 
 def test_transform_mixture_metrics():
-    rho = DensityMatrix.mixture(
+    rho = mixture(
         [0.5, 0.5],
         [FockVector(12, np.eye(12)[0]), FockVector(12, np.eye(12)[2])],
     )
@@ -273,8 +277,7 @@ def test_outcome_integrals_are_ladder_norms():
 
 def test_renormalized_outcomes_match_closed_forms():
     grid = rasterize(PURE2, refined_geometry(PURE2))
-    wp = renormalize(add_photon(grid))
-    wm = renormalize(sub_photon(grid))
+    wp, wm = (renormalize(outcome) for outcome in photon_outcomes(grid))
     fp, fm = outcome_factors(grid.xs[:, None], grid.ps[None, :], 2.0, 0.5)
     assert np.max(np.abs(wp.values - fp * grid.values)) < 5e-5
     assert np.max(np.abs(wm.values - fm * grid.values)) < 5e-5
@@ -298,8 +301,7 @@ def test_impure_state_breaks_identity():
     grid = rasterize(IMPURE, refined_geometry(IMPURE))
     chk = identity_residual(grid)
     assert chk.residual > 0.05
-    wp = renormalize(add_photon(grid))
-    wm = renormalize(sub_photon(grid))
+    wp, wm = (renormalize(outcome) for outcome in photon_outcomes(grid))
     assert np.max(np.abs(wp.values - wm.values)) > 0.01
 
 
@@ -308,7 +310,7 @@ def test_vacuum_input_degenerate():
     with pytest.raises(DegenerateInputError):
         identity_residual(grid)
     with pytest.raises(DegenerateInputError):
-        renormalize(sub_photon(grid))
+        renormalize(photon_outcomes(grid)[1])
     # an explicit ratio skips the guard: S vanishes, so |A - S| = |A|
     chk = identity_residual(grid, ratio=1.0)
     assert chk.ratio_used == 1.0
@@ -429,8 +431,7 @@ def test_identity_residual_holds_no_full_size_grid():
 
 def _serial_residual(grid, ratio):
     """The in-order serial L1 pass that the pooled one must reproduce."""
-    wx = _simpson_weights(grid.nx, grid.dx)
-    wp = _simpson_weights(grid.num_p, grid.dp)
+    wx, wp = grid.weights()
     num = den = 0.0
     for i0, i1 in _row_blocks(grid.nx):
         block_num, block_den = _l1_sums(*_outcome_rows(grid, i0, i1), ratio, wx[i0:i1], wp)

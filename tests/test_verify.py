@@ -44,7 +44,7 @@ def test_reports_are_deterministic(tmp_path):
 
 def test_case_schema():
     obj = run_suite("fock-ratio").to_obj()
-    assert set(obj) == {"suite", "cases", "artifacts"}
+    assert set(obj) == {"suite", "cases"}
     for case in obj["cases"]:
         assert set(case) == {"label", "measured", "bound", "pass"}
         assert case["pass"] == (case["measured"] <= case["bound"])
@@ -96,6 +96,9 @@ def test_parameter_overrides_bind():
     with pytest.raises(TruncationError):
         run_suite("fock-ratio", SuiteConfig(trunc=20))
     assert run_suite("fock-ratio", SuiteConfig(trunc=200)).passed
+    for trunc in (0, 1):  # below any basis; refused, not replaced by a default
+        with pytest.raises(ConfigurationError, match="trunc"):
+            SuiteConfig(trunc=trunc)
 
 
 # -------------------------------------------------------------- figure data
