@@ -156,9 +156,25 @@ def norm_ratio(sigma_x: float) -> float:
     return r * r
 
 
-def _rotated(c: GaussianComponent, x, p):
+def _log_density(c: GaussianComponent, x, p, out: np.ndarray) -> np.ndarray:
+    """log(weight * W_c) as one quadratic form, written into ``out``:
+
+        -(a x^2 + b x p + c p^2) + log(weight / (pi sigma_x sigma_p))
+        a = cos^2/sigma_x^2 + sin^2/sigma_p^2,  c = sin^2/sigma_x^2 + cos^2/sigma_p^2
+        b = 2 sin cos (1/sigma_x^2 - 1/sigma_p^2)
+
+    the rotated x'^2/sigma_x^2 + p'^2/sigma_p^2 expanded, so no rotated copy
+    of x or p is formed.
+    """
     ct, st = np.cos(c.theta), np.sin(c.theta)
-    return x * ct + p * st, p * ct - x * st
+    ix, ip = 1.0 / c.sigma_x ** 2, 1.0 / c.sigma_p ** 2
+    a = ct * ct * ix + st * st * ip
+    b = 2.0 * st * ct * (ix - ip)
+    cc = st * st * ix + ct * ct * ip
+    np.multiply(x, -b * p, out=out)
+    out += np.log(c.weight / (np.pi * c.sigma_x * c.sigma_p)) - a * x * x
+    out -= cc * p * p
+    return out
 
 
 def wigner_value(spec, x, p):
@@ -167,12 +183,17 @@ def wigner_value(spec, x, p):
     p = np.asarray(p, dtype=float)
     if isinstance(spec, AngularAverageSpec):
         return angular_average_value(spec.sigma_x, x, p)
-    out = np.zeros(np.broadcast(x, p).shape)
-    for c in spec.components:
-        xr, pr = _rotated(c, x, p)
-        out = out + c.weight * np.exp(-xr ** 2 / c.sigma_x ** 2 - pr ** 2 / c.sigma_p ** 2) \
-            / (np.pi * c.sigma_x * c.sigma_p)
-    return out
+    # exp in place; later components are added into the first one's buffer
+    shape = np.broadcast_shapes(x.shape, p.shape)
+    first, *rest = spec.components
+    out = _log_density(first, x, p, np.empty(shape))
+    np.exp(out, out=out)
+    if rest:
+        term = np.empty(shape)
+        for c in rest:
+            _log_density(c, x, p, term)
+            out += np.exp(term, out=term)
+    return out if out.ndim else out[()]  # a scalar for scalar input
 
 
 def outcome_factors(x, p, sigma_x: float, sigma_p: float):

@@ -183,6 +183,16 @@ def test_residual_refuses_non_finite_ratio(tmp_path, capsys, ratio):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("ratio", ["1.7e308", "-3", "0.5"])
+def test_residual_refuses_ratio_outside_norm_ratio_range(tmp_path, capsys, ratio):
+    # a norm ratio is 1 + integral(W)/integral(S), with integral(S) bounded below
+    grid_path = tmp_path / "grid.csv"
+    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    code, out, err = run(capsys, "residual", "--grid", str(grid_path), f"--ratio={ratio}")
+    assert code == 2 and out == ""
+    assert "outside the norm-ratio range" in err
+
+
 def test_zero_trunc_refused(tmp_path, capsys):
     # --trunc 0 is a bad basis size, not "use the default"
     out_path = tmp_path / "coherent.json"

@@ -225,6 +225,40 @@ def test_wigner_normalized():
     assert integrate_2d(vals, xs) == pytest.approx(1.0, abs=1e-10)
 
 
+def rotated_wigner_value(spec, x, p):
+    """The two-rotation form that predates the quadratic form: each component
+    evaluated on rotated copies x', p' of the inputs."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(np.broadcast(x, p).shape)
+    for c in spec.components:
+        ct, st = np.cos(c.theta), np.sin(c.theta)
+        xr, pr = x * ct + p * st, p * ct - x * st
+        out = out + c.weight * np.exp(-xr ** 2 / c.sigma_x ** 2 - pr ** 2 / c.sigma_p ** 2) \
+            / (np.pi * c.sigma_x * c.sigma_p)
+    return out
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, 2.9])
+@pytest.mark.parametrize("spec_of", [
+    lambda th: GaussianWignerSpec.single(4.0, 0.5, th),
+    lambda th: GaussianWignerSpec((GaussianComponent(0.3, th, 2.0, 0.7),
+                                   GaussianComponent(0.7, th + 1.0, 0.5, 3.0))),
+], ids=["impure", "two-component"])
+def test_quadratic_form_matches_rotated_form(theta, spec_of):
+    spec = spec_of(theta)
+    xs = np.linspace(-12.0, 12.0, 97)
+    ps = np.linspace(-12.0, 12.0, 101)
+    scale = np.max(rotated_wigner_value(spec, xs[:, None], ps[None, :]))
+    for x, p in [(xs[:, None], ps[None, :]),          # broadcast column x row
+                 (0.7, -1.3),                         # scalars
+                 (np.array(0.7), np.array(-1.3)),     # 0-d arrays
+                 (xs[:5], 0.25)]:                     # vector with a scalar
+        got, want = wigner_value(spec, x, p), rotated_wigner_value(spec, x, p)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 # ---------------------------------------------------------- outcome factors
 
 def test_outcome_factors_pure_origin():
