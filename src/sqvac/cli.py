@@ -110,8 +110,8 @@ def _cmd_state(args) -> int:
 def _grid_from_state(state, args):
     geometry = default_geometry(state)
     if args.extent is not None or args.points is not None:
-        extent = geometry.extent_x if args.extent is None else args.extent
-        geometry = GridGeometry.square(extent, args.points)
+        extent = geometry.extent if args.extent is None else args.extent
+        geometry = GridGeometry(extent, args.points)
     if isinstance(state, FockVector):
         return wigner_from_density(state, geometry)
     return rasterize(state, geometry)

@@ -29,6 +29,18 @@ _WEIGHT_TOL = 1e-12
 _VACUUM_GAP = 1e-12
 
 
+def _check_width_range(sigma: float):
+    """Refuse a width whose 4th power or inverse 4th power is not a finite
+    nonzero float (roughly sigma outside [1e-77, 1e77]): the closed forms and
+    the angular average's radial coefficients need sigma^4, and the grid
+    extent scales with the width."""
+    with np.errstate(over="ignore", under="ignore"):
+        powers = np.float64(sigma) ** np.array([4.0, -4.0])
+    if not np.all((powers > 0) & np.isfinite(powers)):
+        raise DomainError(f"width {sigma!r} is outside the range whose 4th power and "
+                          "inverse 4th power are finite nonzero floats")
+
+
 @dataclass(frozen=True)
 class GaussianComponent:
     """One rotated gaussian: weight, angle and principal widths."""
@@ -45,6 +57,8 @@ class GaussianComponent:
             raise DomainError("component weight must be positive")
         if not (self.sigma_x > 0 and self.sigma_p > 0):
             raise DomainError("widths must be positive")
+        _check_width_range(self.sigma_x)
+        _check_width_range(self.sigma_p)
         if self.sigma_x * self.sigma_p < 1.0 - _UNCERTAINTY_SLACK:
             raise DomainError(
                 f"sigma_x*sigma_p = {self.sigma_x * self.sigma_p:.6g} violates the "
@@ -97,13 +111,11 @@ class GaussianWignerSpec:
         return cls((GaussianComponent.pure(theta1, sigma_x, weight),
                     GaussianComponent.pure(theta2, sigma_x, 1.0 - weight)))
 
-    def max_widths(self) -> tuple[float, float]:
-        """Largest effective extent along x and p over components (rotation-safe)."""
-        m = max(max(c.sigma_x, c.sigma_p) for c in self.components)
-        return m, m
-
-    def min_width(self) -> float:
-        return min(min(c.sigma_x, c.sigma_p) for c in self.components)
+    def widths(self) -> tuple[float, float]:
+        """(narrowest, widest) principal width over components; the widest
+        bounds each component's spread along x and p at any angle."""
+        return (min(min(c.sigma_x, c.sigma_p) for c in self.components),
+                max(max(c.sigma_x, c.sigma_p) for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,7 @@ class AngularAverageSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma_x) and self.sigma_x > 0):
             raise DomainError("sigma_x must be positive and finite")
+        _check_width_range(self.sigma_x)
 
     def radial_coefficients(self) -> tuple[float, float]:
         """(a, b) with W(s) = exp(-a s) I0(b s) / pi, s = x^2 + p^2."""
@@ -122,12 +135,9 @@ class AngularAverageSpec:
         return ((s4 + 1.0) / (2.0 * self.sigma_x ** 2),
                 (s4 - 1.0) / (2.0 * self.sigma_x ** 2))
 
-    def max_widths(self) -> tuple[float, float]:
-        m = max(self.sigma_x, 1.0 / self.sigma_x)
-        return m, m
-
-    def min_width(self) -> float:
-        return min(self.sigma_x, 1.0 / self.sigma_x)
+    def widths(self) -> tuple[float, float]:
+        """(narrowest, widest) width of the averaged pure state."""
+        return min(self.sigma_x, 1.0 / self.sigma_x), max(self.sigma_x, 1.0 / self.sigma_x)
 
 
 def squeeze_parameter(sigma_x: float) -> float:

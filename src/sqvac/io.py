@@ -98,8 +98,11 @@ def save_grid(path, grid: WignerGrid, comments=()):
     """CSV rows x,p,value after a layout header; extra comments one per line.
 
     Rows are streamed to disk one x row at a time, every float written with
-    "%.17g", so files keep the v1 format byte for byte.
+    "%.17g", so files keep the v1 format byte for byte. Refuses non-finite
+    values, which ``load_grid`` would refuse to read back.
     """
+    if not np.all(np.isfinite(grid.values)):
+        raise ConfigurationError("grid holds non-finite values")
     atomic_write(path, _grid_chunks(grid, comments))
 
 

@@ -25,10 +25,11 @@ a nonzero W. Skipping the rest changes no outcome value; an L1 sum over the
 shorter rows may differ in its last bit, since einsum groups its terms by
 row length.
 
-A grid's authoritative state is its layout (x0, dx, nx, p0, dp, num_p) plus
-the value array; the axes are always derived as x0 + k*dx from the stored
-floats. Serialization writes the layout, so a saved and reloaded grid is
-bit-identical to the original, derived axes included.
+Grids are built on a square ``GridGeometry`` sized from the state's widest
+width, but a grid's authoritative state is its layout (x0, dx, nx, p0, dp,
+num_p) plus the value array; the axes are always derived as x0 + k*dx from the
+stored floats. Serialization writes the layout, so a saved and reloaded grid
+is bit-identical to the original, derived axes included.
 """
 
 import os
@@ -114,73 +115,57 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """Symmetric rectangular geometry: x in [-extent_x, extent_x] etc."""
+    """Square geometry: x and p both span [-extent, extent] at ``points``
+    points; by default 257, or 513 once the extent passes 18 (strong squeezing)."""
 
-    extent_x: float
-    extent_p: float
-    nx: int
-    num_p: int
+    extent: float
+    points: int | None = None
 
     def __post_init__(self):
-        _validate_count(self.nx)
-        _validate_count(self.num_p)
-        if not (self.extent_x > 0 and self.extent_p > 0):
-            raise GeometryError("extents must be positive")
-
-    @classmethod
-    def square(cls, extent: float, points: int | None = None) -> "GridGeometry":
-        """Square geometry; by default 257 points, stepping up to 513 once the
-        extent passes 18 (strong squeezing)."""
-        if points is None:
-            points = 257 if extent <= 18.0 else 513
-        return cls(extent, extent, points, points)
+        if self.points is None:
+            object.__setattr__(self, "points", 257 if self.extent <= 18.0 else 513)
+        _validate_count(self.points)
+        if not self.extent > 0:
+            raise GeometryError("extent must be positive")
 
     @property
-    def dx(self) -> float:
-        return 2.0 * self.extent_x / (self.nx - 1)
+    def step(self) -> float:
+        return 2.0 * self.extent / (self.points - 1)
 
-    @property
-    def dp(self) -> float:
-        return 2.0 * self.extent_p / (self.num_p - 1)
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = -self.extent_x + np.arange(self.nx) * self.dx
-        ps = -self.extent_p + np.arange(self.num_p) * self.dp
-        return xs, ps
+    def axis(self) -> np.ndarray:
+        """The sample points shared by x and p."""
+        return -self.extent + np.arange(self.points) * self.step
 
 
-def policy_extent(width_x: float, width_p: float) -> float:
-    return max(6.0 * width_x, 6.0 * width_p, 6.0)
+def policy_extent(widest: float) -> float:
+    return 6.0 * max(widest, 1.0)
 
 
 def default_geometry(state) -> GridGeometry:
     """Casual-use geometry of a gaussian spec or a number-basis state.
 
-    The extent is max(6 w_x, 6 w_p, 6) for the widths w of a spec; a
+    The extent is ``policy_extent`` of the widest width of a spec; a
     number-basis state uses sqrt(2) * rms, its gaussian-equivalent width, so
     the same physical state gets the same footprint either way. The point
-    count follows ``GridGeometry.square``.
+    count is ``GridGeometry``'s default.
     """
     if isinstance(state, (FockVector, DensityMatrix)):
-        x2, p2 = quadrature_moments(state)
-        wx, wp = np.sqrt(2.0 * x2), np.sqrt(2.0 * p2)
+        widest = np.sqrt(2.0 * max(quadrature_moments(state)))
     else:
-        wx, wp = state.max_widths()
-    return GridGeometry.square(policy_extent(wx, wp))
+        widest = state.widths()[1]
+    return GridGeometry(policy_extent(widest))
 
 
 def refined_geometry(spec) -> GridGeometry:
-    """Finite-difference-grade geometry: dx = (narrowest width)/16.
+    """Finite-difference-grade geometry: step = (narrowest width)/16.
 
-    The 4th-order stencil error scales like (dx/width)^4; sixteen points per
+    The 4th-order stencil error scales like (step/width)^4; sixteen points per
     width keeps identity residuals near 1e-5, an order under the 1e-4 gate.
     """
-    wx, wp = spec.max_widths()
-    extent = policy_extent(wx, wp)
-    step = spec.min_width() / 16
-    n = int(np.ceil(2.0 * extent / step)) + 1
-    n = max(n if n % 2 == 1 else n + 1, 257)
-    return GridGeometry.square(extent, n)
+    narrowest, widest = spec.widths()
+    extent = policy_extent(widest)
+    n = int(np.ceil(2.0 * extent / (narrowest / 16))) + 1
+    return GridGeometry(extent, max(n if n % 2 == 1 else n + 1, 257))
 
 
 class WignerGrid:
@@ -214,7 +199,7 @@ class WignerGrid:
 
     @classmethod
     def from_geometry(cls, geometry: GridGeometry, values: np.ndarray) -> "WignerGrid":
-        return cls(-geometry.extent_x, geometry.dx, -geometry.extent_p, geometry.dp, values)
+        return cls(-geometry.extent, geometry.step, -geometry.extent, geometry.step, values)
 
     def with_values(self, values: np.ndarray) -> "WignerGrid":
         """Same layout, new samples."""
@@ -229,13 +214,18 @@ class WignerGrid:
         return wx * (self.dx / 3.0), wp * (self.dp / 3.0)
 
     def integral(self) -> float:
-        wx, wp = self.weights()
-        return float(wx @ self.values @ wp)
+        return _simpson(self.values, *self.weights())
 
     def boundary_max(self) -> float:
         v = self.values
         return float(max(np.max(np.abs(v[0])), np.max(np.abs(v[-1])),
                          np.max(np.abs(v[:, 0])), np.max(np.abs(v[:, -1]))))
+
+
+def _simpson(values: np.ndarray, wx: np.ndarray, wp: np.ndarray) -> float:
+    """wx^T values wp, reduced by einsum rather than BLAS: its sums keep one
+    order whatever the BLAS thread count."""
+    return float(wx @ np.einsum("ij,j->i", values, wp))
 
 
 def _row_blocks(n: int, rows: int = _BLOCK_ROWS):
@@ -272,15 +262,15 @@ def rasterize(spec, geometry: GridGeometry | None = None) -> WignerGrid:
         raise ConfigurationError(f"rasterize cannot handle {type(spec).__name__}")
     if geometry is None:
         geometry = default_geometry(spec)
-    xs, ps = geometry.axes()
+    axis = geometry.axis()
     # evaluate in row blocks: identical values, cache-sized temporaries
-    values = np.empty((xs.size, ps.size))
+    values = np.empty((axis.size, axis.size))
 
     def fill(block):
         i0, i1 = block
-        values[i0:i1] = wigner_value(spec, xs[i0:i1, None], ps[None, :])
+        values[i0:i1] = wigner_value(spec, axis[i0:i1, None], axis[None, :])
 
-    _map_blocks(fill, _row_blocks(xs.size, max(1, _RASTER_POINTS // ps.size)))
+    _map_blocks(fill, _row_blocks(axis.size, max(1, _RASTER_POINTS // axis.size)))
     return WignerGrid.from_geometry(geometry, values)
 
 
@@ -289,16 +279,16 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
 
     W(x, p) = (1/2pi) * integral dy <x - y/2| rho |x + y/2> exp(i p y),
     with the position kernel built from orthonormal Hermite functions and the
-    y integral done by the trapezoid rule over |y| <= 2 * extent_x at step dx.
+    y integral done by the trapezoid rule over |y| <= 2 * extent at the grid step.
     The integrand vanishes at the ends, where Simpson's alternating weights
     would alias it to p +- pi/dx. Every sample point x +- y/2 lies on the
     half-step lattice k * dx/2, |k| <= 2 nx - 2, so the eigenvectors of the
     density are evaluated there once and gathered by index; the work scales
     with the number of significantly occupied eigenstates.
 
-    Raises GeometryError if the grid does not cover six times the state's rms
-    quadrature spreads, or if the resulting normalization drifts from the
-    trace by more than 1e-4.
+    Raises GeometryError if the grid does not cover six times the larger of
+    the state's rms quadrature spreads, or if the resulting normalization
+    drifts from the trace by more than 1e-4.
     """
     if isinstance(state, FockVector):
         rho = DensityMatrix.from_pure(state)
@@ -308,16 +298,12 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
         raise ConfigurationError(f"wigner_from_density cannot handle {type(state).__name__}")
     if geometry is None:
         geometry = default_geometry(rho)
-    x2, p2 = quadrature_moments(rho)
-    rms_x, rms_p = np.sqrt(x2), np.sqrt(p2)
-    if geometry.extent_x < 6.0 * rms_x * (1.0 - 1e-9) \
-            or geometry.extent_p < 6.0 * rms_p * (1.0 - 1e-9):
-        raise GeometryError(
-            f"grid extents ({geometry.extent_x:.3g}, {geometry.extent_p:.3g}) do not "
-            f"cover 6x the rms spreads ({rms_x:.3g}, {rms_p:.3g})"
-        )
-    _, ps = geometry.axes()
-    nx, dx = geometry.nx, geometry.dx
+    rms = np.sqrt(max(quadrature_moments(rho)))
+    if geometry.extent < 6.0 * rms * (1.0 - 1e-9):
+        raise GeometryError(f"grid extent {geometry.extent:.3g} does not cover 6x the "
+                            f"larger rms spread {rms:.3g}")
+    ps = geometry.axis()
+    nx, dx = geometry.points, geometry.step
 
     evals, evecs = np.linalg.eigh(rho.elems)
     keep = evals > 1e-13
@@ -335,7 +321,7 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
     for lam, f in zip(evals, psi.T):
         kernel += lam * f[minus] * f.conj()[plus]
 
-    ys = -2.0 * geometry.extent_x + np.arange(ny) * dx
+    ys = -2.0 * geometry.extent + np.arange(ny) * dx
     kernel[:, 0] *= 0.5
     kernel[:, -1] *= 0.5
     values = (kernel @ np.exp(1j * np.outer(ys, ps))).real * (dx / (2.0 * np.pi))
@@ -393,11 +379,8 @@ def _outcome_tile(grid: WignerGrid, i0: int, i1: int, j0: int, j1: int
     other = _d1(F, grid.dp, 1)
     other *= ps[None, :]
     drift += other
-    # acc -= drift / 2; binary scaling restores drift bit-exactly, except
-    # where drift is subnormal
-    drift *= 0.5
-    acc -= drift
-    drift *= 2.0
+    # drift / 2 goes to the free buffer: drift itself is still needed for S
+    acc -= np.multiply(drift, 0.5, out=other)
     # (x^2 + p^2 - 1)/2 * W
     radial = (0.5 * xs * xs)[:, None] + (0.5 * (ps * ps - 1.0))[None, :]
     radial *= F
@@ -499,7 +482,8 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
         Laplacian / 8  = (wx . d2(r) + d2(c) . wp) / 8
 
     with integral(A) = radial - drift / 2 + Laplacian / 8 and
-    integral(S) = integral(A) + integral W + drift.
+    integral(S) = integral(A) + integral W + drift. Raises GeometryError when
+    either integral is not finite.
     """
     _check_boundary(grid)
     wx, wp = grid.weights()
@@ -511,17 +495,21 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
     drift = float((wx * xs) @ _d1(r, grid.dx, 0) + _d1(c, grid.dp, 0) @ (wp * ps))
     laplacian = float(wx @ _d2(r, grid.dx, 0) + _d2(c, grid.dp, 0) @ wp)
     added = radial - 0.5 * drift + 0.125 * laplacian
-    return added, added + float(wx @ r) + drift
+    subtracted = added + float(wx @ r) + drift
+    if not (np.isfinite(added) and np.isfinite(subtracted)):
+        raise GeometryError(
+            f"outcome integrals ({added!r}, {subtracted!r}) are not finite: the "
+            "grid's x^2 + p^2 or its values overflow"
+        )
+    return added, subtracted
 
 
 def _l1_sums(added: np.ndarray, subtracted: np.ndarray, ratio: float,
              wx: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
-    """Simpson sums of |A - ratio * S| and |A| over matching rows of A and S,
-    reduced by einsum so they do not depend on the BLAS thread count."""
+    """Simpson sums of |A - ratio * S| and |A| over matching rows of A and S."""
     diff = added - ratio * subtracted
     np.abs(diff, out=diff)
-    return (float(wx @ np.einsum("ij,j->i", diff, wp)),
-            float(wx @ np.einsum("ij,j->i", np.abs(added), wp)))
+    return _simpson(diff, wx, wp), _simpson(np.abs(added), wx, wp)
 
 
 def _relative(num: float, den: float) -> float:
@@ -609,9 +597,9 @@ def grid_metrics(grid: WignerGrid) -> GridReport:
     """Integral, purity 2 pi integral W^2, mean photon number and origin value."""
     wx, wp = grid.weights()
     total = grid.integral()
-    purity = float(2.0 * np.pi * (wx @ (grid.values * grid.values) @ wp))
+    purity = 2.0 * np.pi * _simpson(grid.values * grid.values, wx, wp)
     s2 = grid.xs[:, None] ** 2 + grid.ps[None, :] ** 2
-    energy = float(wx @ (s2 * grid.values) @ wp)
+    energy = _simpson(s2 * grid.values, wx, wp)
     mean_n = 0.5 * energy - 0.5
     i, j, tx, tp = _bilinear_cell(grid, 0.0, 0.0)
     return GridReport(total, purity, mean_n,

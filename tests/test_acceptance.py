@@ -27,6 +27,7 @@ from sqvac import (
     outcome_factors,
     outcome_ratio,
     photon_outcomes,
+    policy_extent,
     rasterize,
     refined_geometry,
     renormalize,
@@ -148,7 +149,7 @@ def test_c06_purity_closed_vs_grid():
     closed = np.array([angular_average_purity(s) for s in sigmas])
     worst = 0.0
     for s, c in zip(sigmas, closed):
-        geometry = GridGeometry.square(max(6.0 * s, 6.0), 769)
+        geometry = GridGeometry(policy_extent(s), 769)
         grid_purity = grid_metrics(rasterize(AngularAverageSpec(s), geometry)).purity
         worst = max(worst, abs(grid_purity - c))
         if abs(grid_purity - c) > 1e-4:
@@ -228,7 +229,7 @@ def test_c10_convergence_under_refinement():
         for th in THETAS:
             spec = GaussianWignerSpec.pure_state(sx, th)
             g = refined_geometry(spec)
-            fine = GridGeometry.square(g.extent_x, 2 * (g.nx - 1) + 1)
+            fine = GridGeometry(g.extent, 2 * (g.points - 1) + 1)
             coarse = identity_residual(rasterize(spec, g)).residual
             refined = identity_residual(rasterize(spec, fine)).residual
             factor = coarse / refined

@@ -139,7 +139,7 @@ def test_vacuum_residual_names_the_exclusion(tmp_path, capsys):
 def test_vanishing_added_outcome_exits_one_without_traceback(tmp_path):
     import sqvac
     grid_path = tmp_path / "zero.csv"
-    save_grid(grid_path, WignerGrid.from_geometry(GridGeometry.square(1.0, 33),
+    save_grid(grid_path, WignerGrid.from_geometry(GridGeometry(1.0, 33),
                                                   np.zeros((33, 33))))
     src = os.path.dirname(os.path.dirname(sqvac.__file__))
     proc = subprocess.run([sys.executable, "-m", "sqvac.cli", "residual",
@@ -149,6 +149,35 @@ def test_vanishing_added_outcome_exits_one_without_traceback(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "integral |A|" in proc.stderr
+
+
+def test_overflowing_outcome_integrals_refused_without_output(tmp_path, capsys):
+    # a pure sigma_x = 1e150 state on its default grid: x^2 times the Simpson
+    # weight overflows at the far rows, where W is 0, so the integrals are nan
+    geometry = GridGeometry(6e150, 65)
+    values = np.zeros((65, 65))
+    values[:, 32] = np.exp(-(geometry.axis() / 1e150) ** 2) / np.pi
+    grid_path = tmp_path / "grid.csv"
+    save_grid(grid_path, WignerGrid.from_geometry(geometry, values))
+    code, out, err = run(capsys, "residual", "--grid", str(grid_path))
+    assert code == 2 and out == ""
+    assert "not finite" in err
+    for cmd in ("add", "sub"):
+        out_path = tmp_path / f"{cmd}.csv"
+        code, out, err = run(capsys, cmd, "--grid", str(grid_path), "-o", str(out_path))
+        assert code == 2 and out == ""
+        assert "not finite" in err
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["pure", "angular-average"])
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-160", "1e100"])
+def test_state_refuses_width_outside_float_range(tmp_path, capsys, kind, sigma):
+    out_path = tmp_path / "state.json"
+    code, out, err = run(capsys, "state", "--kind", kind, "--sigma-x", sigma, "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert "4th power" in err
+    assert not out_path.exists()
 
 
 def test_vacuum_outcome_refused_without_output(tmp_path, capsys):

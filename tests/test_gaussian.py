@@ -154,6 +154,23 @@ def test_component_validation():
             AngularAverageSpec(bad)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e-78, 1e78, 1e100, 1e150])
+def test_width_outside_float_range_refused(sigma):
+    # sigma^4 or sigma^-4 leaves the finite nonzero floats
+    with pytest.raises(DomainError, match="4th power"):
+        GaussianComponent(1.0, 0.0, sigma, 1.0 / sigma)
+    with pytest.raises(DomainError, match="4th power"):
+        GaussianWignerSpec.single(sigma, 2.0)  # checked before the uncertainty floor
+    with pytest.raises(DomainError, match="4th power"):
+        AngularAverageSpec(sigma)
+
+
+def test_wide_and_narrow_widths_accepted():
+    for sigma in (1e-70, 1e-8, 50.0, 1e70):
+        GaussianWignerSpec.pure_state(sigma)
+        AngularAverageSpec(sigma)
+
+
 def test_component_angle_is_pi_periodic():
     c = GaussianComponent(1.0, math.pi + 0.3, 2.0, 0.5)
     assert c.theta == pytest.approx(0.3, abs=1e-12)

@@ -73,7 +73,7 @@ def test_state_serialization_rejects_unknown():
 # --------------------------------------------------------------- grid CSV
 
 def small_grid():
-    return rasterize(GaussianWignerSpec.pure_state(2.0), GridGeometry.square(12.0, 65))
+    return rasterize(GaussianWignerSpec.pure_state(2.0), GridGeometry(12.0, 65))
 
 
 def test_grid_roundtrip_bit_exact(tmp_path):
@@ -145,6 +145,16 @@ def test_grid_rejects_non_finite_values(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError):
         load_grid(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_save_grid_refuses_non_finite_values(tmp_path, bad):
+    values = small_grid().values.copy()
+    values[3, 5] = bad
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        save_grid(path, small_grid().with_values(values))
+    assert os.listdir(tmp_path) == []
 
 
 def test_save_report_refuses_non_finite_numbers(tmp_path):

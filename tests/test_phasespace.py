@@ -2,6 +2,7 @@
 
 import math
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -58,46 +59,49 @@ def mixture(weights, vecs):
 
 def test_geometry_validation():
     with pytest.raises(GeometryError):
-        GridGeometry.square(6.0, 32)   # even
+        GridGeometry(6.0, 32)   # even
     with pytest.raises(GeometryError):
-        GridGeometry.square(6.0, 31)   # too small
+        GridGeometry(6.0, 31)   # too small
     with pytest.raises(GeometryError):
-        GridGeometry.square(-1.0, 257)
+        GridGeometry(-1.0, 257)
 
 
 def test_geometry_steps_and_axes():
-    g = GridGeometry.square(12.0, 257)
-    assert g.dx == 0.09375  # 24/256 is exact in binary
-    xs, ps = g.axes()
-    assert xs[0] == -12.0 and abs(xs[-1] - 12.0) < 1e-12
-    assert xs.size == 257 and ps.size == 257
+    g = GridGeometry(12.0, 257)
+    assert g.step == 0.09375  # 24/256 is exact in binary
+    axis = g.axis()
+    assert axis[0] == -12.0 and abs(axis[-1] - 12.0) < 1e-12
+    assert axis.size == 257
+    assert GridGeometry(18.0) == GridGeometry(18.0, 257)
+    assert GridGeometry(18.000001) == GridGeometry(18.000001, 513)
 
 
 def test_policy_extent():
-    assert policy_extent(0.5, 2.0) == 12.0
-    assert policy_extent(1.0, 1.0) == 6.0
-    assert policy_extent(4.0, 0.5) == 24.0
+    assert policy_extent(2.0) == 12.0
+    assert policy_extent(1.0) == 6.0
+    assert policy_extent(0.5) == 6.0
+    assert policy_extent(4.0) == 24.0
 
 
 def test_default_geometry_policy():
-    assert default_geometry(PURE2) == GridGeometry.square(12.0, 257)
-    assert default_geometry(IMPURE) == GridGeometry.square(24.0, 513)
+    assert default_geometry(PURE2) == GridGeometry(12.0, 257)
+    assert default_geometry(IMPURE) == GridGeometry(24.0, 513)
     assert default_geometry(GaussianWignerSpec.pure_state(1.0)) \
-        == GridGeometry.square(6.0, 257)
+        == GridGeometry(6.0, 257)
     # number-basis states: sqrt(2) rms is the gaussian-equivalent width
     fock2 = default_geometry(squeezed_vacuum(-math.log(2.0), 68))
-    assert fock2.extent_x == pytest.approx(12.0, rel=1e-12) and fock2.nx == 257
+    assert fock2.extent == pytest.approx(12.0, rel=1e-12) and fock2.points == 257
     strong = default_geometry(squeezed_vacuum(-math.log(4.0), 300))
-    assert strong.extent_x == pytest.approx(24.0, rel=1e-12) and strong.nx == 513
-    assert default_geometry(FockVector(8, np.eye(8)[0])) == GridGeometry.square(6.0, 257)
+    assert strong.extent == pytest.approx(24.0, rel=1e-12) and strong.points == 513
+    assert default_geometry(FockVector(8, np.eye(8)[0])) == GridGeometry(6.0, 257)
 
 
 def test_refined_geometry_policy():
-    assert refined_geometry(PURE2) == GridGeometry.square(12.0, 769)
-    assert refined_geometry(IMPURE) == GridGeometry.square(24.0, 1537)
-    assert refined_geometry(AngularAverageSpec(2.2)) == GridGeometry.square(6.0 * 2.2, 931)
+    assert refined_geometry(PURE2) == GridGeometry(12.0, 769)
+    assert refined_geometry(IMPURE) == GridGeometry(24.0, 1537)
+    assert refined_geometry(AngularAverageSpec(2.2)) == GridGeometry(6.0 * 2.2, 931)
     # floor: never coarser than the default point count
-    assert refined_geometry(GaussianWignerSpec.pure_state(1.0)).nx == 257
+    assert refined_geometry(GaussianWignerSpec.pure_state(1.0)).points == 257
 
 
 # --------------------------------------------------------------- WignerGrid
@@ -112,7 +116,7 @@ def test_grid_shape_validation():
 
 
 def test_grid_integral_of_constant():
-    grid = WignerGrid.from_geometry(GridGeometry.square(1.0, 33), np.ones((33, 33)))
+    grid = WignerGrid.from_geometry(GridGeometry(1.0, 33), np.ones((33, 33)))
     assert grid.integral() == pytest.approx(4.0, rel=1e-14)
 
 
@@ -126,7 +130,7 @@ def test_with_values_keeps_layout():
 def test_boundary_max_scans_all_edges():
     vals = np.zeros((33, 33))
     vals[7, -1] = 0.25
-    grid = WignerGrid.from_geometry(GridGeometry.square(1.0, 33), vals)
+    grid = WignerGrid.from_geometry(GridGeometry(1.0, 33), vals)
     assert grid.boundary_max() == 0.25
 
 
@@ -212,8 +216,8 @@ def test_transform_squeezed_matches_closed_form():
     state = squeezed_vacuum(1.0)
     grid = wigner_from_density(state)
     assert grid.boundary_max() <= BOUNDARY_DECAY
-    extent = default_geometry(state).extent_x
-    fine = wigner_from_density(state, GridGeometry.square(extent, 769))
+    extent = default_geometry(state).extent
+    fine = wigner_from_density(state, GridGeometry(extent, 769))
     assert identity_residual(fine).residual < 1e-4
 
 
@@ -251,7 +255,7 @@ def test_transform_mixture_metrics():
 def test_transform_undersized_grid_refused():
     state = squeezed_vacuum(-math.log(2.0), 68)  # rms_x = sqrt(2)
     with pytest.raises(GeometryError):
-        wigner_from_density(state, GridGeometry.square(6.0, 257))
+        wigner_from_density(state, GridGeometry(6.0, 257))
 
 
 def test_transform_rejects_unknown_input():
@@ -262,7 +266,7 @@ def test_transform_rejects_unknown_input():
 # ----------------------------------------------------------- photon outcomes
 
 def test_outcomes_need_decayed_boundary():
-    grid = rasterize(IMPURE, GridGeometry.square(8.0, 257))
+    grid = rasterize(IMPURE, GridGeometry(8.0, 257))
     with pytest.raises(GeometryError):
         photon_outcomes(grid)
     with pytest.raises(GeometryError):
@@ -320,14 +324,14 @@ def test_vacuum_input_degenerate():
 
 
 def test_renormalize_zero_grid_degenerate():
-    grid = WignerGrid.from_geometry(GridGeometry.square(1.0, 33), np.zeros((33, 33)))
+    grid = WignerGrid.from_geometry(GridGeometry(1.0, 33), np.zeros((33, 33)))
     with pytest.raises(DegenerateInputError):
         renormalize(grid)
 
 
 def test_vanishing_added_outcome_degenerate():
     # with an explicit ratio nothing guards S, so integral |A| = 0 must refuse
-    zero = WignerGrid.from_geometry(GridGeometry.square(1.0, 33), np.zeros((33, 33)))
+    zero = WignerGrid.from_geometry(GridGeometry(1.0, 33), np.zeros((33, 33)))
     with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
         identity_residual(zero, ratio=1.0)
     with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
@@ -340,8 +344,8 @@ def test_l1_residual_of_identical_grids_is_zero():
 
 
 def test_doubling_resolution_shrinks_residual():
-    coarse = identity_residual(rasterize(PURE2, GridGeometry.square(12.0, 769)))
-    fine = identity_residual(rasterize(PURE2, GridGeometry.square(12.0, 1537)))
+    coarse = identity_residual(rasterize(PURE2, GridGeometry(12.0, 769)))
+    fine = identity_residual(rasterize(PURE2, GridGeometry(12.0, 1537)))
     assert coarse.residual / fine.residual > 8.0
 
 
@@ -376,8 +380,12 @@ def full_array_outcomes(grid):
 
 
 def grid_of(spec, nx, num_p):
-    extent = default_geometry(spec).extent_x
-    return rasterize(spec, GridGeometry(extent, extent, nx, num_p))
+    """A spec sampled on an nx x num_p grid over the default extent; grid
+    geometries are square, so a rectangular one is built directly."""
+    extent = default_geometry(spec).extent
+    dx, dp = 2.0 * extent / (nx - 1), 2.0 * extent / (num_p - 1)
+    xs, ps = -extent + np.arange(nx) * dx, -extent + np.arange(num_p) * dp
+    return WignerGrid(-extent, dx, -extent, dp, wigner_value(spec, xs[:, None], ps[None, :]))
 
 
 @pytest.mark.parametrize("shape", [
@@ -416,7 +424,7 @@ def test_identity_residual_matches_full_array_oracle(nx, num_p, sx, sp, theta):
 
 
 def test_identity_residual_holds_no_full_size_grid():
-    grid = rasterize(PURE2, GridGeometry.square(12.0, 1025))
+    grid = rasterize(PURE2, GridGeometry(12.0, 1025))
     tracemalloc.start()
     try:
         identity_residual(grid)
@@ -458,8 +466,8 @@ def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
 
     assert _map_blocks(early_blocks_slowest, range(4)) == [0, 1, 2, 3]
     # several blocks in every pass: 5 in rasterize, 9 in the outcome passes
-    geometry = GridGeometry.square(default_geometry(SKEW).extent_x, 513)
-    xs, ps = geometry.axes()
+    geometry = GridGeometry(default_geometry(SKEW).extent, 513)
+    axis = geometry.axis()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
@@ -468,7 +476,7 @@ def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
         chk = identity_residual(grid)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(grid.values, wigner_value(SKEW, xs[:, None], ps[None, :]))
+    assert np.array_equal(grid.values, wigner_value(SKEW, axis[:, None], axis[None, :]))
     want_added, want_subtracted = full_array_outcomes(grid)
     assert np.array_equal(added.values, want_added)
     assert np.array_equal(subtracted.values, want_subtracted)
@@ -482,7 +490,7 @@ def support_grid(n, rows, cols):
     """n x n grid: random values on rows x cols, exact zeros elsewhere."""
     values = np.zeros((n, n))
     values[rows, cols] = 0.5 + np.random.default_rng(7).random(values[rows, cols].shape)
-    return WignerGrid.from_geometry(GridGeometry.square(6.0, n), values)
+    return WignerGrid.from_geometry(GridGeometry(6.0, n), values)
 
 
 CLIPPED_CASES = {
@@ -508,9 +516,8 @@ def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
     grid = CLIPPED_CASES[case]()
     assert np.mean(grid.values == 0.0) > 0.25
     added, subtracted = photon_outcomes(grid)
-    # the kernel on one tile that spans the grid: the sx4 grids hold subnormal
-    # values, where the kernel's drift/2 rounding departs from the oracle above
-    want_added, want_subtracted = _outcome_tile(grid, 0, grid.nx, 0, grid.num_p)
+    # the sx4 grids hold subnormal outcomes, which must match too
+    want_added, want_subtracted = full_array_outcomes(grid)
     assert np.array_equal(added.values, want_added)
     assert np.array_equal(subtracted.values, want_subtracted)
     chk = identity_residual(grid, 1.25)
@@ -526,6 +533,23 @@ def test_worker_count_is_capped(monkeypatch):
     assert _worker_count() == _MAX_WORKERS
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _worker_count() == 1
+
+
+def test_grid_sums_do_not_depend_on_blas_thread_count():
+    # OpenBLAS splits a matrix-vector sum by its thread count; the Simpson
+    # sums must not see it (the mixture purity and impure energy did)
+    import sqvac
+    code = ("import math; from sqvac import *\n"
+            "for spec in (GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4, 2.2),\n"
+            "             GaussianWignerSpec.single(4.0, 0.5)):\n"
+            "    grid = rasterize(spec, refined_geometry(spec))\n"
+            "    print([float(v).hex() for v in grid_metrics(grid)], grid.integral().hex())")
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                   OPENBLAS_NUM_THREADS=threads)).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
 
 
 # ------------------------------------------------------- outcome integrals
@@ -573,7 +597,7 @@ def test_strided_values_give_bitwise_results():
 
 
 def test_outcome_integrals_allocate_no_grid():
-    grid = rasterize(PURE2, GridGeometry.square(12.0, 1025))
+    grid = rasterize(PURE2, GridGeometry(12.0, 1025))
     tracemalloc.start()
     try:
         outcome_integrals(grid)
