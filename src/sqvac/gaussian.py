@@ -181,9 +181,12 @@ def _log_density(c: GaussianComponent, x, p, out: np.ndarray) -> np.ndarray:
     a = ct * ct * ix + st * st * ip
     b = 2.0 * st * ct * (ix - ip)
     cc = st * st * ix + ct * ct * ip
-    np.multiply(x, -b * p, out=out)
-    out += np.log(c.weight / (np.pi * c.sigma_x * c.sigma_p)) - a * x * x
-    out -= cc * p * p
+    # a square that overflows is an exponent of -inf, and exp(-inf) = 0 is the
+    # density there to double precision, so the overflow warning is noise
+    with np.errstate(over="ignore"):
+        np.multiply(x, -b * p, out=out)
+        out += np.log(c.weight / (np.pi * c.sigma_x * c.sigma_p)) - a * x * x
+        out -= cc * p * p
     return out
 
 

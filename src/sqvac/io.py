@@ -3,19 +3,31 @@
 Grids round-trip bit-exactly: every float is written with 17 significant
 digits and the axes are rebuilt from the header as x0 + k*dx, the same
 expression that created them.
+
+Grid CSVs move in row blocks of about _BLOCK_VALUES values. ``save_grid``
+formats the blocks on a per-call process pool (inline for a grid of one
+block or a process with one CPU) and writes them in order through
+``atomic_write``, so a file is never held in memory as one string and its
+bytes do not depend on the worker count. ``load_grid`` parses the values as
+floats and the coordinate columns as text, checked against the rows
+``save_grid`` writes, a few hundred kB of the file at a time.
 """
 
 import contextlib
+import itertools
 import json
 import os
 import uuid
+from functools import partial
+from io import StringIO
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fock import FockVector
 from .gaussian import AngularAverageSpec, GaussianComponent, GaussianWignerSpec
-from .phasespace import WignerGrid
+from . import phasespace
+from .phasespace import WignerGrid, _row_blocks
 
 GRID_MAGIC = "wigner-grid-v1"
 
@@ -94,51 +106,141 @@ def load_state(path):
 
 # --- grid CSV ---
 
+# values per row block written: a 257^2 grid is one block, so it is written
+# without a process pool
+_BLOCK_VALUES = 131_072
+# characters parsed at a time while reading a grid: a piece and its table
+# stay in cache, and no table of all rows is held
+_READ_CHARS = 1 << 18
+# a row as read: x and p as text ("%.17g" never needs more than 24
+# characters, so a longer field cannot match), the value as a float
+_ROW_FIELDS = [("x", "S25"), ("p", "S25"), ("value", "f8")]
+# the grid a pool worker formats, set once per worker by _keep_rows
+_worker_rows = None
+
+
 def save_grid(path, grid: WignerGrid, comments=()):
     """CSV rows x,p,value after a layout header; extra comments one per line.
 
-    Rows are streamed to disk one x row at a time, every float written with
-    "%.17g", so files keep the v1 format byte for byte. Refuses non-finite
-    values, which ``load_grid`` would refuse to read back.
+    Every float is written with "%.17g", so files keep the v1 format byte for
+    byte. Row blocks of about _BLOCK_VALUES values are formatted on a process
+    pool that lives for this call only, one forked process per CPU (at most
+    four), and written in block order; a grid of one block, or a process with
+    one CPU or no fork, formats its blocks inline. Refuses non-finite values,
+    which ``load_grid`` would refuse to read back.
     """
     if not np.all(np.isfinite(grid.values)):
         raise ConfigurationError("grid holds non-finite values")
-    atomic_write(path, _grid_chunks(grid, comments))
-
-
-def _grid_chunks(grid: WignerGrid, comments):
-    yield (f"# {GRID_MAGIC} {grid.x0:.17g} {grid.dx:.17g} {grid.nx} "
-           f"{grid.p0:.17g} {grid.dp:.17g} {grid.num_p}\n")
-    for c in comments:
-        yield f"# {c}\n"
+    head = [f"# {GRID_MAGIC} {grid.x0:.17g} {grid.dx:.17g} {grid.nx} "
+            f"{grid.p0:.17g} {grid.dp:.17g} {grid.num_p}\n"]
+    head += [f"# {c}\n" for c in comments]
     # x.join(parts) gives "x,p_0,%.17g\nx,p_1,%.17g\n...": the row template.
-    parts = [""] + [f",{p:.17g},%.17g\n" for p in grid.ps.tolist()]
-    for x, row in zip(grid.xs.tolist(), grid.values):
-        yield f"{x:.17g}".join(parts) % tuple(row.tolist())
+    rows = ([""] + [f",{p:.17g},%.17g\n" for p in grid.ps.tolist()],
+            grid.xs.tolist(), grid.values)
+    blocks = list(_row_blocks(grid.nx, max(1, _BLOCK_VALUES // grid.num_p)))
+    workers = min(phasespace._worker_count(), len(blocks)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        atomic_write(path, itertools.chain(head, map(partial(_format_rows, rows), blocks)))
+        return
+    # "%.17g" holds the GIL, so threads would not overlap; the workers are
+    # forked so they inherit the grid instead of unpickling it. pool.map
+    # yields blocks in order, so only the blocks not yet written are held.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                             initializer=_keep_rows, initargs=(rows,)) as pool:
+        atomic_write(path, itertools.chain(head, pool.map(_format_kept_rows, blocks)))
+
+
+def _format_rows(rows, block) -> str:
+    """The CSV text of x rows i0 <= i < i1."""
+    parts, xs, values = rows
+    i0, i1 = block
+    return "".join(f"{x:.17g}".join(parts) % tuple(row)
+                   for x, row in zip(xs[i0:i1], values[i0:i1].tolist()))
+
+
+def _keep_rows(rows):
+    global _worker_rows
+    _worker_rows = rows
+
+
+def _format_kept_rows(block) -> str:
+    return _format_rows(_worker_rows, block)
 
 
 def load_grid(path) -> tuple[WignerGrid, list[str]]:
+    """Read a grid CSV written by ``save_grid``.
+
+    The rows are parsed in pieces of about _READ_CHARS characters: values as
+    floats, the x and p columns as text, which must be exactly what
+    ``save_grid`` writes for the header layout. So a coordinate with the
+    right value in other digits is refused.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 8 or header[:2] != ["#", GRID_MAGIC]:
             raise ConfigurationError(f"{path}: not a {GRID_MAGIC} file")
-        x0, dx, nx = float(header[2]), float(header[3]), int(header[4])
-        p0, dp, num_p = float(header[5]), float(header[6]), int(header[7])
+        try:
+            x0, dx, nx = float(header[2]), float(header[3]), int(header[4])
+            p0, dp, num_p = float(header[5]), float(header[6]), int(header[7])
+            values = np.empty((nx, num_p))
+        except ValueError:
+            raise ConfigurationError(f"{path}: malformed {GRID_MAGIC} header") from None
         comments = []
-        for line in fh:
-            if not line.startswith("#"):
-                break
+        line = fh.readline()
+        while line.startswith("#"):
             comments.append(line[1:].strip())
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if data.shape != (nx * num_p, 3):
-        raise ConfigurationError(f"{path}: expected {nx * num_p} rows, found {data.shape[0]}")
-    if not np.all(np.isfinite(data)):
+            line = fh.readline()
+        grid = WignerGrid(x0, dx, p0, dp, values)
+        x_text, p_text = _coordinate_text(grid.xs), _coordinate_text(grid.ps)
+        flat = grid.values.reshape(-1)
+        done = 0
+        for text in _line_chunks(fh, line):
+            try:
+                table = np.loadtxt(StringIO(text), delimiter=",", comments=None,
+                                   dtype=_ROW_FIELDS, ndmin=1)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: {exc}") from None
+            stop = done + table.size
+            if stop > flat.size:
+                raise ConfigurationError(f"{path}: expected {flat.size} rows, found more")
+            rows, cols = np.divmod(np.arange(done, stop), num_p)
+            if not (_same_text(table["x"], x_text[rows]) and _same_text(table["p"], p_text[cols])):
+                raise ConfigurationError(f"{path}: coordinate columns disagree with header layout")
+            flat[done:stop] = table["value"]
+            done = stop
+    if done != flat.size:
+        raise ConfigurationError(f"{path}: expected {flat.size} rows, found {done}")
+    if not np.all(np.isfinite(flat)):
         raise ConfigurationError(f"{path}: grid holds non-finite values")
-    grid = WignerGrid(x0, dx, p0, dp, data[:, 2].reshape(nx, num_p))
-    if not (np.array_equal(data[:, 0], np.repeat(grid.xs, num_p))
-            and np.array_equal(data[:, 1], np.tile(grid.ps, nx))):
-        raise ConfigurationError(f"{path}: coordinate columns disagree with header layout")
     return grid, comments
+
+
+def _line_chunks(fh, first: str):
+    """``first`` and then the rest of fh, in pieces of about _READ_CHARS
+    characters that end at a line end."""
+    rest = first
+    while chunk := fh.read(_READ_CHARS):
+        text = rest + chunk
+        # no line end: part of a line far longer than any grid row. Passing
+        # it on whole keeps the copying linear; the parser refuses the rest
+        # of that line, which has too few columns
+        cut = text.rfind("\n") + 1 or len(text)
+        rest = text[cut:]
+        yield text[:cut]
+    if rest:
+        yield rest
+
+
+def _coordinate_text(axis: np.ndarray) -> np.ndarray:
+    return np.array([f"{v:.17g}" for v in axis.tolist()], dtype=_ROW_FIELDS[0][1])
+
+
+def _same_text(column: np.ndarray, expected: np.ndarray) -> bool:
+    # compared as bytes: numpy's string comparison is several times slower
+    return np.array_equal(np.ascontiguousarray(column).view(np.uint8), expected.view(np.uint8))
 
 
 # --- verification reports ---

@@ -53,7 +53,7 @@ _NORMALIZATION_DRIFT = 1e-4
 _BLOCK_ROWS = 64
 # points per rasterize block: its temporaries stay in cache
 _RASTER_POINTS = 65_536
-# at most this many threads share a row-block pass
+# at most this many threads share a row-block pass (or processes, io.save_grid)
 _MAX_WORKERS = 4
 
 # 4th-order stencils; edge rows use one-sided forms of the same order.
@@ -172,8 +172,8 @@ class WignerGrid:
     """Real samples values[i, j] = W(x0 + i*dx, p0 + j*dp) on a uniform grid."""
 
     def __init__(self, x0: float, dx: float, p0: float, dp: float, values: np.ndarray):
-        # contiguous storage: BLAS sums a strided view (as io.load_grid
-        # builds) in a different order, which moves results in their last bits
+        # contiguous storage: BLAS sums a strided view (a column of a table,
+        # say) in a different order, which moves results in their last bits
         values = np.ascontiguousarray(values, dtype=float)
         if values.ndim != 2:
             raise ConfigurationError("values must be a 2-d array")
@@ -491,11 +491,13 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
     r = np.einsum("ij,j->i", grid.values, wp)
     c = np.einsum("i,ij->j", wx, grid.values)
     xs, ps = grid.xs, grid.ps
-    radial = float((0.5 * wx * xs * xs) @ r + c @ (0.5 * wp * (ps * ps - 1.0)))
-    drift = float((wx * xs) @ _d1(r, grid.dx, 0) + _d1(c, grid.dp, 0) @ (wp * ps))
-    laplacian = float(wx @ _d2(r, grid.dx, 0) + _d2(c, grid.dp, 0) @ wp)
-    added = radial - 0.5 * drift + 0.125 * laplacian
-    subtracted = added + float(wx @ r) + drift
+    # an overflow here leaves an integral inf or nan, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = float((0.5 * wx * xs * xs) @ r + c @ (0.5 * wp * (ps * ps - 1.0)))
+        drift = float((wx * xs) @ _d1(r, grid.dx, 0) + _d1(c, grid.dp, 0) @ (wp * ps))
+        laplacian = float(wx @ _d2(r, grid.dx, 0) + _d2(c, grid.dp, 0) @ wp)
+        added = radial - 0.5 * drift + 0.125 * laplacian
+        subtracted = added + float(wx @ r) + drift
     if not (np.isfinite(added) and np.isfinite(subtracted)):
         raise GeometryError(
             f"outcome integrals ({added!r}, {subtracted!r}) are not finite: the "

@@ -151,7 +151,7 @@ def test_vanishing_added_outcome_exits_one_without_traceback(tmp_path):
     assert "integral |A|" in proc.stderr
 
 
-def test_overflowing_outcome_integrals_refused_without_output(tmp_path, capsys):
+def test_overflowing_outcome_integrals_refused_without_output(tmp_path, capsys, recwarn):
     # a pure sigma_x = 1e150 state on its default grid: x^2 times the Simpson
     # weight overflows at the far rows, where W is 0, so the integrals are nan
     geometry = GridGeometry(6e150, 65)
@@ -161,13 +161,25 @@ def test_overflowing_outcome_integrals_refused_without_output(tmp_path, capsys):
     save_grid(grid_path, WignerGrid.from_geometry(geometry, values))
     code, out, err = run(capsys, "residual", "--grid", str(grid_path))
     assert code == 2 and out == ""
-    assert "not finite" in err
+    assert "not finite" in err and err.count("\n") == 1
     for cmd in ("add", "sub"):
         out_path = tmp_path / f"{cmd}.csv"
         code, out, err = run(capsys, cmd, "--grid", str(grid_path), "-o", str(out_path))
         assert code == 2 and out == ""
-        assert "not finite" in err
+        assert "not finite" in err and err.count("\n") == 1
         assert not out_path.exists()
+    # a warning would reach stderr ahead of the error line
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_extreme_width_rasterizes_without_warnings(tmp_path, capsys, recwarn):
+    # sigma_p = 1e-77: p^2 / sigma_p^2 overflows to inf away from p = 0, where
+    # the density underflows to 0 anyway
+    state, grid_path = tmp_path / "wide.json", tmp_path / "wide.csv"
+    assert run(capsys, "state", "--kind", "pure", "--sigma-x", "1e77", "-o", str(state))[0] == 0
+    code, out, err = run(capsys, "wigner", "--state", str(state), "-o", str(grid_path))
+    assert code == 0 and out.strip() == str(grid_path) and err == ""
+    assert [str(w.message) for w in recwarn] == []
 
 
 @pytest.mark.parametrize("kind", ["pure", "angular-average"])
@@ -365,13 +377,13 @@ def test_explicit_out_beats_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_import_loads_no_scipy_submodules():
-    # every sqvac command pays its import; scipy and the thread pool are
-    # imported where they are used
+    # every sqvac command pays its import; scipy and the thread and process
+    # pools are imported where they are used
     import sqvac
     src = os.path.dirname(os.path.dirname(sqvac.__file__))
     code = ("import sys, sqvac.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'concurrent.futures') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'concurrent.futures', "
+            "'concurrent.futures.process', 'multiprocessing') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -17,6 +18,8 @@ from sqvac import (
     rasterize,
     squeezed_vacuum,
 )
+import sqvac.io as io_module
+from sqvac import phasespace
 from sqvac.io import (
     atomic_write,
     load_grid,
@@ -98,27 +101,74 @@ def test_roundtrip_preserves_residual_bitwise(tmp_path):
     assert identity_residual(loaded) == identity_residual(grid)
 
 
-@pytest.mark.parametrize("comments", [[], ["alpha"], ["alpha", "seed 7; x,p"]])
-def test_grid_bytes_match_savetxt_reference(tmp_path, comments):
+def awkward_grid(nx, num_p):
     # non-square, so an x/p transposition cannot pass; steps that are not
     # exact binary fractions, so every coordinate needs all 17 digits
-    nx, num_p = 33, 35
     rng = np.random.default_rng(11)
     values = rng.standard_normal((nx, num_p)) * 10.0 ** rng.integers(-20, 5, (nx, num_p))
     values.flat[:8] = [-0.0, 5e-324, 1e-300, 1.0, 0.1, -1.0, -2.5e-7, 0.0]
-    grid = WignerGrid(-1.7, 0.1, -2.3, 0.1 / 3, values)
-    path = tmp_path / "grid.csv"
-    save_grid(path, grid, comments)
+    return WignerGrid(-1.7, 0.1, -2.3, 0.1 / 3, values)
 
+
+def savetxt_reference(grid, comments) -> bytes:
     ref = io.StringIO()
     ref.write("# wigner-grid-v1 %.17g %.17g %d %.17g %.17g %d\n"
-              % (grid.x0, grid.dx, nx, grid.p0, grid.dp, num_p))
+              % (grid.x0, grid.dx, grid.nx, grid.p0, grid.dp, grid.num_p))
     for c in comments:
         ref.write(f"# {c}\n")
-    table = np.column_stack([np.repeat(grid.xs, num_p), np.tile(grid.ps, nx), values.ravel()])
+    table = np.column_stack([np.repeat(grid.xs, grid.num_p), np.tile(grid.ps, grid.nx),
+                             grid.values.ravel()])
     np.savetxt(ref, table, fmt="%.17g", delimiter=",")
-    assert path.read_bytes() == ref.getvalue().encode()
+    return ref.getvalue().encode()
+
+
+@pytest.mark.parametrize("comments", [[], ["alpha"], ["alpha", "seed 7; x,p"]])
+def test_grid_bytes_match_savetxt_reference(tmp_path, comments):
+    grid = awkward_grid(33, 35)
+    path = tmp_path / "grid.csv"
+    save_grid(path, grid, comments)
+    assert path.read_bytes() == savetxt_reference(grid, comments)
     assert path.read_bytes().splitlines()[len(comments) + 1] == b"-1.7,-2.2999999999999998,-0"
+
+
+def _set_workers(monkeypatch, workers):
+    monkeypatch.setattr(phasespace, "_worker_count", lambda: workers)
+
+
+@pytest.mark.parametrize("workers,fork", [(1, True), (2, True), (2, False)])
+def test_pooled_grid_bytes_match_savetxt_reference(tmp_path, monkeypatch, workers, fork):
+    # 301 rows of 513 values are two row blocks, so two workers split them;
+    # a platform without fork formats them inline
+    _set_workers(monkeypatch, workers)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    grid = awkward_grid(301, 513)
+    path = tmp_path / "grid.csv"
+    save_grid(path, grid, ["alpha"])
+    assert multiprocessing.active_children() == []
+    assert path.read_bytes() == savetxt_reference(grid, ["alpha"])
+    loaded, _ = load_grid(path)
+    assert loaded.values.tobytes() == grid.values.tobytes()
+
+
+def test_worker_error_reaches_caller_and_keeps_target(tmp_path, monkeypatch):
+    # raises only in a forked worker, so an inline save would not raise
+    parent, format_rows = os.getpid(), io_module._format_rows
+
+    def fail_in_worker(rows, block):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        return format_rows(rows, block)
+
+    monkeypatch.setattr(io_module, "_format_rows", fail_in_worker)
+    _set_workers(monkeypatch, 2)
+    target = tmp_path / "grid.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="worker failed"):
+        save_grid(target, awkward_grid(301, 513))
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["grid.csv"]
+    assert target.read_text() == "old\n"
 
 
 def test_grid_rejects_wrong_magic(tmp_path):
@@ -169,6 +219,59 @@ def test_grid_rejects_tampered_coordinates(tmp_path):
     lines = path.read_text().splitlines()
     first, rest = lines[1].split(",", 1)  # first data row
     lines[1] = "99," + rest
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("line,column,text", [
+    (1, 0, "-12.0"),           # x of the first row: the same value in other digits
+    (-1, 1, "12.000000000"),   # p of the last row
+    (66, 0, "-11.6250"),       # x of the second row
+])
+def test_grid_refuses_coordinate_text_save_grid_does_not_write(tmp_path, line, column, text):
+    path = tmp_path / "grid.csv"
+    save_grid(path, small_grid())
+    lines = path.read_text().splitlines()
+    fields = lines[line].split(",")
+    assert float(fields[column]) == float(text) and fields[column] != text
+    fields[column] = text
+    lines[line] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match="coordinate"):
+        load_grid(path)
+
+
+def test_grid_read_in_small_pieces(tmp_path, monkeypatch):
+    # pieces of 97 characters cut most rows in two; every row must still be
+    # read once, bit for bit, and checked
+    monkeypatch.setattr(io_module, "_READ_CHARS", 97)
+    grid = awkward_grid(33, 35)
+    path = tmp_path / "grid.csv"
+    save_grid(path, grid, ["alpha"])
+    loaded, comments = load_grid(path)
+    assert comments == ["alpha"]
+    assert loaded.values.tobytes() == grid.values.tobytes()
+    lines = path.read_text().splitlines()
+    lines[-40] = "-1.7000," + lines[-40].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match="coordinate"):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("edit", ["extra row", "bad value", "extra column", "bad header"])
+def test_grid_refuses_malformed_rows(tmp_path, edit):
+    path = tmp_path / "grid.csv"
+    save_grid(path, small_grid())
+    lines = path.read_text().splitlines()
+    if edit == "extra row":
+        lines.append(lines[-1])
+    elif edit == "bad value":
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",0.5x"
+    elif edit == "extra column":
+        lines[5] += ",0"
+    else:
+        lines[0] = lines[0].replace(" 65 ", " 65.0 ", 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError):
         load_grid(path)
