@@ -25,7 +25,6 @@ from .phasespace import (GridGeometry, GridReport, IdentityCheck, WignerGrid,
                          photon_outcomes, policy_extent, rasterize, refined_geometry,
                          renormalize, wigner_from_density)
 from .special import bessel_i0_scaled, elliptic_k, hermite_psi_table
-from .verify import (SUITE_NAMES, CaseResult, SuiteConfig, VerificationReport,
-                     figure_data, run_suite)
+from .verify import SUITE_NAMES, CaseResult, VerificationReport, figure_data, run_suite
 
 __version__ = "0.1.0"

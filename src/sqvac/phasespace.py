@@ -23,7 +23,8 @@ over most of a wide grid (72% of the 3073^2 sigma_x = 4 grid), so the outcome
 passes compute each row block only over the columns within stencil reach of
 a nonzero W. Skipping the rest changes no outcome value; an L1 sum over the
 shorter rows may differ in its last bit, since einsum groups its terms by
-row length.
+row length. One helper, ``_outcome_tiles``, runs those clipped blocks for
+both ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
 
 Grids are built on a square ``GridGeometry`` sized from the state's widest
 width, but a grid's authoritative state is its layout (x0, dx, nx, p0, dp,
@@ -48,7 +49,8 @@ _MIN_POINTS = 33
 BOUNDARY_DECAY = 1e-12
 #: Below this integral, renormalization refuses (vacuum after subtraction).
 DEGENERATE_INTEGRAL = 1e-6
-_NORMALIZATION_DRIFT = 1e-4
+#: Largest |integral W - 1| accepted of a grid built from a state.
+NORMALIZATION_DRIFT = 1e-4
 # rows per outcome block: block temporaries stay a few MB on 3073-point rows
 _BLOCK_ROWS = 64
 # points per rasterize block: its temporaries stay in cache
@@ -279,16 +281,17 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
 
     W(x, p) = (1/2pi) * integral dy <x - y/2| rho |x + y/2> exp(i p y),
     with the position kernel built from orthonormal Hermite functions and the
-    y integral done by the trapezoid rule over |y| <= 2 * extent at the grid step.
-    The integrand vanishes at the ends, where Simpson's alternating weights
-    would alias it to p +- pi/dx. Every sample point x +- y/2 lies on the
-    half-step lattice k * dx/2, |k| <= 2 nx - 2, so the eigenvectors of the
-    density are evaluated there once and gathered by index; the work scales
-    with the number of significantly occupied eigenstates.
+    y integral done by the trapezoid rule over |y| <= 2 * extent at the grid step,
+    folded onto y >= 0 by the kernel's Hermitian symmetry. The integrand
+    vanishes at the ends, where Simpson's alternating weights would alias it
+    to p +- pi/dx. Every sample point x +- y/2 lies on the half-step lattice
+    k * dx/2, |k| <= 2 nx - 2, so the eigenvectors of the density are
+    evaluated there once and gathered by index; the work scales with the
+    number of significantly occupied eigenstates.
 
     Raises GeometryError if the grid does not cover six times the larger of
     the state's rms quadrature spreads, or if the resulting normalization
-    drifts from the trace by more than 1e-4.
+    drifts from the trace by more than NORMALIZATION_DRIFT.
     """
     if isinstance(state, FockVector):
         rho = DensityMatrix.from_pure(state)
@@ -309,26 +312,31 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
     keep = evals > 1e-13
     evals, evecs = evals[keep], evecs[:, keep]
 
-    # With x_i = -E + i dx, y_j = -2E + j dx and E = (nx - 1) dx / 2:
-    # x_i - y_j/2 = lattice[2i - j + 2nx - 2] and x_i + y_j/2 = lattice[2i + j].
+    # With x_i = -E + i dx, y_k = k dx and E = (nx - 1) dx / 2:
+    # x_i - y_k/2 = lattice[2i - k + nx - 1] and x_i + y_k/2 = lattice[2i + k + nx - 1].
     lattice = (np.arange(4 * nx - 3) - (2 * nx - 2)) * (dx / 2.0)
     psi = hermite_psi_table(rho.trunc, lattice) @ evecs  # (lattice, rank)
-    ny = 2 * nx - 1
-    i2 = 2 * np.arange(nx)[:, None]
-    j = np.arange(ny)[None, :]
-    minus, plus = i2 - j + (2 * nx - 2), i2 + j
-    kernel = np.zeros((nx, ny), dtype=complex)
+    centre = 2 * np.arange(nx)[:, None] + (nx - 1)
+    k = np.arange(nx)
+    minus, plus = centre - k, centre + k
+    kernel = np.zeros((nx, nx), dtype=complex)
     for lam, f in zip(evals, psi.T):
         kernel += lam * f[minus] * f.conj()[plus]
 
-    ys = -2.0 * geometry.extent + np.arange(ny) * dx
-    kernel[:, 0] *= 0.5
-    kernel[:, -1] *= 0.5
-    values = (kernel @ np.exp(1j * np.outer(ys, ps))).real * (dx / (2.0 * np.pi))
+    # rho is Hermitian, so K(x, -y) = K(x, y)*: the trapezoid sum over
+    # |y| <= 2E is K(x, 0) plus twice Re(K e^{ipy}) over y > 0, the end
+    # column halved. einsum, not BLAS, reduces it in real arithmetic: its
+    # sums keep one order whatever the BLAS thread count.
+    weight = np.full(nx, 2.0)
+    weight[0] = weight[-1] = 1.0
+    py = np.outer(k * dx, ps)
+    values = np.einsum("ik,km->im", kernel.real * weight, np.cos(py))
+    values -= np.einsum("ik,km->im", kernel.imag * weight, np.sin(py))
+    values *= dx / (2.0 * np.pi)
 
     grid = WignerGrid.from_geometry(geometry, values)
     drift = abs(grid.integral() - 1.0)
-    if drift > _NORMALIZATION_DRIFT:
+    if drift > NORMALIZATION_DRIFT:
         raise GeometryError(
             f"normalization drift {drift:.3e} after transform; grid geometry "
             "does not capture the state"
@@ -392,23 +400,29 @@ def _outcome_tile(grid: WignerGrid, i0: int, i1: int, j0: int, j1: int
     return added[rows, cols], subtracted[rows, cols]
 
 
-def _outcome_block(grid: WignerGrid, i0: int, i1: int):
-    """(j0, j1, A, S) for rows i0:i1, where A and S cover columns j0:j1 only;
-    None when W vanishes on all the rows the block reads.
+def _outcome_tiles(grid: WignerGrid, fn) -> list:
+    """fn(rows, cols, A, S) for each row block, in block order, where A and S
+    are the block's outcomes over the column slice cols only; blocks where W
+    vanishes on every row they read are skipped.
 
-    Outside j0:j1 both outcomes are exactly zero: every stencil input there
-    is 0.0. A central stencil reaches 2 columns; the one-sided ones of the
-    two edge columns read 6, so support within 6 columns of an edge extends
-    the tile to that edge.
+    Outside cols both outcomes are exactly zero: every stencil input there is
+    0.0. A central stencil reaches 2 columns; the one-sided ones of the two
+    edge columns read 6, so support within 6 columns of an edge extends the
+    tile to that edge. The blocks run on a per-call thread pool.
     """
-    lo, hi = _halo(i0, i1, grid.nx)
-    cols = np.flatnonzero(np.any(grid.values[lo:hi], axis=0))
-    if cols.size == 0:
-        return None
     n = grid.num_p
-    j0 = int(cols[0]) - 2 if cols[0] >= 6 else 0
-    j1 = int(cols[-1]) + 3 if cols[-1] < n - 6 else n
-    return (j0, j1, *_outcome_tile(grid, i0, i1, j0, j1))
+
+    def tile(block):
+        i0, i1 = block
+        lo, hi = _halo(i0, i1, grid.nx)
+        support = np.flatnonzero(np.any(grid.values[lo:hi], axis=0))
+        if support.size == 0:
+            return None
+        j0 = int(support[0]) - 2 if support[0] >= 6 else 0
+        j1 = int(support[-1]) + 3 if support[-1] < n - 6 else n
+        return fn(slice(i0, i1), slice(j0, j1), *_outcome_tile(grid, i0, i1, j0, j1))
+
+    return [r for r in _map_blocks(tile, _row_blocks(grid.nx)) if r is not None]
 
 
 def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
@@ -425,15 +439,11 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     added = np.zeros(grid.values.shape)
     subtracted = np.zeros(grid.values.shape)
 
-    def fill(block):
-        i0, i1 = block
-        tile = _outcome_block(grid, i0, i1)
-        if tile is not None:
-            j0, j1, block_added, block_subtracted = tile
-            added[i0:i1, j0:j1] = block_added
-            subtracted[i0:i1, j0:j1] = block_subtracted
+    def fill(rows, cols, block_added, block_subtracted):
+        added[rows, cols] = block_added
+        subtracted[rows, cols] = block_subtracted
 
-    _map_blocks(fill, _row_blocks(grid.nx))
+    _outcome_tiles(grid, fill)
     return (grid.with_values(added), grid.with_values(subtracted))
 
 
@@ -506,16 +516,27 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
     return added, subtracted
 
 
-def _l1_sums(added: np.ndarray, subtracted: np.ndarray, ratio: float,
-             wx: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
-    """Simpson sums of |A - ratio * S| and |A| over matching rows of A and S."""
-    diff = added - ratio * subtracted
-    np.abs(diff, out=diff)
-    return _simpson(diff, wx, wp), _simpson(np.abs(added), wx, wp)
+def l1_relative_residual(grid: WignerGrid, ratio: float) -> float:
+    """integral |A - ratio * S| / integral |A| for the outcomes A, S of W.
 
+    One pass over row blocks, each over the columns where W is nonzero near
+    it, so no full-size outcome grid is ever held. The block sums are added
+    in block order, so the residual does not depend on the worker count.
+    Raises DegenerateInputError when integral |A| vanishes.
+    """
+    _check_boundary(grid)
+    wx, wp = grid.weights()
 
-def _relative(num: float, den: float) -> float:
-    """num / den for an L1 residual; refuses a vanishing integral |A|."""
+    def sums(rows, cols, added, subtracted):
+        diff = added - ratio * subtracted
+        np.abs(diff, out=diff)
+        return (_simpson(diff, wx[rows], wp[cols]),
+                _simpson(np.abs(added), wx[rows], wp[cols]))
+
+    num = den = 0.0
+    for block_num, block_den in _outcome_tiles(grid, sums):
+        num += block_num
+        den += block_den
     if den < DEGENERATE_INTEGRAL:
         raise DegenerateInputError(
             f"integral |A| = {den:.3e} vanishes: the added outcome is zero, so the "
@@ -524,21 +545,14 @@ def _relative(num: float, den: float) -> float:
     return num / den
 
 
-def l1_relative_residual(added: WignerGrid, subtracted: WignerGrid, ratio: float) -> float:
-    """integral |A - ratio * S| / integral |A| over the shared grid."""
-    return _relative(*_l1_sums(added.values, subtracted.values, ratio, *added.weights()))
-
-
 def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityCheck:
     """How far the added and subtracted outcomes are from proportionality.
 
     Scales S by ``ratio`` (by default the integral ratio integral(A)/integral(S),
     from ``outcome_norm_ratio``) and returns the L1-relative residual
     integral |A - R S| / integral |A|, the outcome integrals and the origin
-    value of A / integral(A). The integrals come from ``outcome_integrals``;
-    the L1 sums take one pass over row blocks, each over the columns where W
-    is nonzero near it, so no full-size outcome grid is ever held. The blocks run on a thread pool and their sums are added in
-    block order, so the residual does not depend on the worker count.
+    value of A / integral(A). The integrals come from ``outcome_integrals``
+    and the residual from ``l1_relative_residual``.
 
     An explicit ``ratio`` must lie in [1, 1 + 1/DEGENERATE_INTEGRAL]: the
     norm ratio of any grid that ``outcome_norm_ratio`` accepts is
@@ -554,22 +568,7 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     ia, isub = outcome_integrals(grid)
     if ratio is None:
         ratio = outcome_norm_ratio(ia, isub)
-    wx, wp = grid.weights()
-
-    def block_sums(block):
-        i0, i1 = block
-        tile = _outcome_block(grid, i0, i1)
-        if tile is None:
-            return 0.0, 0.0
-        j0, j1, added, subtracted = tile
-        return _l1_sums(added, subtracted, ratio, wx[i0:i1], wp[j0:j1])
-
-    # added in block order: the sums do not depend on the worker count
-    num = den = 0.0
-    for block_num, block_den in _map_blocks(block_sums, _row_blocks(grid.nx)):
-        num += block_num
-        den += block_den
-    residual = _relative(num, den)
+    residual = l1_relative_residual(grid, ratio)
     i, j, tx, tp = _bilinear_cell(grid, 0.0, 0.0)
     patch = _outcome_tile(grid, i, i + 2, j, j + 2)[0] / ia
     return IdentityCheck(residual, float(ratio), ia, isub, _interpolate(patch, tx, tp))

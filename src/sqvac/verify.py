@@ -6,13 +6,17 @@ Every case is normalized to "pass iff measured <= bound"; checks that are
 naturally lower bounds (a residual must EXCEED a floor on states expected to
 fail the identity) store the negated value and the negated floor, and
 error-expectation cases store 0.0 when the error was raised, 1.0 when not.
+
+Every bound comes from one pinned table, ``_TOLERANCES``, and each suite
+fixes its own grids and number-basis sizes: suites take no arguments, so
+nothing a caller passes changes what a report checks.
 """
 
 import math
 import os
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, DegenerateInputError
 from . import io as sqio
@@ -22,46 +26,19 @@ from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec
                        angular_average_purity, angular_average_value, norm_ratio,
                        outcome_factors, spec_norm_ratio)
 from .phasespace import (default_geometry, grid_metrics, identity_residual,
-                         l1_relative_residual, outcome_integrals, outcome_norm_ratio,
-                         photon_outcomes, rasterize, refined_geometry, renormalize,
-                         wigner_from_density)
+                         outcome_integrals, photon_outcomes, rasterize, refined_geometry,
+                         renormalize, wigner_from_density)
 from .special import elliptic_k
 
 _NEG_INV_PI = -1.0 / math.pi
 
-# every tolerance some suite reads through SuiteConfig.tol, with its default
+# the bounds every suite checks against; no option or argument changes them
 _TOLERANCES = {
     "annihilation": 1e-6, "coherent_floor": 0.1, "commutator": 1e-4, "fock_ratio": 1e-6,
     "fock_residual": 1e-6, "maxdiff_floor": 0.01, "mixture_floor": 0.01, "origin": 1e-3,
     "purity": 1e-4, "ratio": 1e-3, "residual": 1e-4, "residual_floor": 0.05,
     "second_round_floor": 0.01,
 }
-
-
-@dataclass
-class SuiteConfig:
-    """Tolerance overrides and number-basis size; unset values fall back to
-    the suite's defaults."""
-
-    tolerances: dict = field(default_factory=dict)
-    trunc: int | None = None
-
-    def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if name not in _TOLERANCES:
-                raise ConfigurationError(
-                    f"unknown tolerance {name!r}; choose from {', '.join(_TOLERANCES)}")
-            if not value > 0:
-                raise ConfigurationError(f"tolerance {name!r} must be positive")
-        if self.trunc is not None and self.trunc < 2:
-            raise ConfigurationError(f"trunc {self.trunc} is below the basis minimum 2")
-
-    def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, _TOLERANCES[name]))
-
-    def basis_size(self, default: int) -> int:
-        """The configured trunc, or ``default`` when none is set."""
-        return default if self.trunc is None else self.trunc
 
 
 @dataclass
@@ -113,60 +90,60 @@ def _expect_degenerate(label: str, fn) -> CaseResult:
     return CaseResult(label, 1.0, 0.0)
 
 
-def _outcome_checks(label: str, grid, cfg: SuiteConfig, closed_ratio: float) -> list:
+def _outcome_checks(label: str, grid, closed_ratio: float) -> list:
     """Shared positive-case body: residual, ratio against closed form, origin."""
     chk = identity_residual(grid)
     return [
-        _upper(f"{label}-residual", chk.residual, cfg.tol("residual")),
-        _upper(f"{label}-ratio-err", abs(chk.ratio_used - closed_ratio), cfg.tol("ratio")),
-        _upper(f"{label}-origin-err", abs(chk.added_origin - _NEG_INV_PI), cfg.tol("origin")),
+        _upper(f"{label}-residual", chk.residual, _TOLERANCES["residual"]),
+        _upper(f"{label}-ratio-err", abs(chk.ratio_used - closed_ratio), _TOLERANCES["ratio"]),
+        _upper(f"{label}-origin-err", abs(chk.added_origin - _NEG_INV_PI),
+               _TOLERANCES["origin"]),
     ]
 
 
-def _suite_pure_identity(cfg: SuiteConfig) -> list:
+def _suite_pure_identity() -> list:
     cases = []
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
             spec = GaussianWignerSpec.pure_state(sx, th)
             # the grid is freed before the next one is made (3073^2 for sx 4)
             cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}",
-                                     rasterize(spec, refined_geometry(spec)), cfg,
+                                     rasterize(spec, refined_geometry(spec)),
                                      norm_ratio(sx))
     return cases
 
 
-def _suite_impure_difference(cfg: SuiteConfig) -> list:
+def _suite_impure_difference() -> list:
     sx, sp = 4.0, 0.5
     spec = GaussianWignerSpec.single(sx, sp)
     grid = rasterize(spec, refined_geometry(spec))
-    ratio = outcome_norm_ratio(*outcome_integrals(grid))
+    chk = identity_residual(grid)
     added, subtracted = photon_outcomes(grid)
     del grid  # W is not needed again; freeing it keeps the suite's peak down
-    residual = l1_relative_residual(added, subtracted, ratio)
     w_plus = renormalize(added)
     w_minus = renormalize(subtracted)
     maxdiff = float(np.max(np.abs(w_plus.values - w_minus.values)))
     f_plus, f_minus = outcome_factors(0.0, 0.0, sx, sp)
     return [
-        _floor("impure-residual-floor", residual, cfg.tol("residual_floor")),
-        _floor("impure-outcome-maxdiff-floor", maxdiff, cfg.tol("maxdiff_floor")),
-        _upper("impure-ratio-err", abs(ratio - spec_norm_ratio(spec)), cfg.tol("ratio")),
+        _floor("impure-residual-floor", chk.residual, _TOLERANCES["residual_floor"]),
+        _floor("impure-outcome-maxdiff-floor", maxdiff, _TOLERANCES["maxdiff_floor"]),
+        _upper("impure-ratio-err", abs(chk.ratio_used - spec_norm_ratio(spec)),
+               _TOLERANCES["ratio"]),
         _floor("impure-origin-factor-gap", abs(f_plus - f_minus), 0.1),
     ]
 
 
-def _suite_fock_ratio(cfg: SuiteConfig) -> list:
+def _suite_fock_ratio() -> list:
     cases = []
     for z in (0.1, math.log(2.0), 1.0):
-        n = cfg.basis_size(suggested_truncation(z))
-        result = outcome_ratio(squeezed_vacuum(z, n))
+        result = outcome_ratio(squeezed_vacuum(z, suggested_truncation(z)))
         cases.append(_upper(f"z{z:.4g}-ratio-err", abs(result.ratio + math.tanh(z)),
-                            cfg.tol("fock_ratio")))
-        cases.append(_upper(f"z{z:.4g}-residual", result.residual, cfg.tol("fock_residual")))
+                            _TOLERANCES["fock_ratio"]))
+        cases.append(_upper(f"z{z:.4g}-residual", result.residual, _TOLERANCES["fock_residual"]))
     return cases
 
 
-def _commutator_inputs(cfg: SuiteConfig):
+def _commutator_inputs():
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
             spec = GaussianWignerSpec.pure_state(sx, th)
@@ -176,47 +153,48 @@ def _commutator_inputs(cfg: SuiteConfig):
     mix = GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4.0, 2.2)
     yield "two-angle-mixture", rasterize(mix)
     yield "angular-average", rasterize(AngularAverageSpec(2.2))
-    yield "coherent-alpha1", wigner_from_density(coherent_state(1.0, cfg.basis_size(40)))
+    yield "coherent-alpha1", wigner_from_density(coherent_state(1.0, 40))
 
 
-def _suite_commutator(cfg: SuiteConfig) -> list:
-    bound = cfg.tol("commutator")
+def _suite_commutator() -> list:
+    bound = _TOLERANCES["commutator"]
     cases = []
-    for label, grid in _commutator_inputs(cfg):
+    for label, grid in _commutator_inputs():
         added_integral, subtracted_integral = outcome_integrals(grid)
         gap = added_integral - subtracted_integral
         cases.append(_upper(f"{label}-weight-gap", abs(gap - 1.0), bound))
     return cases
 
 
-def _suite_mixtures(cfg: SuiteConfig) -> list:
+def _suite_mixtures() -> list:
     sx = 2.2
     samples = ((0.5, 0.0, math.pi / 4.0), (0.3, 0.2, 1.0), (0.75, 1.2, 2.9))
     cases = []
     for weight, th1, th2 in samples:
         spec = GaussianWignerSpec.two_angle_mixture(weight, th1, th2, sx)
         label = f"two-angle-P{weight:g}-th{th1:g}-{th2:g}"
-        cases += _outcome_checks(label, rasterize(spec, refined_geometry(spec)), cfg,
+        cases += _outcome_checks(label, rasterize(spec, refined_geometry(spec)),
                                  spec_norm_ratio(spec))
     unequal = GaussianWignerSpec((GaussianComponent.pure(0.0, 2.0, 0.5),
                                   GaussianComponent.pure(0.0, 3.0, 0.5)))
     chk = identity_residual(rasterize(unequal, refined_geometry(unequal)))
-    cases.append(_floor("unequal-widths-residual-floor", chk.residual, cfg.tol("mixture_floor")))
+    cases.append(_floor("unequal-widths-residual-floor", chk.residual,
+                        _TOLERANCES["mixture_floor"]))
     return cases
 
 
-def _suite_angular_average(cfg: SuiteConfig) -> list:
+def _suite_angular_average() -> list:
     sx = 2.2
     spec = AngularAverageSpec(sx)
-    sp = 1.0 / sx
-    closed_ratio = (sx ** 2 + sp ** 2 + 2.0) / (sx ** 2 + sp ** 2 - 2.0)
     grid = rasterize(spec, refined_geometry(spec))
-    cases = _outcome_checks("angavg", grid, cfg, closed_ratio)
+    # rotation leaves both outcome weights alone: the pure state's closed ratio
+    cases = _outcome_checks("angavg", grid,
+                            spec_norm_ratio(GaussianWignerSpec.pure_state(sx)))
 
     grid_purity = grid_metrics(grid).purity
     closed = angular_average_purity(sx)
     cases.append(_upper("angavg-purity-grid-vs-closed", abs(grid_purity - closed),
-                        cfg.tol("purity")))
+                        _TOLERANCES["purity"]))
     # convention probe: evaluating K at modulus instead of parameter must NOT match
     s4 = sx ** 4
     m = ((1.0 - s4) / (1.0 + s4)) ** 2
@@ -231,14 +209,13 @@ def _suite_angular_average(cfg: SuiteConfig) -> list:
     return cases
 
 
-def _suite_bogoliubov(cfg: SuiteConfig) -> list:
+def _suite_bogoliubov() -> list:
     cases = []
     for z in (0.1, math.log(2.0), 1.0):
-        n = cfg.basis_size(suggested_truncation(z))
-        state = squeezed_vacuum(-z, n)
+        state = squeezed_vacuum(-z, suggested_truncation(z))
         killed = bogoliubov_annihilate(z, state)
         cases.append(_upper(f"z{z:.4g}-annihilation", killed.norm() / state.norm(),
-                            cfg.tol("annihilation")))
+                            _TOLERANCES["annihilation"]))
     # sign probe: the same operator on the oppositely squeezed state must NOT vanish
     z = math.log(2.0)
     state = squeezed_vacuum(z, suggested_truncation(z))
@@ -247,27 +224,27 @@ def _suite_bogoliubov(cfg: SuiteConfig) -> list:
     return cases
 
 
-def _suite_negative_cases(cfg: SuiteConfig) -> list:
+def _suite_negative_cases() -> list:
     cases = [
         _expect_degenerate(
             "vacuum-grid-degenerate-error",
             lambda: identity_residual(rasterize(GaussianWignerSpec.pure_state(1.0)))),
         _expect_degenerate(
             "vacuum-fock-degenerate-error",
-            lambda: outcome_ratio(squeezed_vacuum(0.0, cfg.basis_size(33)))),
+            lambda: outcome_ratio(squeezed_vacuum(0.0, 33))),
     ]
 
-    coherent_grid = wigner_from_density(coherent_state(1.0, cfg.basis_size(40)))
+    coherent_grid = wigner_from_density(coherent_state(1.0, 40))
     cases.append(_floor("coherent-residual-floor",
                         identity_residual(coherent_grid).residual,
-                        cfg.tol("coherent_floor")))
+                        _TOLERANCES["coherent_floor"]))
 
     pure = GaussianWignerSpec.pure_state(2.0)
     grid = rasterize(pure, refined_geometry(pure))
     second = renormalize(photon_outcomes(grid)[0])
     cases.append(_floor("second-round-residual-floor",
                         identity_residual(second).residual,
-                        cfg.tol("second_round_floor")))
+                        _TOLERANCES["second_round_floor"]))
     return cases
 
 
@@ -284,13 +261,11 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, cfg: SuiteConfig | None = None) -> VerificationReport:
+def run_suite(name: str) -> VerificationReport:
     if name not in _SUITES:
         raise ConfigurationError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if cfg is None:
-        cfg = SuiteConfig()
-    return VerificationReport(name, _SUITES[name](cfg))
+    return VerificationReport(name, _SUITES[name]())
 
 
 # --- figure data ---

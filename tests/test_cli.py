@@ -18,6 +18,7 @@ from sqvac import (
     identity_residual,
     rasterize,
 )
+from sqvac import verify
 from sqvac.cli import main
 from sqvac.io import load_grid, load_state, save_grid
 
@@ -174,12 +175,39 @@ def test_overflowing_outcome_integrals_refused_without_output(tmp_path, capsys, 
 
 def test_extreme_width_rasterizes_without_warnings(tmp_path, capsys, recwarn):
     # sigma_p = 1e-77: p^2 / sigma_p^2 overflows to inf away from p = 0, where
-    # the density underflows to 0 anyway
+    # the density underflows to 0 anyway; no 513-point grid resolves the
+    # sigma_p = 1e-77 ridge, so the grid is refused with one error line
     state, grid_path = tmp_path / "wide.json", tmp_path / "wide.csv"
     assert run(capsys, "state", "--kind", "pure", "--sigma-x", "1e77", "-o", str(state))[0] == 0
     code, out, err = run(capsys, "wigner", "--state", str(state), "-o", str(grid_path))
-    assert code == 0 and out.strip() == str(grid_path) and err == ""
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not grid_path.exists()
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("sigma", ["50", "1e-8"])
+@pytest.mark.parametrize("cmd", ["wigner", "add"])
+def test_unresolved_grid_refused_without_output(tmp_path, capsys, cmd, sigma):
+    # the default 513-point grid spans 6 sigma_x = 300 for sigma_x = 50, so it
+    # undersamples the sigma_p = 0.02 ridge; sigma_x = 1e-8 undersamples itself
+    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    assert run(capsys, "state", "--kind", "pure", "--sigma-x", sigma, "-o", str(state))[0] == 0
+    code, out, err = run(capsys, cmd, "--state", str(state), "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert "normalization drift" in err and "--points" in err and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_refined_grid_resolves_a_wide_state(tmp_path, capsys):
+    # sigma_x = 5 drifts by 5e-4 on the default 513 points and by 2e-13 on 1025
+    state, grid_path = tmp_path / "state.json", tmp_path / "grid.csv"
+    run(capsys, "state", "--kind", "pure", "--sigma-x", "5", "-o", str(state))
+    assert run(capsys, "wigner", "--state", str(state), "-o", str(grid_path))[0] == 2
+    code, out, _ = run(capsys, "wigner", "--state", str(state), "--points", "1025",
+                       "-o", str(grid_path))
+    assert code == 0 and out.strip() == str(grid_path)
+    assert load_grid(grid_path)[0].nx == 1025
 
 
 @pytest.mark.parametrize("kind", ["pure", "angular-average"])
@@ -235,7 +263,8 @@ def test_residual_refuses_ratio_outside_norm_ratio_range(tmp_path, capsys, ratio
 
 
 def test_zero_trunc_refused(tmp_path, capsys):
-    # --trunc 0 is a bad basis size, not "use the default"
+    # --trunc 0 is a bad basis size, not "use the default"; verify takes no
+    # --trunc at all, since its suites size their own bases
     out_path = tmp_path / "coherent.json"
     code, out, _ = run(capsys, "state", "--kind", "coherent", "--alpha", "1", "--trunc", "0",
                        "-o", str(out_path))
@@ -314,6 +343,7 @@ def test_truncation_refusal_is_exit_one(tmp_path, capsys):
         ("verify", "--suite", "nope"),
         ("figure", "fig9"),
         ("add",),                             # neither --grid nor --state
+        # verify's bounds are pinned: it has no --tol
         ("verify", "--suite", "fock-ratio", "--tol", "junk"),
         ("verify", "--suite", "fock-ratio", "--tol", "ratio=-1"),
         ("verify", "--suite", "fock-ratio", "--tol", "ratoi=1e-30"),
@@ -346,11 +376,13 @@ def test_verify_subcommand(tmp_path, capsys):
     assert report["suite"] == "fock-ratio" and len(report["cases"]) == 6
 
 
-def test_verify_reports_failures(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "fock-ratio",
-                       "--tol", "fock_ratio=1e-30", "-o", str(tmp_path))
+def test_verify_reports_failures(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(verify._TOLERANCES, "fock_ratio", 1e-30)
+    code, out, _ = run(capsys, "verify", "--suite", "fock-ratio", "-o", str(tmp_path))
     assert code == 1
     assert "FAIL" in out and "measured=" in out
+    report = json.loads((tmp_path / "verify_fock-ratio.json").read_text())
+    assert [c["pass"] for c in report["cases"]] == [False, True] * 3
 
 
 # ------------------------------------------------------------- environment
@@ -401,6 +433,26 @@ def test_reports_do_not_depend_on_blas_thread_count(tmp_path):
                        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
         reports.append((out_dir / "verify_angular-average.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_transform_grid_does_not_depend_on_blas_thread_count(tmp_path):
+    # the transform's y sum once ran through a complex BLAS product, which
+    # OpenBLAS splits by its thread count
+    import sqvac
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    state = tmp_path / "squeezed.json"
+    subprocess.run([sys.executable, "-m", "sqvac.cli", "state", "--kind", "squeezed", "--z",
+                    repr(math.log(2.0)), "-o", str(state)], check=True, capture_output=True,
+                   env=env)
+    grids = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"blas{threads}.csv"
+        subprocess.run([sys.executable, "-m", "sqvac.cli", "wigner", "--state", str(state),
+                        "-o", str(path)], check=True, capture_output=True,
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads))
+        grids.append(path.read_bytes())
+    assert grids[0] == grids[1]
 
 
 def test_console_script_installed():

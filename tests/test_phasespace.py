@@ -40,7 +40,7 @@ from sqvac import (
     wigner_value,
 )
 from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY, DEGENERATE_INTEGRAL,
-                              _d1, _d2, _l1_sums, _map_blocks, _outcome_tile, _row_blocks,
+                              _d1, _d2, _map_blocks, _row_blocks, _simpson,
                               _worker_count)
 
 PURE2 = GaussianWignerSpec.pure_state(2.0)
@@ -335,12 +335,7 @@ def test_vanishing_added_outcome_degenerate():
     with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
         identity_residual(zero, ratio=1.0)
     with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
-        l1_relative_residual(zero, zero, 1.0)
-
-
-def test_l1_residual_of_identical_grids_is_zero():
-    added, _ = photon_outcomes(rasterize(PURE2))
-    assert l1_relative_residual(added, added, 1.0) == 0.0
+        l1_relative_residual(zero, 1.0)
 
 
 def test_doubling_resolution_shrinks_residual():
@@ -405,6 +400,12 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def full_array_l1(grid, added, subtracted, ratio):
+    """integral |A - ratio * S| / integral |A| over the whole grid at once."""
+    wx, wp = grid.weights()
+    return _simpson(np.abs(added - ratio * subtracted), wx, wp) / _simpson(np.abs(added), wx, wp)
+
+
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(16, 150).map(lambda k: 2 * k + 1),
        num_p=st.integers(16, 150).map(lambda k: 2 * k + 1),
@@ -412,6 +413,7 @@ def _rel(a, b):
 def test_identity_residual_matches_full_array_oracle(nx, num_p, sx, sp, theta):
     grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), nx, num_p)
     added, subtracted = full_array_outcomes(grid)
+    want_residual = full_array_l1(grid, added, subtracted, 1.25)
     added, subtracted = grid.with_values(added), grid.with_values(subtracted)
     ia, isub = added.integral(), subtracted.integral()
     ratio = ia / isub
@@ -419,7 +421,8 @@ def test_identity_residual_matches_full_array_oracle(nx, num_p, sx, sp, theta):
     assert _rel(chk.added_integral, ia) < 1e-12
     assert _rel(chk.subtracted_integral, isub) < 1e-12
     assert _rel(chk.ratio_used, ratio) < 1e-12
-    assert _rel(chk.residual, l1_relative_residual(added, subtracted, ratio)) < 1e-12
+    assert _rel(chk.residual, full_array_l1(grid, added.values, subtracted.values, ratio)) < 1e-12
+    assert _rel(l1_relative_residual(grid, 1.25), want_residual) < 1e-12
     assert _rel(chk.added_origin, grid_metrics(renormalize(added)).origin_value) < 1e-12
 
 
@@ -444,9 +447,9 @@ def _serial_residual(grid, ratio):
     wx, wp = grid.weights()
     num = den = 0.0
     for i0, i1 in _row_blocks(grid.nx):
-        block_num, block_den = _l1_sums(added[i0:i1], subtracted[i0:i1], ratio, wx[i0:i1], wp)
-        num += block_num
-        den += block_den
+        rows = slice(i0, i1)
+        num += _simpson(np.abs(added[rows] - ratio * subtracted[rows]), wx[rows], wp)
+        den += _simpson(np.abs(added[rows]), wx[rows], wp)
     return num / den
 
 
@@ -522,6 +525,14 @@ def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
     assert np.array_equal(subtracted.values, want_subtracted)
     chk = identity_residual(grid, 1.25)
     assert _rel(chk.residual, _serial_residual(grid, 1.25)) < 1e-15
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_identity_residual_is_the_l1_pass(monkeypatch, workers):
+    # one L1 pass: identity_residual reports l1_relative_residual's bits
+    _set_workers(monkeypatch, workers)
+    grid = CLIPPED_CASES["sx4-th0.7854"]()
+    assert l1_relative_residual(grid, 1.25) == identity_residual(grid, 1.25).residual
 
 
 def test_worker_count_is_capped(monkeypatch):

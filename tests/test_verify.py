@@ -8,11 +8,11 @@ import pytest
 
 from sqvac import (
     ConfigurationError,
-    SuiteConfig,
     TruncationError,
     figure_data,
     run_suite,
 )
+from sqvac import verify
 from sqvac.io import load_grid, save_report
 from sqvac.verify import SUITE_NAMES
 
@@ -64,41 +64,31 @@ def test_error_expectation_case_encoding():
     assert (case.measured, case.bound) == (0.0, 0.0)
 
 
-def test_tolerance_overrides_bind():
-    report = run_suite("fock-ratio", SuiteConfig(tolerances={"fock_ratio": 1e-30}))
+def test_tolerance_overrides_bind(monkeypatch):
+    # no option resets a bound; a suite reads the pinned table when it runs
+    monkeypatch.setitem(verify._TOLERANCES, "fock_ratio", 1e-30)
+    report = run_suite("fock-ratio")
     assert not report.passed
     assert all(c.label.endswith("-ratio-err") for c in report.failures)
 
 
-def test_grid_tolerances_leave_fock_bounds_alone():
+def test_grid_tolerances_leave_fock_bounds_alone(monkeypatch):
     # the grid suites' ratio and residual bounds are 1e-3 and 1e-4; loosening
     # them must not loosen the number-basis bounds of 1e-6
-    cfg = SuiteConfig(tolerances={"ratio": 1e-3, "residual": 1e-3})
-    cases = run_suite("fock-ratio", cfg).cases
+    monkeypatch.setitem(verify._TOLERANCES, "ratio", 1e-3)
+    monkeypatch.setitem(verify._TOLERANCES, "residual", 1e-3)
+    cases = run_suite("fock-ratio").cases
     assert [c.bound for c in cases] == [1e-6] * 6  # three ratio-err, three residual
 
 
-def test_tolerances_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        SuiteConfig(tolerances={"ratio": -1.0})
-
-
-def test_unknown_tolerance_refused():
-    # a misspelled name would otherwise be ignored silently
-    with pytest.raises(ConfigurationError, match="ratoi") as exc:
-        SuiteConfig(tolerances={"ratoi": 1e-30})
-    assert "ratio" in str(exc.value) and "second_round_floor" in str(exc.value)
-    with pytest.raises(ConfigurationError):
-        SuiteConfig(tolerances={"impure_floor": 0.05})
-
-
-def test_parameter_overrides_bind():
+def test_parameter_overrides_bind(monkeypatch):
+    # each suite sizes its number basis by suggested_truncation; a basis too
+    # small for the state is refused, not truncated silently
+    monkeypatch.setattr(verify, "suggested_truncation", lambda z: 20)
     with pytest.raises(TruncationError):
-        run_suite("fock-ratio", SuiteConfig(trunc=20))
-    assert run_suite("fock-ratio", SuiteConfig(trunc=200)).passed
-    for trunc in (0, 1):  # below any basis; refused, not replaced by a default
-        with pytest.raises(ConfigurationError, match="trunc"):
-            SuiteConfig(trunc=trunc)
+        run_suite("fock-ratio")
+    monkeypatch.setattr(verify, "suggested_truncation", lambda z: 200)
+    assert run_suite("fock-ratio").passed
 
 
 # -------------------------------------------------------------- figure data
