@@ -5,8 +5,6 @@ state, an incoherent sum of two different widths, and a second round of the
 operation applied to an already photon-added state.
 """
 
-import numpy as np
-
 from sqvac import (
     GaussianComponent,
     GaussianWignerSpec,
@@ -28,11 +26,10 @@ def main():
     print("states that break the added == subtracted coincidence:")
 
     impure = GaussianWignerSpec.single(4.0, 0.5)
-    grid = rasterize(impure, refined_geometry(impure))
-    chk = identity_residual(grid)
+    chk = identity_residual(rasterize(impure, refined_geometry(impure)))
     show("impure sigma_x=4 sigma_p=1/2", chk.residual, 0.05)
-    wp, wm = (renormalize(outcome) for outcome in photon_outcomes(grid))
-    print(f"  {'':<28} max|W+ - W-| = {np.max(np.abs(wp.values - wm.values)):.4f}")
+    # the same pass gives the largest gap between the renormalized outcomes
+    print(f"  {'':<28} max|W+ - W-| = {chk.max_gap:.4f}")
 
     coh = wigner_from_density(coherent_state(1.0, 40))
     show("coherent alpha=1", identity_residual(coh).residual, 0.1)

@@ -17,6 +17,7 @@ import contextlib
 import itertools
 import json
 import os
+import stat
 import uuid
 from functools import partial
 from io import StringIO
@@ -176,7 +177,8 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
     The rows are parsed in pieces of about _READ_CHARS characters: values as
     floats, the x and p columns as text, which must be exactly what
     ``save_grid`` writes for the header layout. So a coordinate with the
-    right value in other digits is refused.
+    right value in other digits is refused, and so is a header naming more
+    rows than a regular file's size could hold.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -185,9 +187,16 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
         try:
             x0, dx, nx = float(header[2]), float(header[3]), int(header[4])
             p0, dp, num_p = float(header[5]), float(header[6]), int(header[7])
-            values = np.empty((nx, num_p))
         except ValueError:
             raise ConfigurationError(f"{path}: malformed {GRID_MAGIC} header") from None
+        # every data row takes at least 6 bytes ("0,0,0\n"): a layout a regular
+        # file cannot hold is refused before its values are allocated (a pipe
+        # has no size to check)
+        st = os.fstat(fh.fileno())
+        if min(nx, num_p) < 0 or (stat.S_ISREG(st.st_mode) and 6 * nx * num_p > st.st_size):
+            raise ConfigurationError(
+                f"{path}: the file is too small for the {nx} x {num_p} rows its header names")
+        values = np.empty((nx, num_p))
         comments = []
         line = fh.readline()
         while line.startswith("#"):

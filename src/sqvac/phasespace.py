@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import ConfigurationError, DegenerateInputError, DomainError, GeometryError
 from .fock import DensityMatrix, FockVector, quadrature_moments
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, wigner_value
-from .special import hermite_psi_table
+from .special import HERMITE_DEGREE_CAP, hermite_psi_table
 
 _MIN_POINTS = 33
 #: Absolute decay required of inputs on the grid boundary before differencing.
@@ -143,16 +143,28 @@ def policy_extent(widest: float) -> float:
     return 6.0 * max(widest, 1.0)
 
 
+def _transformable_density(state) -> DensityMatrix:
+    """The density matrix of a number-basis state, refused before any
+    trunc x trunc array is built when the transform cannot take it: its
+    Hermite table stops at degree HERMITE_DEGREE_CAP."""
+    if state.trunc - 1 > HERMITE_DEGREE_CAP:
+        raise ConfigurationError(
+            f"number-basis size {state.trunc} exceeds the transform's cap of "
+            f"{HERMITE_DEGREE_CAP + 1} levels (Hermite degree {HERMITE_DEGREE_CAP})")
+    return DensityMatrix.from_pure(state) if isinstance(state, FockVector) else state
+
+
 def default_geometry(state) -> GridGeometry:
     """Casual-use geometry of a gaussian spec or a number-basis state.
 
     The extent is ``policy_extent`` of the widest width of a spec; a
     number-basis state uses sqrt(2) * rms, its gaussian-equivalent width, so
     the same physical state gets the same footprint either way. The point
-    count is ``GridGeometry``'s default.
+    count is ``GridGeometry``'s default. Raises ConfigurationError for a
+    number-basis state too large for ``wigner_from_density``.
     """
     if isinstance(state, (FockVector, DensityMatrix)):
-        widest = np.sqrt(2.0 * max(quadrature_moments(state)))
+        widest = np.sqrt(2.0 * max(quadrature_moments(_transformable_density(state))))
     else:
         widest = state.widths()[1]
     return GridGeometry(policy_extent(widest))
@@ -289,16 +301,14 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
     evaluated there once and gathered by index; the work scales with the
     number of significantly occupied eigenstates.
 
-    Raises GeometryError if the grid does not cover six times the larger of
-    the state's rms quadrature spreads, or if the resulting normalization
+    Raises ConfigurationError for a basis of more than HERMITE_DEGREE_CAP + 1
+    levels, and GeometryError if the grid does not cover six times the larger
+    of the state's rms quadrature spreads, or if the resulting normalization
     drifts from the trace by more than NORMALIZATION_DRIFT.
     """
-    if isinstance(state, FockVector):
-        rho = DensityMatrix.from_pure(state)
-    elif isinstance(state, DensityMatrix):
-        rho = state
-    else:
+    if not isinstance(state, (FockVector, DensityMatrix)):
         raise ConfigurationError(f"wigner_from_density cannot handle {type(state).__name__}")
+    rho = _transformable_density(state)
     if geometry is None:
         geometry = default_geometry(rho)
     rms = np.sqrt(max(quadrature_moments(rho)))
@@ -431,9 +441,9 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     Filled in row blocks on a per-call thread pool, each block only over the
     columns where W is nonzero near it (the rest stays +0.0), so besides the
     two results only tile-sized temporaries are live, one set per worker: on
-    the 3073^2 sigma_x = 4 grids (75 MB of input, 64-72% exact zeros) it
-    allocates 155 MB at its peak, 151 MB of it the results, and takes
-    0.14-0.18 s on two Xeon cores (0.18-0.24 s on one).
+    fig2's 931^2 grids, the largest ``verify`` passes it (6.9 MB of input), it
+    allocates 18 MB at its peak, 13.9 MB of it the results, and takes
+    0.04-0.05 s on two Xeon cores.
     """
     _check_boundary(grid)
     added = np.zeros(grid.values.shape)
@@ -464,6 +474,7 @@ class IdentityCheck(NamedTuple):
     added_integral: float
     subtracted_integral: float
     added_origin: float
+    max_gap: float  # max |A - R S| / |int A|; at the default R, max |A/int A - S/int S|
 
 
 def outcome_norm_ratio(added_integral: float, subtracted_integral: float) -> float:
@@ -516,13 +527,13 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
     return added, subtracted
 
 
-def l1_relative_residual(grid: WignerGrid, ratio: float) -> float:
-    """integral |A - ratio * S| / integral |A| for the outcomes A, S of W.
+def l1_relative_residual(grid: WignerGrid, ratio: float) -> tuple[float, float]:
+    """(integral |A - ratio S| / integral |A|, max |A - ratio S|) for outcomes A, S of W.
 
     One pass over row blocks, each over the columns where W is nonzero near
     it, so no full-size outcome grid is ever held. The block sums are added
-    in block order, so the residual does not depend on the worker count.
-    Raises DegenerateInputError when integral |A| vanishes.
+    in block order and a max has no order, so neither value depends on the
+    worker count. Raises DegenerateInputError when integral |A| vanishes.
     """
     _check_boundary(grid)
     wx, wp = grid.weights()
@@ -531,18 +542,19 @@ def l1_relative_residual(grid: WignerGrid, ratio: float) -> float:
         diff = added - ratio * subtracted
         np.abs(diff, out=diff)
         return (_simpson(diff, wx[rows], wp[cols]),
-                _simpson(np.abs(added), wx[rows], wp[cols]))
+                _simpson(np.abs(added), wx[rows], wp[cols]), float(diff.max()))
 
-    num = den = 0.0
-    for block_num, block_den in _outcome_tiles(grid, sums):
+    num = den = peak = 0.0
+    for block_num, block_den, block_peak in _outcome_tiles(grid, sums):
         num += block_num
         den += block_den
+        peak = max(peak, block_peak)
     if den < DEGENERATE_INTEGRAL:
         raise DegenerateInputError(
             f"integral |A| = {den:.3e} vanishes: the added outcome is zero, so the "
             "relative residual is undefined"
         )
-    return num / den
+    return num / den, peak
 
 
 def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityCheck:
@@ -550,9 +562,9 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
 
     Scales S by ``ratio`` (by default the integral ratio integral(A)/integral(S),
     from ``outcome_norm_ratio``) and returns the L1-relative residual
-    integral |A - R S| / integral |A|, the outcome integrals and the origin
-    value of A / integral(A). The integrals come from ``outcome_integrals``
-    and the residual from ``l1_relative_residual``.
+    integral |A - R S| / integral |A|, the outcome integrals, the origin value
+    of A / integral(A) and ``max_gap``. The integrals come from
+    ``outcome_integrals``, the rest from one ``l1_relative_residual`` pass.
 
     An explicit ``ratio`` must lie in [1, 1 + 1/DEGENERATE_INTEGRAL]: the
     norm ratio of any grid that ``outcome_norm_ratio`` accepts is
@@ -568,10 +580,11 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     ia, isub = outcome_integrals(grid)
     if ratio is None:
         ratio = outcome_norm_ratio(ia, isub)
-    residual = l1_relative_residual(grid, ratio)
+    residual, peak = l1_relative_residual(grid, ratio)
     i, j, tx, tp = _bilinear_cell(grid, 0.0, 0.0)
     patch = _outcome_tile(grid, i, i + 2, j, j + 2)[0] / ia
-    return IdentityCheck(residual, float(ratio), ia, isub, _interpolate(patch, tx, tp))
+    return IdentityCheck(residual, float(ratio), ia, isub, _interpolate(patch, tx, tp),
+                         peak / abs(ia))
 
 
 class GridReport(NamedTuple):

@@ -358,6 +358,37 @@ def test_missing_grid_file_exit_two(tmp_path, capsys):
     assert run(capsys, "residual", "--grid", str(tmp_path / "none.csv"))[0] == 2
 
 
+def test_grid_header_larger_than_file_exit_two(tmp_path, capsys):
+    # allocating the 1000000001^2 values the header names would fail
+    grid_path = tmp_path / "huge.csv"
+    grid_path.write_text("# wigner-grid-v1 -1 0.5 1000000001 -1 0.5 1000000001\n0,0,0\n")
+    code, out, err = run(capsys, "residual", "--grid", str(grid_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too small" in err
+
+
+@pytest.fixture(scope="module")
+def oversized_state(tmp_path_factory):
+    """A squeezed vacuum at z = 5: 352 424 levels, far past the transform's cap."""
+    path = tmp_path_factory.mktemp("oversized") / "z5.json"
+    assert main(["state", "--kind", "squeezed", "--z", "5", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("cmd", ["wigner", "add", "sub"])
+def test_state_too_large_for_transform_refused_without_output(tmp_path, capsys,
+                                                              oversized_state, cmd):
+    # refused before the trunc^2 density matrix, 1.8 TiB here, is built
+    capsys.readouterr()
+    out_path = tmp_path / f"{cmd}.csv"
+    code, out, err = run(capsys, cmd, "--state", str(oversized_state), "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap of 513 levels" in err
+    assert not out_path.exists()
+
+
 # ------------------------------------------------------- figures and verify
 
 def test_figure_fig3(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -275,6 +276,21 @@ def test_grid_refuses_malformed_rows(tmp_path, edit):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError):
         load_grid(path)
+
+
+def test_grid_reads_from_a_pipe(tmp_path):
+    # a pipe reports no size, so the header's row count is checked against
+    # the size of regular files only
+    path = tmp_path / "grid.csv"
+    save_grid(path, small_grid())
+    fifo = tmp_path / "grid.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    loaded, _ = load_grid(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert loaded.values.tobytes() == small_grid().values.tobytes()
 
 
 # ------------------------------------------------------------ reports, I/O

@@ -306,7 +306,10 @@ def test_impure_state_breaks_identity():
     chk = identity_residual(grid)
     assert chk.residual > 0.05
     wp, wm = (renormalize(outcome) for outcome in photon_outcomes(grid))
-    assert np.max(np.abs(wp.values - wm.values)) > 0.01
+    maxdiff = np.max(np.abs(wp.values - wm.values))
+    assert maxdiff > 0.01
+    # the L1 pass's largest gap is the whole-grid maximum
+    assert _rel(chk.max_gap, maxdiff) < 1e-12
 
 
 def test_vacuum_input_degenerate():
@@ -422,7 +425,9 @@ def test_identity_residual_matches_full_array_oracle(nx, num_p, sx, sp, theta):
     assert _rel(chk.subtracted_integral, isub) < 1e-12
     assert _rel(chk.ratio_used, ratio) < 1e-12
     assert _rel(chk.residual, full_array_l1(grid, added.values, subtracted.values, ratio)) < 1e-12
-    assert _rel(l1_relative_residual(grid, 1.25), want_residual) < 1e-12
+    gap = np.max(np.abs(renormalize(added).values - renormalize(subtracted).values))
+    assert _rel(chk.max_gap, gap) < 1e-12
+    assert _rel(l1_relative_residual(grid, 1.25)[0], want_residual) < 1e-12
     assert _rel(chk.added_origin, grid_metrics(renormalize(added)).origin_value) < 1e-12
 
 
@@ -525,14 +530,23 @@ def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
     assert np.array_equal(subtracted.values, want_subtracted)
     chk = identity_residual(grid, 1.25)
     assert _rel(chk.residual, _serial_residual(grid, 1.25)) < 1e-15
+    # a max needs no summing order: the skipped columns are exact zeros
+    peak = np.max(np.abs(want_added - 1.25 * want_subtracted))
+    assert chk.max_gap == peak / abs(chk.added_integral)
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_identity_residual_is_the_l1_pass(monkeypatch, workers):
-    # one L1 pass: identity_residual reports l1_relative_residual's bits
-    _set_workers(monkeypatch, workers)
     grid = CLIPPED_CASES["sx4-th0.7854"]()
-    assert l1_relative_residual(grid, 1.25) == identity_residual(grid, 1.25).residual
+    _set_workers(monkeypatch, 1)
+    serial = identity_residual(grid, 1.25)
+    _set_workers(monkeypatch, workers)
+    chk = identity_residual(grid, 1.25)
+    # one L1 pass: identity_residual reports l1_relative_residual's bits
+    residual, peak = l1_relative_residual(grid, 1.25)
+    assert (residual, peak / abs(chk.added_integral)) == (chk.residual, chk.max_gap)
+    # the largest gap, like the block-ordered sums, is the same on any worker count
+    assert chk == serial
 
 
 def test_worker_count_is_capped(monkeypatch):

@@ -2,14 +2,17 @@
 
 import filecmp
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sqvac import (
     ConfigurationError,
+    GaussianWignerSpec,
     TruncationError,
     figure_data,
+    refined_geometry,
     run_suite,
 )
 from sqvac import verify
@@ -48,6 +51,20 @@ def test_case_schema():
     for case in obj["cases"]:
         assert set(case) == {"label", "measured", "bound", "pass"}
         assert case["pass"] == (case["measured"] <= case["bound"])
+
+
+def test_impure_suite_holds_no_outcome_grid():
+    points = refined_geometry(GaussianWignerSpec.single(4.0, 0.5)).points
+    w_bytes = 8 * points * points
+    tracemalloc.start()
+    try:
+        run_suite("impure-difference")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # W itself plus tile-sized temporaries; whole outcome grids and their
+    # renormalized copies would add about four times W
+    assert peak < 2.0 * w_bytes
 
 
 def test_floor_cases_store_negated_values():
