@@ -14,7 +14,7 @@ from sqvac import (
     rasterize,
     refined_geometry,
     renormalize,
-    wigner_from_density,
+    state_grid,
 )
 
 
@@ -31,7 +31,7 @@ def main():
     # the same pass gives the largest gap between the renormalized outcomes
     print(f"  {'':<28} max|W+ - W-| = {chk.max_gap:.4f}")
 
-    coh = wigner_from_density(coherent_state(1.0, 40))
+    coh = state_grid(coherent_state(1.0, 40))
     show("coherent alpha=1", identity_residual(coh).residual, 0.1)
 
     unequal = GaussianWignerSpec((GaussianComponent.pure(0.0, 2.0, 0.5),

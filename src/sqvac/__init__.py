@@ -20,10 +20,10 @@ from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec
                        outcome_factors, spec_norm_ratio, squeeze_parameter,
                        wigner_value)
 from .phasespace import (GridGeometry, GridReport, IdentityCheck, WignerGrid,
-                         default_geometry, grid_metrics, identity_residual,
-                         l1_relative_residual, outcome_integrals, outcome_norm_ratio,
-                         photon_outcomes, policy_extent, rasterize, refined_geometry,
-                         renormalize, wigner_from_density)
+                         grid_metrics, identity_residual, l1_relative_residual,
+                         outcome_integrals, outcome_norm_ratio, photon_outcomes,
+                         policy_extent, rasterize, refined_geometry, renormalize,
+                         state_grid, wigner_from_density)
 from .special import bessel_i0_scaled, elliptic_k, hermite_psi_table
 from .verify import SUITE_NAMES, CaseResult, VerificationReport, figure_data, run_suite
 

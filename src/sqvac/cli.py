@@ -3,8 +3,10 @@
 Subcommands build state files, turn them into phase-space grids, apply the
 one-photon operations, check the identity residual, emit figure data and run
 the verification suites. Every command is deterministic given its flags;
-`verify` takes no bound or basis-size flags, and a state whose grid does not
-resolve it (normalization drift above NORMALIZATION_DRIFT) is refused.
+`verify` takes no bound or basis-size flags. `phasespace.state_grid` builds
+every grid from a state file and refuses one that does not resolve the state
+(normalization drift above NORMALIZATION_DRIFT); `state` refuses a basis
+past the transform's cap before building it.
 
 Exit codes: 0 success, 1 failed assertion or degenerate input, 2 usage or
 configuration error.
@@ -18,11 +20,10 @@ import sys
 from . import io as sqio
 from .errors import (ConfigurationError, DegenerateInputError, DomainError,
                      GeometryError, TruncationError)
-from .fock import FockVector, coherent_state, squeezed_vacuum
+from .fock import coherent_state, squeezed_vacuum, suggested_truncation
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, squeeze_parameter
-from .phasespace import (NORMALIZATION_DRIFT, GridGeometry, default_geometry,
-                         identity_residual, outcome_integrals, outcome_norm_ratio,
-                         photon_outcomes, rasterize, renormalize, wigner_from_density)
+from .phasespace import (check_basis_size, identity_residual, outcome_integrals,
+                         outcome_norm_ratio, photon_outcomes, renormalize, state_grid)
 from .verify import SUITE_NAMES, figure_data, run_suite
 
 _FORMATS_HELP = """\
@@ -94,10 +95,14 @@ def _build_state(args):
             z = args.z
         else:
             z = squeeze_parameter(_require(args.sigma_x, "--z or --sigma-x", kind))
-        return squeezed_vacuum(z, args.trunc)
+        trunc = suggested_truncation(z) if args.trunc is None else args.trunc
+        check_basis_size(trunc)
+        return squeezed_vacuum(z, trunc)
     if kind == "coherent":
+        alpha = _require(args.alpha, "--alpha", kind)
         trunc = 40 if args.trunc is None else args.trunc
-        return coherent_state(_require(args.alpha, "--alpha", kind), trunc)
+        check_basis_size(trunc)
+        return coherent_state(alpha, trunc)
     raise ConfigurationError(f"unknown state kind {kind!r}")
 
 
@@ -109,24 +114,6 @@ def _cmd_state(args) -> int:
     return 0
 
 
-def _grid_from_state(state, args):
-    geometry = default_geometry(state)
-    if args.extent is not None or args.points is not None:
-        extent = geometry.extent if args.extent is None else args.extent
-        geometry = GridGeometry(extent, args.points)
-    if isinstance(state, FockVector):
-        return wigner_from_density(state, geometry)
-    grid = rasterize(state, geometry)
-    # the transform refuses its own drift; a rasterized grid is checked here
-    drift = abs(grid.integral() - 1.0)
-    if not drift <= NORMALIZATION_DRIFT:
-        raise GeometryError(
-            f"normalization drift {drift:.3e} on the {grid.nx}-point grid: it does not "
-            "resolve the state; refine it with --points"
-        )
-    return grid
-
-
 def _grid_comments(args) -> list:
     comments = [f"cmd: {args.command}"]
     if getattr(args, "seed", None) is not None:
@@ -135,7 +122,7 @@ def _grid_comments(args) -> list:
 
 
 def _cmd_wigner(args) -> int:
-    grid = _grid_from_state(sqio.load_state(args.state), args)
+    grid = state_grid(sqio.load_state(args.state), args.extent, args.points)
     path = _resolve_out(args.out, "wigner.csv")
     sqio.save_grid(path, grid, _grid_comments(args))
     print(path)
@@ -149,7 +136,7 @@ def _cmd_outcome(args) -> int:
                 raise ConfigurationError(f"{args.command} --grid does not use --{name}")
         grid, _ = sqio.load_grid(args.grid)
     elif args.state:
-        grid = _grid_from_state(sqio.load_state(args.state), args)
+        grid = state_grid(sqio.load_state(args.state), args.extent, args.points)
     else:
         raise ConfigurationError(f"{args.command} needs --grid or --state")
     ratio = outcome_norm_ratio(*outcome_integrals(grid))

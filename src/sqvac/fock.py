@@ -126,8 +126,15 @@ def create(state: FockVector) -> FockVector:
 
 
 def suggested_truncation(z: float) -> int:
-    """Basis size that keeps squeezed-vacuum truncation loss under budget."""
-    return int(np.ceil(32.0 * np.cosh(2.0 * z)))
+    """Basis size that keeps squeezed-vacuum truncation loss under budget.
+    Raises DomainError when no finite size does: z non-finite, or |z| past
+    about 354, where tanh(z) rounds to 1 and the amplitudes never decay."""
+    with np.errstate(over="ignore"):
+        size = 32.0 * np.cosh(2.0 * z)
+    if not np.isfinite(size):
+        raise DomainError(f"squeeze parameter z = {z!r} gives no finite basis size: "
+                          "z must be finite, with |z| below about 354")
+    return int(np.ceil(size))
 
 
 def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
@@ -144,11 +151,11 @@ def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
 
     Raises:
         TruncationError: if the tail weight beyond ``trunc`` exceeds budget.
+        DomainError: if ``suggested_truncation(z)`` is not finite.
     """
-    if not np.isfinite(z):
-        raise DomainError("squeeze parameter must be finite")
+    suggested = suggested_truncation(z)
     if trunc is None:
-        trunc = suggested_truncation(z)
+        trunc = suggested
     if trunc < 2:
         raise ConfigurationError("squeezed_vacuum needs trunc >= 2")
     c = np.zeros(trunc)
@@ -161,9 +168,9 @@ def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
     if tail > TRUNCATION_BUDGET:
         raise TruncationError(
             f"trunc {trunc} keeps only 1 - {tail:.3e} of the squeezed vacuum; "
-            f"suggested trunc >= {suggested_truncation(z)}",
+            f"suggested trunc >= {suggested}",
             lost_weight=tail,
-            suggested_trunc=suggested_truncation(z),
+            suggested_trunc=suggested,
         )
     c /= np.linalg.norm(c)
     return FockVector(trunc, c)

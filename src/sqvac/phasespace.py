@@ -26,7 +26,7 @@ shorter rows may differ in its last bit, since einsum groups its terms by
 row length. One helper, ``_outcome_tiles``, runs those clipped blocks for
 both ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
 
-Grids are built on a square ``GridGeometry`` sized from the state's widest
+``state_grid`` puts a state on a square ``GridGeometry`` sized from its widest
 width, but a grid's authoritative state is its layout (x0, dx, nx, p0, dp,
 num_p) plus the value array; the axes are always derived as x0 + k*dx from the
 stored floats. Serialization writes the layout, so a saved and reloaded grid
@@ -118,17 +118,16 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
 @dataclass(frozen=True)
 class GridGeometry:
     """Square geometry: x and p both span [-extent, extent] at ``points``
-    points; by default 257, or 513 once the extent passes 18 (strong squeezing)."""
+    points, refused unless the step is positive and finite."""
 
     extent: float
-    points: int | None = None
+    points: int
 
     def __post_init__(self):
-        if self.points is None:
-            object.__setattr__(self, "points", 257 if self.extent <= 18.0 else 513)
         _validate_count(self.points)
-        if not self.extent > 0:
-            raise GeometryError("extent must be positive")
+        if not (self.step > 0 and np.isfinite(self.step)):
+            raise GeometryError(f"extent {self.extent!r} gives the grid step "
+                                f"{self.step!r}; both must be positive and finite")
 
     @property
     def step(self) -> float:
@@ -143,31 +142,19 @@ def policy_extent(widest: float) -> float:
     return 6.0 * max(widest, 1.0)
 
 
-def _transformable_density(state) -> DensityMatrix:
-    """The density matrix of a number-basis state, refused before any
-    trunc x trunc array is built when the transform cannot take it: its
-    Hermite table stops at degree HERMITE_DEGREE_CAP."""
-    if state.trunc - 1 > HERMITE_DEGREE_CAP:
+def check_basis_size(trunc: int):
+    """Refuse, before any trunc x trunc array exists, a number-basis size past
+    the transform's cap: its Hermite table stops at degree HERMITE_DEGREE_CAP."""
+    if trunc - 1 > HERMITE_DEGREE_CAP:
         raise ConfigurationError(
-            f"number-basis size {state.trunc} exceeds the transform's cap of "
+            f"number-basis size {trunc} exceeds the transform's cap of "
             f"{HERMITE_DEGREE_CAP + 1} levels (Hermite degree {HERMITE_DEGREE_CAP})")
+
+
+def _transformable_density(state) -> DensityMatrix:
+    """The density matrix of a number-basis state the transform can take."""
+    check_basis_size(state.trunc)
     return DensityMatrix.from_pure(state) if isinstance(state, FockVector) else state
-
-
-def default_geometry(state) -> GridGeometry:
-    """Casual-use geometry of a gaussian spec or a number-basis state.
-
-    The extent is ``policy_extent`` of the widest width of a spec; a
-    number-basis state uses sqrt(2) * rms, its gaussian-equivalent width, so
-    the same physical state gets the same footprint either way. The point
-    count is ``GridGeometry``'s default. Raises ConfigurationError for a
-    number-basis state too large for ``wigner_from_density``.
-    """
-    if isinstance(state, (FockVector, DensityMatrix)):
-        widest = np.sqrt(2.0 * max(quadrature_moments(_transformable_density(state))))
-    else:
-        widest = state.widths()[1]
-    return GridGeometry(policy_extent(widest))
 
 
 def refined_geometry(spec) -> GridGeometry:
@@ -270,12 +257,11 @@ def _map_blocks(fn, blocks) -> list:
         return list(pool.map(fn, blocks))
 
 
-def rasterize(spec, geometry: GridGeometry | None = None) -> WignerGrid:
-    """Sample a gaussian mixture or angular-average spec onto a grid."""
+def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
+    """Sample a gaussian mixture or angular-average spec onto ``geometry``;
+    only ``state_grid`` checks that the grid resolves it."""
     if not isinstance(spec, (GaussianWignerSpec, AngularAverageSpec)):
         raise ConfigurationError(f"rasterize cannot handle {type(spec).__name__}")
-    if geometry is None:
-        geometry = default_geometry(spec)
     axis = geometry.axis()
     # evaluate in row blocks: identical values, cache-sized temporaries
     values = np.empty((axis.size, axis.size))
@@ -288,7 +274,7 @@ def rasterize(spec, geometry: GridGeometry | None = None) -> WignerGrid:
     return WignerGrid.from_geometry(geometry, values)
 
 
-def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGrid:
+def wigner_from_density(state, geometry: GridGeometry) -> WignerGrid:
     """Integral transform of a number-basis state to the phase-space grid.
 
     W(x, p) = (1/2pi) * integral dy <x - y/2| rho |x + y/2> exp(i p y),
@@ -303,14 +289,12 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
 
     Raises ConfigurationError for a basis of more than HERMITE_DEGREE_CAP + 1
     levels, and GeometryError if the grid does not cover six times the larger
-    of the state's rms quadrature spreads, or if the resulting normalization
-    drifts from the trace by more than NORMALIZATION_DRIFT.
+    of the state's rms quadrature spreads. Only ``state_grid`` checks the
+    normalization drift.
     """
     if not isinstance(state, (FockVector, DensityMatrix)):
         raise ConfigurationError(f"wigner_from_density cannot handle {type(state).__name__}")
     rho = _transformable_density(state)
-    if geometry is None:
-        geometry = default_geometry(rho)
     rms = np.sqrt(max(quadrature_moments(rho)))
     if geometry.extent < 6.0 * rms * (1.0 - 1e-9):
         raise GeometryError(f"grid extent {geometry.extent:.3g} does not cover 6x the "
@@ -344,13 +328,37 @@ def wigner_from_density(state, geometry: GridGeometry | None = None) -> WignerGr
     values -= np.einsum("ik,km->im", kernel.imag * weight, np.sin(py))
     values *= dx / (2.0 * np.pi)
 
-    grid = WignerGrid.from_geometry(geometry, values)
+    return WignerGrid.from_geometry(geometry, values)
+
+
+def state_grid(state, extent: float | None = None, points: int | None = None) -> WignerGrid:
+    """Grid of a gaussian spec (rasterized) or a number-basis state
+    (transformed) on its default geometry, the one casual-use grid policy.
+
+    The extent is ``policy_extent`` of the widest width, for a number-basis
+    state sqrt(2) * rms from the one density matrix the transform also takes;
+    the point count is 257, or 513 once the extent passes 18. A given
+    ``extent`` or ``points`` replaces its default. Raises ConfigurationError
+    for a basis too large for the transform, and GeometryError when the grid
+    does not resolve the state: its integral drifts by over NORMALIZATION_DRIFT.
+    """
+    rho = None
+    if isinstance(state, (FockVector, DensityMatrix)):
+        rho = _transformable_density(state)
+        if extent is None:
+            extent = policy_extent(np.sqrt(2.0 * max(quadrature_moments(rho))))
+    elif not isinstance(state, (GaussianWignerSpec, AngularAverageSpec)):
+        raise ConfigurationError(f"state_grid cannot handle {type(state).__name__}")
+    elif extent is None:
+        extent = policy_extent(state.widths()[1])
+    if points is None:
+        points = 257 if extent <= 18.0 else 513
+    geometry = GridGeometry(extent, points)
+    grid = rasterize(state, geometry) if rho is None else wigner_from_density(rho, geometry)
     drift = abs(grid.integral() - 1.0)
-    if drift > NORMALIZATION_DRIFT:
-        raise GeometryError(
-            f"normalization drift {drift:.3e} after transform; grid geometry "
-            "does not capture the state"
-        )
+    if not drift <= NORMALIZATION_DRIFT:
+        raise GeometryError(f"normalization drift {drift:.3e} on the {grid.nx}-point grid: "
+                            "it does not resolve the state; refine it with --points")
     return grid
 
 

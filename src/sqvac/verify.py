@@ -27,9 +27,9 @@ from .fock import (bogoliubov_annihilate, coherent_state, outcome_ratio,
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
                        angular_average_purity, angular_average_value, norm_ratio,
                        outcome_factors, spec_norm_ratio)
-from .phasespace import (default_geometry, grid_metrics, identity_residual,
-                         outcome_integrals, photon_outcomes, rasterize, refined_geometry,
-                         renormalize, wigner_from_density)
+from .phasespace import (grid_metrics, identity_residual, outcome_integrals,
+                         photon_outcomes, rasterize, refined_geometry, renormalize,
+                         state_grid)
 from .special import elliptic_k
 
 _NEG_INV_PI = -1.0 / math.pi
@@ -142,21 +142,18 @@ def _suite_fock_ratio() -> list:
 def _commutator_inputs():
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
-            spec = GaussianWignerSpec.pure_state(sx, th)
-            yield f"pure-sx{sx:g}-th{th:.4g}", rasterize(spec)
-    impure = GaussianWignerSpec.single(4.0, 0.5)
-    yield "impure-sx4-sp0.5", rasterize(impure)
-    mix = GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4.0, 2.2)
-    yield "two-angle-mixture", rasterize(mix)
-    yield "angular-average", rasterize(AngularAverageSpec(2.2))
-    yield "coherent-alpha1", wigner_from_density(coherent_state(1.0, 40))
+            yield f"pure-sx{sx:g}-th{th:.4g}", GaussianWignerSpec.pure_state(sx, th)
+    yield "impure-sx4-sp0.5", GaussianWignerSpec.single(4.0, 0.5)
+    yield "two-angle-mixture", GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4.0, 2.2)
+    yield "angular-average", AngularAverageSpec(2.2)
+    yield "coherent-alpha1", coherent_state(1.0, 40)
 
 
 def _suite_commutator() -> list:
     bound = _TOLERANCES["commutator"]
     cases = []
-    for label, grid in _commutator_inputs():
-        added_integral, subtracted_integral = outcome_integrals(grid)
+    for label, state in _commutator_inputs():
+        added_integral, subtracted_integral = outcome_integrals(state_grid(state))
         gap = added_integral - subtracted_integral
         cases.append(_upper(f"{label}-weight-gap", abs(gap - 1.0), bound))
     return cases
@@ -224,13 +221,13 @@ def _suite_negative_cases() -> list:
     cases = [
         _expect_degenerate(
             "vacuum-grid-degenerate-error",
-            lambda: identity_residual(rasterize(GaussianWignerSpec.pure_state(1.0)))),
+            lambda: identity_residual(state_grid(GaussianWignerSpec.pure_state(1.0)))),
         _expect_degenerate(
             "vacuum-fock-degenerate-error",
             lambda: outcome_ratio(squeezed_vacuum(0.0, 33))),
     ]
 
-    coherent_grid = wigner_from_density(coherent_state(1.0, 40))
+    coherent_grid = state_grid(coherent_state(1.0, 40))
     cases.append(_floor("coherent-residual-floor",
                         identity_residual(coherent_grid).residual,
                         _TOLERANCES["coherent_floor"]))
@@ -290,8 +287,7 @@ def figure_data(which: str, out_dir: str, seed: int | None = None) -> list:
     tail = [] if seed is None else [f"seed {seed}"]
     paths = []
     if which == "fig1":
-        spec = GaussianWignerSpec.single(4.0, 0.5)
-        grid = rasterize(spec, default_geometry(spec))
+        grid = state_grid(GaussianWignerSpec.single(4.0, 0.5))
         added, subtracted = photon_outcomes(grid)
         w_plus, w_minus = renormalize(added), renormalize(subtracted)
         diff = w_plus.with_values(w_plus.values - w_minus.values)

@@ -21,7 +21,6 @@ from sqvac import (
     bogoliubov_annihilate,
     coherent_state,
     create,
-    default_geometry,
     grid_metrics,
     identity_residual,
     outcome_factors,
@@ -33,8 +32,8 @@ from sqvac import (
     renormalize,
     squeeze_parameter,
     squeezed_vacuum,
+    state_grid,
     suggested_truncation,
-    wigner_from_density,
     wigner_value,
 )
 
@@ -93,7 +92,7 @@ def test_c03_transform_matches_closed_outcomes():
     psi = squeezed_vacuum(squeeze_parameter(2.0), 68)
     for name, vec, pick in (("raised", create(psi).normalized(), 0),
                             ("lowered", annihilate(psi).normalized(), 1)):
-        grid = wigner_from_density(vec)
+        grid = state_grid(vec)
         x, p = grid.xs[:, None], grid.ps[None, :]
         w = wigner_value(GaussianWignerSpec.pure_state(2.0), x, p)
         closed = outcome_factors(x, p, 2.0, 0.5)[pick] * w
@@ -169,12 +168,12 @@ def test_c07_weight_gap_commutator():
     for sx in SIGMAS:
         for th in THETAS:
             grids.append((f"pure-{sx:g}-{th:.3g}",
-                          rasterize(GaussianWignerSpec.pure_state(sx, th))))
-    grids.append(("impure", rasterize(GaussianWignerSpec.single(4.0, 0.5))))
-    grids.append(("two-angle", rasterize(
+                          state_grid(GaussianWignerSpec.pure_state(sx, th))))
+    grids.append(("impure", state_grid(GaussianWignerSpec.single(4.0, 0.5))))
+    grids.append(("two-angle", state_grid(
         GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4.0, 2.2))))
-    grids.append(("angular-average", rasterize(AngularAverageSpec(2.2))))
-    grids.append(("coherent", wigner_from_density(coherent_state(1.0, 40))))
+    grids.append(("angular-average", state_grid(AngularAverageSpec(2.2))))
+    grids.append(("coherent", state_grid(coherent_state(1.0, 40))))
     assert len(grids) >= 10
     for name, grid in grids:
         added, subtracted = photon_outcomes(grid)
@@ -189,11 +188,11 @@ def test_c07_weight_gap_commutator():
 def test_c08_negative_controls():
     failures = []
     with pytest.raises(DegenerateInputError):
-        identity_residual(rasterize(GaussianWignerSpec.pure_state(1.0)))
+        identity_residual(state_grid(GaussianWignerSpec.pure_state(1.0)))
     with pytest.raises(DegenerateInputError):
         outcome_ratio(squeezed_vacuum(0.0, 33))
 
-    coh = identity_residual(wigner_from_density(coherent_state(1.0, 40))).residual
+    coh = identity_residual(state_grid(coherent_state(1.0, 40))).residual
     if coh < 0.1:
         failures.append(f"coherent residual {coh:.3f} < 0.1")
 

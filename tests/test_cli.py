@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 
 from sqvac import (
+    DensityMatrix,
+    FockVector,
     GaussianWignerSpec,
     GridGeometry,
     WignerGrid,
-    default_geometry,
     identity_residual,
-    rasterize,
+    state_grid,
 )
 from sqvac import verify
 from sqvac.cli import main
-from sqvac.io import load_grid, load_state, save_grid
+from sqvac.io import load_grid, load_state, save_grid, save_state
 
 
 def run(capsys, *argv):
@@ -53,7 +54,7 @@ def test_state_wigner_residual_matches_library_bitwise(tmp_path, capsys):
     got = parsed_lines(out)
 
     spec = GaussianWignerSpec.pure_state(2.0)
-    chk = identity_residual(rasterize(spec, default_geometry(spec)))
+    chk = identity_residual(state_grid(spec))
     assert got["residual"] == chk.residual  # bit-for-bit through the CSV
     assert got["R_used"] == chk.ratio_used
     assert got["added_integral"] == chk.added_integral
@@ -79,7 +80,7 @@ def test_add_and_sub_outcomes(tmp_path, capsys):
 def test_add_sub_and_residual_print_the_same_ratio(tmp_path, capsys):
     # one grid, one norm ratio: every command takes R from the same integrals
     grid_path = tmp_path / "grid.csv"
-    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    save_grid(grid_path, state_grid(GaussianWignerSpec.pure_state(2.0)))
     printed = set()
     for argv in (("add", "-o", str(tmp_path / "a.csv")), ("sub", "-o", str(tmp_path / "s.csv")),
                  ("residual",)):
@@ -246,7 +247,7 @@ def test_non_finite_state_refused_without_output(tmp_path, capsys):
 @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
 def test_residual_refuses_non_finite_ratio(tmp_path, capsys, ratio):
     grid_path = tmp_path / "grid.csv"
-    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    save_grid(grid_path, state_grid(GaussianWignerSpec.pure_state(2.0)))
     code, out, err = run(capsys, "residual", "--grid", str(grid_path), f"--ratio={ratio}")
     assert code == 2 and out == ""
     assert "not finite" in err
@@ -256,7 +257,7 @@ def test_residual_refuses_non_finite_ratio(tmp_path, capsys, ratio):
 def test_residual_refuses_ratio_outside_norm_ratio_range(tmp_path, capsys, ratio):
     # a norm ratio is 1 + integral(W)/integral(S), with integral(S) bounded below
     grid_path = tmp_path / "grid.csv"
-    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    save_grid(grid_path, state_grid(GaussianWignerSpec.pure_state(2.0)))
     code, out, err = run(capsys, "residual", "--grid", str(grid_path), f"--ratio={ratio}")
     assert code == 2 and out == ""
     assert "outside the norm-ratio range" in err
@@ -310,7 +311,7 @@ def test_state_refuses_flags_its_kind_ignores(tmp_path, capsys, argv, flag):
 def test_outcome_from_grid_refuses_state_and_geometry_flags(tmp_path, capsys, cmd, extra):
     # the grid file fixes the state and the geometry; these flags would be ignored
     grid_path = tmp_path / "w.csv"
-    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0)))
+    save_grid(grid_path, state_grid(GaussianWignerSpec.pure_state(2.0)))
     out_path = tmp_path / f"{cmd}.csv"
     code, out, err = run(capsys, cmd, "--grid", str(grid_path), *extra, "-o", str(out_path))
     assert code == 2 and out == ""
@@ -370,16 +371,17 @@ def test_grid_header_larger_than_file_exit_two(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def oversized_state(tmp_path_factory):
-    """A squeezed vacuum at z = 5: 352 424 levels, far past the transform's cap."""
-    path = tmp_path_factory.mktemp("oversized") / "z5.json"
-    assert main(["state", "--kind", "squeezed", "--z", "5", "-o", str(path)]) == 0
+    """A 514-level number-basis state, one level past the transform's cap:
+    a file `state` refuses to write, so it is written here."""
+    path = tmp_path_factory.mktemp("oversized") / "past-cap.json"
+    save_state(path, FockVector(514, np.eye(514)[0]))
     return path
 
 
 @pytest.mark.parametrize("cmd", ["wigner", "add", "sub"])
 def test_state_too_large_for_transform_refused_without_output(tmp_path, capsys,
                                                               oversized_state, cmd):
-    # refused before the trunc^2 density matrix, 1.8 TiB here, is built
+    # refused before the trunc^2 density matrix is built
     capsys.readouterr()
     out_path = tmp_path / f"{cmd}.csv"
     code, out, err = run(capsys, cmd, "--state", str(oversized_state), "-o", str(out_path))
@@ -387,6 +389,78 @@ def test_state_too_large_for_transform_refused_without_output(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "cap of 513 levels" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # each of these once allocated 58 GiB to 1.5 TiB
+    ("--kind", "squeezed", "--z", "10"),
+    ("--kind", "squeezed", "--sigma-x", "1e-5"),
+    ("--kind", "coherent", "--alpha", "1", "--trunc", "100000000000"),
+    # 32 cosh 2z overflows: no finite basis holds these
+    ("--kind", "squeezed", "--z", "400"),
+    ("--kind", "squeezed", "--z", "1000"),
+    ("--kind", "squeezed", "--sigma-x", "1e-300"),
+    ("--kind", "squeezed", "--z", "1000", "--trunc", "100"),
+    # 352 424 levels: a file that no grid command could take
+    ("--kind", "squeezed", "--z", "5"),
+])
+def test_state_refuses_a_basis_no_grid_command_takes(tmp_path, capsys, recwarn, argv):
+    out_path = tmp_path / "state.json"
+    code, out, err = run(capsys, "state", *argv, "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("extent", ["inf", "1e308"])
+@pytest.mark.parametrize("cmd", ["wigner", "add"])
+@pytest.mark.parametrize("kind", [("--kind", "pure", "--sigma-x", "2"),
+                                  ("--kind", "squeezed", "--z", "0.5")])
+def test_non_finite_extent_or_step_refused_before_the_build(tmp_path, capsys, recwarn,
+                                                             kind, cmd, extent):
+    # --extent 1e308 is finite, but its step 2 * extent / 512 is not
+    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    assert run(capsys, "state", *kind, "-o", str(state))[0] == 0
+    code, out, err = run(capsys, cmd, "--state", str(state), "--extent", extent,
+                         "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert "positive and finite" in err and err.count("\n") == 1
+    assert not out_path.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_unresolved_transform_refused_without_output(tmp_path, capsys):
+    # sigma_x = 1/2 has 1.3 points per narrowest width on 65 points
+    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    assert run(capsys, "state", "--kind", "squeezed", "--z", repr(math.log(2.0)),
+               "-o", str(state))[0] == 0
+    code, out, err = run(capsys, "wigner", "--state", str(state), "--points", "65",
+                         "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert "normalization drift" in err and "--points" in err and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_transform_builds_one_density_matrix(tmp_path, capsys, monkeypatch):
+    # the extent and the transform share one matrix, checked once
+    state, grid_path = tmp_path / "z1.json", tmp_path / "z1.csv"
+    assert run(capsys, "state", "--kind", "squeezed", "--z", "1", "-o", str(state))[0] == 0
+    calls = {"from_pure": 0, "eigvalsh": 0}
+    from_pure, eigvalsh = DensityMatrix.from_pure.__func__, np.linalg.eigvalsh
+
+    def counted_from_pure(cls, vec):
+        calls["from_pure"] += 1
+        return from_pure(cls, vec)
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "from_pure", classmethod(counted_from_pure))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    assert run(capsys, "wigner", "--state", str(state), "-o", str(grid_path))[0] == 0
+    assert calls == {"from_pure": 1, "eigvalsh": 1}
 
 
 # ------------------------------------------------------- figures and verify

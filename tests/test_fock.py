@@ -173,6 +173,17 @@ def test_suggested_truncation(z, n):
     assert suggested_truncation(z) == n
 
 
+@pytest.mark.parametrize("z", [400.0, -400.0, 1000.0, math.inf, math.nan])
+def test_no_finite_basis_is_a_domain_error(z, recwarn):
+    # 32 cosh 2z overflows: no int(ceil(inf)) OverflowError, and no overflow
+    # warning, with or without a basis size of one's own
+    with pytest.raises(DomainError):
+        suggested_truncation(z)
+    with pytest.raises(DomainError):
+        squeezed_vacuum(z, 100)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_squeezed_vacuum_refuses_small_basis():
     with pytest.raises(TruncationError) as exc:
         squeezed_vacuum(1.0, 40)

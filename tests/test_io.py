@@ -18,6 +18,7 @@ from sqvac import (
     identity_residual,
     rasterize,
     squeezed_vacuum,
+    state_grid,
 )
 import sqvac.io as io_module
 from sqvac import phasespace
@@ -96,7 +97,7 @@ def test_grid_roundtrip_bit_exact(tmp_path):
 def test_roundtrip_preserves_residual_bitwise(tmp_path):
     # the whole point of the 17-digit format: downstream numbers cannot move
     path = tmp_path / "grid.csv"
-    grid = rasterize(GaussianWignerSpec.pure_state(2.0))
+    grid = state_grid(GaussianWignerSpec.pure_state(2.0))
     save_grid(path, grid)
     loaded, _ = load_grid(path)
     assert identity_residual(loaded) == identity_residual(grid)

@@ -24,7 +24,6 @@ from sqvac import (
     GridGeometry,
     WignerGrid,
     coherent_state,
-    default_geometry,
     grid_metrics,
     identity_residual,
     l1_relative_residual,
@@ -36,6 +35,7 @@ from sqvac import (
     refined_geometry,
     renormalize,
     squeezed_vacuum,
+    state_grid,
     wigner_from_density,
     wigner_value,
 )
@@ -62,8 +62,10 @@ def test_geometry_validation():
         GridGeometry(6.0, 32)   # even
     with pytest.raises(GeometryError):
         GridGeometry(6.0, 31)   # too small
-    with pytest.raises(GeometryError):
-        GridGeometry(-1.0, 257)
+    # non-finite extents and steps are refused before any axis exists
+    for extent in (-1.0, 0.0, math.nan, math.inf, 1e308, 5e-324):
+        with pytest.raises(GeometryError):
+            GridGeometry(extent, 257)
 
 
 def test_geometry_steps_and_axes():
@@ -72,8 +74,6 @@ def test_geometry_steps_and_axes():
     axis = g.axis()
     assert axis[0] == -12.0 and abs(axis[-1] - 12.0) < 1e-12
     assert axis.size == 257
-    assert GridGeometry(18.0) == GridGeometry(18.0, 257)
-    assert GridGeometry(18.000001) == GridGeometry(18.000001, 513)
 
 
 def test_policy_extent():
@@ -83,17 +83,34 @@ def test_policy_extent():
     assert policy_extent(4.0) == 24.0
 
 
+def layout(grid):
+    """The square geometry a grid was built on."""
+    assert (grid.p0, grid.dp, grid.num_p) == (grid.x0, grid.dx, grid.nx)
+    return GridGeometry(-grid.x0, grid.nx)
+
+
 def test_default_geometry_policy():
-    assert default_geometry(PURE2) == GridGeometry(12.0, 257)
-    assert default_geometry(IMPURE) == GridGeometry(24.0, 513)
-    assert default_geometry(GaussianWignerSpec.pure_state(1.0)) \
-        == GridGeometry(6.0, 257)
+    assert layout(state_grid(PURE2)) == GridGeometry(12.0, 257)
+    assert layout(state_grid(IMPURE)) == GridGeometry(24.0, 513)
+    assert layout(state_grid(GaussianWignerSpec.pure_state(1.0))) == GridGeometry(6.0, 257)
     # number-basis states: sqrt(2) rms is the gaussian-equivalent width
-    fock2 = default_geometry(squeezed_vacuum(-math.log(2.0), 68))
+    fock2 = layout(state_grid(squeezed_vacuum(-math.log(2.0), 68)))
     assert fock2.extent == pytest.approx(12.0, rel=1e-12) and fock2.points == 257
-    strong = default_geometry(squeezed_vacuum(-math.log(4.0), 300))
+    strong = layout(state_grid(squeezed_vacuum(-math.log(4.0), 300)))
     assert strong.extent == pytest.approx(24.0, rel=1e-12) and strong.points == 513
-    assert default_geometry(FockVector(8, np.eye(8)[0])) == GridGeometry(6.0, 257)
+    assert layout(state_grid(FockVector(8, np.eye(8)[0]))) == GridGeometry(6.0, 257)
+    # the point count doubles once the extent passes 18 (strong squeezing)
+    assert layout(state_grid(PURE2, extent=18.0)) == GridGeometry(18.0, 257)
+    assert layout(state_grid(PURE2, extent=18.000001)) == GridGeometry(18.000001, 513)
+    # a given value replaces its default, the other stays the policy's
+    assert layout(state_grid(PURE2, points=513)) == GridGeometry(12.0, 513)
+    assert layout(state_grid(PURE2, extent=10.0)) == GridGeometry(10.0, 257)
+
+
+def test_state_grid_refuses_unresolved_transform():
+    # sigma_x = 1/2 has 1.3 points per narrowest width on 65 points
+    with pytest.raises(GeometryError, match="normalization drift .* 65-point grid.*--points"):
+        state_grid(squeezed_vacuum(math.log(2.0)), points=65)
 
 
 def test_refined_geometry_policy():
@@ -121,7 +138,7 @@ def test_grid_integral_of_constant():
 
 
 def test_with_values_keeps_layout():
-    grid = rasterize(PURE2)
+    grid = state_grid(PURE2)
     doubled = grid.with_values(2.0 * grid.values)
     assert doubled.x0 == grid.x0 and doubled.dx == grid.dx
     assert doubled.integral() == pytest.approx(2.0 * grid.integral(), rel=1e-14)
@@ -140,7 +157,7 @@ def test_rasterize_orientation():
     # values[i, j] must be W(xs[i], ps[j]) -- checked off-axis on a rotated,
     # anisotropic state where a transpose would be loud
     spec = GaussianWignerSpec.single(4.0, 0.5, theta=0.4)
-    grid = rasterize(spec)
+    grid = state_grid(spec)
     for i, j in [(40, 300), (128, 60), (200, 256)]:
         assert grid.values[i, j] == pytest.approx(
             float(wigner_value(spec, grid.xs[i], grid.ps[j])), rel=1e-13
@@ -149,11 +166,13 @@ def test_rasterize_orientation():
 
 def test_rasterize_rejects_unknown_spec():
     with pytest.raises(ConfigurationError):
-        rasterize(3.0)
+        rasterize(3.0, GridGeometry(6.0, 33))
+    with pytest.raises(ConfigurationError):
+        state_grid(3.0)
 
 
 def test_rasterize_default_geometry_normalized():
-    m = grid_metrics(rasterize(PURE2))
+    m = grid_metrics(state_grid(PURE2))
     assert m.integral == pytest.approx(1.0, abs=1e-9)
     assert m.purity == pytest.approx(1.0, abs=1e-8)
     assert m.mean_photon == pytest.approx(0.5625, abs=1e-8)  # sinh^2(ln 2)
@@ -181,7 +200,7 @@ def laguerre_wigner(rho, x, p):
 
 def test_transform_single_photon():
     vec = FockVector(8, np.eye(8)[1])
-    grid = wigner_from_density(vec)
+    grid = state_grid(vec)
     s = grid.xs[:, None] ** 2 + grid.ps[None, :] ** 2
     closed = (2.0 * s - 1.0) * np.exp(-s) / math.pi
     assert np.max(np.abs(grid.values - closed)) < 1e-8
@@ -198,7 +217,7 @@ def test_transform_single_photon():
     ]
     for state in states:
         rho = state if isinstance(state, DensityMatrix) else DensityMatrix.from_pure(state)
-        grid = wigner_from_density(state)
+        grid = state_grid(state)
         oracle = laguerre_wigner(rho.elems, grid.xs[:, None], grid.ps[None, :])
         assert np.max(np.abs(grid.values - oracle)) < 1e-10
     assert np.max(np.abs(oracle - oracle[:, ::-1])) > 0.1
@@ -206,7 +225,7 @@ def test_transform_single_photon():
 
 def test_transform_squeezed_matches_closed_form():
     z = -math.log(2.0)  # sigma_x = 2
-    grid = wigner_from_density(squeezed_vacuum(z, 68))
+    grid = state_grid(squeezed_vacuum(z, 68))
     closed = wigner_value(PURE2, grid.xs[:, None], grid.ps[None, :])
     assert np.max(np.abs(grid.values - closed)) < 1e-7
 
@@ -214,10 +233,9 @@ def test_transform_squeezed_matches_closed_form():
     # put a ghost at p +- pi/dx) and, on a grid fine enough for the
     # stencils, the identity holds.
     state = squeezed_vacuum(1.0)
-    grid = wigner_from_density(state)
+    grid = state_grid(state)
     assert grid.boundary_max() <= BOUNDARY_DECAY
-    extent = default_geometry(state).extent
-    fine = wigner_from_density(state, GridGeometry(extent, 769))
+    fine = state_grid(state, points=769)
     assert identity_residual(fine).residual < 1e-4
 
 
@@ -228,13 +246,13 @@ def test_transform_rotated_squeezed_matches_rotated_spec():
     vac = squeezed_vacuum(z, 68)
     rotated = FockVector(68, vac.amps * np.exp(1j * theta * np.arange(68)))
     spec = GaussianWignerSpec.pure_state(math.exp(-z), theta)
-    geometry = default_geometry(spec)
+    geometry = GridGeometry(policy_extent(spec.widths()[1]), 257)
     grid = wigner_from_density(rotated, geometry)
     assert np.max(np.abs(grid.values - rasterize(spec, geometry).values)) < 1e-8
 
 
 def test_transform_coherent_is_shifted_vacuum():
-    grid = wigner_from_density(coherent_state(1.0, 40))
+    grid = state_grid(coherent_state(1.0, 40))
     closed = np.exp(
         -((grid.xs[:, None] - math.sqrt(2.0)) ** 2) - grid.ps[None, :] ** 2
     ) / math.pi
@@ -246,7 +264,7 @@ def test_transform_mixture_metrics():
         [0.5, 0.5],
         [FockVector(12, np.eye(12)[0]), FockVector(12, np.eye(12)[2])],
     )
-    m = grid_metrics(wigner_from_density(rho))
+    m = grid_metrics(state_grid(rho))
     assert m.integral == pytest.approx(1.0, abs=1e-6)
     assert m.purity == pytest.approx(0.5, abs=1e-6)
     assert m.mean_photon == pytest.approx(1.0, abs=1e-6)
@@ -260,7 +278,7 @@ def test_transform_undersized_grid_refused():
 
 def test_transform_rejects_unknown_input():
     with pytest.raises(ConfigurationError):
-        wigner_from_density(np.zeros((4, 4)))
+        wigner_from_density(np.zeros((4, 4)), GridGeometry(6.0, 33))
 
 
 # ----------------------------------------------------------- photon outcomes
@@ -313,7 +331,7 @@ def test_impure_state_breaks_identity():
 
 
 def test_vacuum_input_degenerate():
-    grid = rasterize(GaussianWignerSpec.pure_state(1.0))
+    grid = state_grid(GaussianWignerSpec.pure_state(1.0))
     with pytest.raises(DegenerateInputError):
         identity_residual(grid)
     with pytest.raises(DegenerateInputError):
@@ -380,7 +398,7 @@ def full_array_outcomes(grid):
 def grid_of(spec, nx, num_p):
     """A spec sampled on an nx x num_p grid over the default extent; grid
     geometries are square, so a rectangular one is built directly."""
-    extent = default_geometry(spec).extent
+    extent = policy_extent(spec.widths()[1])
     dx, dp = 2.0 * extent / (nx - 1), 2.0 * extent / (num_p - 1)
     xs, ps = -extent + np.arange(nx) * dx, -extent + np.arange(num_p) * dp
     return WignerGrid(-extent, dx, -extent, dp, wigner_value(spec, xs[:, None], ps[None, :]))
@@ -474,7 +492,7 @@ def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
 
     assert _map_blocks(early_blocks_slowest, range(4)) == [0, 1, 2, 3]
     # several blocks in every pass: 5 in rasterize, 9 in the outcome passes
-    geometry = GridGeometry(default_geometry(SKEW).extent, 513)
+    geometry = GridGeometry(policy_extent(SKEW.widths()[1]), 513)
     axis = geometry.axis()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
@@ -503,8 +521,8 @@ def support_grid(n, rows, cols):
 
 CLIPPED_CASES = {
     # the squeezed axis of W underflows to 0.0 over most of the grid
-    "sx4-th0": lambda: rasterize(GaussianWignerSpec.pure_state(4.0)),
-    "sx4-th0.7854": lambda: rasterize(GaussianWignerSpec.pure_state(4.0, math.pi / 4)),
+    "sx4-th0": lambda: state_grid(GaussianWignerSpec.pure_state(4.0)),
+    "sx4-th0.7854": lambda: state_grid(GaussianWignerSpec.pure_state(4.0, math.pi / 4)),
     # support 3-6 columns (rows) from both edges: the one-sided stencils of
     # the two edge columns reach it up to 5 away
     **{f"cols-from-edge-{k}": (lambda k=k: support_grid(129, slice(20, 109), slice(k, 129 - k)))
@@ -599,7 +617,7 @@ def test_outcome_integrals_match_full_array_oracle(nx, num_p, sx, sp, theta):
 def test_outcome_integrals_of_transformed_coherent_state():
     # off-axis amplitude: <a a^dag> = 1 + |alpha|^2 and <a^dag a> = |alpha|^2
     alpha = 0.8 + 0.6j
-    grid = wigner_from_density(coherent_state(alpha, 40))
+    grid = state_grid(coherent_state(alpha, 40))
     ia, isub = outcome_integrals(grid)
     want_a, want_s = _simpson_integrals(grid)
     assert _rel(ia, want_a) < 1e-12
@@ -610,7 +628,7 @@ def test_outcome_integrals_of_transformed_coherent_state():
 
 def test_strided_values_give_bitwise_results():
     # io.load_grid builds its grid from a column view of the parsed table
-    grid = rasterize(SKEW)
+    grid = state_grid(SKEW)
     table = np.zeros((grid.nx * grid.num_p, 3))
     table[:, 2] = grid.values.ravel()
     view = table[:, 2].reshape(grid.nx, grid.num_p)
