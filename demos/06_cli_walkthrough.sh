@@ -20,9 +20,10 @@ sqvac residual --grid "$out/grid.csv"
 echo "# 4. the renormalized photon-added outcome (R_used ~ 25/9)"
 sqvac add --grid "$out/grid.csv" -o "$out/added.csv"
 
-echo "# 5. the same flow from the number basis"
+echo "# 5. the same flow from the number basis (the transform replaces rasterizing)"
 sqvac state --kind squeezed --sigma-x 2 --trunc 68 -o "$out/fock.json"
-sqvac add --state "$out/fock.json" -o "$out/added_fock.csv"
+sqvac wigner --state "$out/fock.json" -o "$out/fockgrid.csv"
+sqvac add --grid "$out/fockgrid.csv" -o "$out/added_fock.csv"
 
 echo "# 6. vacuum input is refused (exit 1, the sigma_x = 1 exclusion)"
 sqvac state --kind pure --sigma-x 1 -o "$out/vac.json"

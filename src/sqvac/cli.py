@@ -2,11 +2,12 @@
 
 Subcommands build state files, turn them into phase-space grids, apply the
 one-photon operations, check the identity residual, emit figure data and run
-the verification suites. Every command is deterministic given its flags;
-`verify` takes no bound or basis-size flags. `phasespace.state_grid` builds
-every grid from a state file and refuses one that does not resolve the state
-(normalization drift above NORMALIZATION_DRIFT); `state` refuses a basis
-past the transform's cap before building it.
+the verification suites. Each grid command has one way in: `wigner` reads a
+state file and `add`, `sub` and `residual` a grid file. `phasespace.state_grid`
+builds every grid from a state, on an extent derived from it, and refuses one
+that does not resolve it (drift above NORMALIZATION_DRIFT); `state` refuses a
+basis past the transform's cap. Commands are deterministic: `verify` takes no
+bound or basis-size flags, and only `figure` takes a `--seed`, for headers.
 
 Exit codes: 0 success, 1 failed assertion or degenerate input, 2 usage or
 configuration error.
@@ -18,8 +19,7 @@ import os
 import sys
 
 from . import io as sqio
-from .errors import (ConfigurationError, DegenerateInputError, DomainError,
-                     GeometryError, TruncationError)
+from .errors import ConfigurationError, DegenerateInputError, SqvacError, TruncationError
 from .fock import coherent_state, squeezed_vacuum, suggested_truncation
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, squeeze_parameter
 from .phasespace import (check_basis_size, identity_residual, outcome_integrals,
@@ -114,35 +114,20 @@ def _cmd_state(args) -> int:
     return 0
 
 
-def _grid_comments(args) -> list:
-    comments = [f"cmd: {args.command}"]
-    if getattr(args, "seed", None) is not None:
-        comments.append(f"seed {args.seed}")
-    return comments
-
-
 def _cmd_wigner(args) -> int:
-    grid = state_grid(sqio.load_state(args.state), args.extent, args.points)
+    grid = state_grid(sqio.load_state(args.state), args.points)
     path = _resolve_out(args.out, "wigner.csv")
-    sqio.save_grid(path, grid, _grid_comments(args))
+    sqio.save_grid(path, grid, [f"cmd: {args.command}"])
     print(path)
     return 0
 
 
 def _cmd_outcome(args) -> int:
-    if args.grid:
-        for name in ("state", "extent", "points"):
-            if getattr(args, name) is not None:
-                raise ConfigurationError(f"{args.command} --grid does not use --{name}")
-        grid, _ = sqio.load_grid(args.grid)
-    elif args.state:
-        grid = state_grid(sqio.load_state(args.state), args.extent, args.points)
-    else:
-        raise ConfigurationError(f"{args.command} needs --grid or --state")
+    grid, _ = sqio.load_grid(args.grid)
     ratio = outcome_norm_ratio(*outcome_integrals(grid))
     outcome = renormalize(photon_outcomes(grid)[0 if args.command == "add" else 1])
     path = _resolve_out(args.out, f"{args.command}.csv")
-    sqio.save_grid(path, outcome, _grid_comments(args))
+    sqio.save_grid(path, outcome, [f"cmd: {args.command}"])
     print(path)
     print(f"R_used={ratio:.17g}")
     return 0
@@ -212,20 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("wigner", help="state file -> grid CSV")
     pw.add_argument("--state", required=True)
-    pw.add_argument("--extent", type=float)
     pw.add_argument("--points", type=int)
-    pw.add_argument("--seed", type=int, help="recorded in the header; unused")
     pw.add_argument("-o", "--out")
     pw.set_defaults(func=_cmd_wigner)
 
     for name, help_text in (("add", "renormalized photon-added outcome"),
                             ("sub", "renormalized photon-subtracted outcome")):
         po = sub.add_parser(name, help=help_text)
-        po.add_argument("--grid")
-        po.add_argument("--state")
-        po.add_argument("--extent", type=float)
-        po.add_argument("--points", type=int)
-        po.add_argument("--seed", type=int, help="recorded in the header; unused")
+        po.add_argument("--grid", required=True)
         po.add_argument("-o", "--out")
         po.set_defaults(func=_cmd_outcome)
 
@@ -257,15 +236,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (DegenerateInputError, TruncationError) as exc:
+    except (SqvacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigurationError, DomainError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (DegenerateInputError, TruncationError)) else 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import stat
+import sys
 import uuid
 from functools import partial
 from io import StringIO
@@ -31,6 +32,7 @@ from . import phasespace
 from .phasespace import WignerGrid, _row_blocks
 
 GRID_MAGIC = "wigner-grid-v1"
+_COMPONENT_KEYS = ("weight", "theta", "sigma_x", "sigma_p")
 
 
 def atomic_write(path, chunks):
@@ -66,32 +68,43 @@ def state_to_obj(state) -> dict:
     if isinstance(state, GaussianWignerSpec):
         return {
             "format": "gauss-v1",
-            "components": [
-                {"weight": c.weight, "theta": c.theta,
-                 "sigma_x": c.sigma_x, "sigma_p": c.sigma_p}
-                for c in state.components
-            ],
+            "components": [{k: getattr(c, k) for k in _COMPONENT_KEYS}
+                           for c in state.components],
         }
     if isinstance(state, AngularAverageSpec):
         return {"format": "angavg-v1", "sigma_x": state.sigma_x}
     raise ConfigurationError(f"no serialization for {type(state).__name__}")
 
 
-def obj_to_state(obj: dict):
+def _number(value, what: str) -> float:
+    # abs() also bounds integers past the float range
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigurationError(f"{what} must be a finite number, found {value!r}")
+
+
+def obj_to_state(obj):
+    """The state a ``state_to_obj`` object describes, and the one reader of
+    state objects: any other object is a ConfigurationError."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"a state is a JSON object, not {type(obj).__name__}")
     fmt = obj.get("format")
     if fmt == "fock-v1":
-        amps = np.array([complex(re, im) for re, im in obj["amps"]])
-        if len(amps) != int(obj["trunc"]):
-            raise ConfigurationError("fock-v1: amps length disagrees with trunc")
-        return FockVector(int(obj["trunc"]), amps)
+        trunc, pairs = obj.get("trunc"), obj.get("amps")
+        if not (type(trunc) is int and isinstance(pairs, list) and len(pairs) == trunc
+                and all(isinstance(a, list) and len(a) == 2 for a in pairs)):
+            raise ConfigurationError("fock-v1 needs an integer trunc and trunc [re, im] amps")
+        return FockVector(trunc, np.array([complex(*(_number(v, "fock-v1 amplitude") for v in a))
+                                           for a in pairs]))
     if fmt == "gauss-v1":
-        comps = tuple(
-            GaussianComponent(c["weight"], c["theta"], c["sigma_x"], c["sigma_p"])
-            for c in obj["components"]
-        )
-        return GaussianWignerSpec(comps)
+        comps = obj.get("components")
+        if not (isinstance(comps, list) and all(isinstance(c, dict) for c in comps)):
+            raise ConfigurationError("gauss-v1 components must be a list of JSON objects")
+        return GaussianWignerSpec(tuple(GaussianComponent(
+            *(_number(c.get(k), f"gauss-v1 {k}") for k in _COMPONENT_KEYS)) for c in comps))
     if fmt == "angavg-v1":
-        return AngularAverageSpec(obj["sigma_x"])
+        return AngularAverageSpec(_number(obj.get("sigma_x"), "angavg-v1 sigma_x"))
     raise ConfigurationError(f"unknown state format {fmt!r}")
 
 
@@ -101,8 +114,12 @@ def save_state(path, state):
 
 
 def load_state(path):
-    with open(path) as fh:
-        return obj_to_state(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigurationError(f"{path}: not a state JSON file: {exc}") from None
+    return obj_to_state(obj)
 
 
 # --- grid CSV ---
@@ -178,48 +195,56 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
     floats, the x and p columns as text, which must be exactly what
     ``save_grid`` writes for the header layout. So a coordinate with the
     right value in other digits is refused, and so is a header naming more
-    rows than a regular file's size could hold.
+    rows than a regular file's size could hold, or a byte anywhere in the
+    file that is not UTF-8 text.
     """
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 8 or header[:2] != ["#", GRID_MAGIC]:
-            raise ConfigurationError(f"{path}: not a {GRID_MAGIC} file")
-        try:
-            x0, dx, nx = float(header[2]), float(header[3]), int(header[4])
-            p0, dp, num_p = float(header[5]), float(header[6]), int(header[7])
-        except ValueError:
-            raise ConfigurationError(f"{path}: malformed {GRID_MAGIC} header") from None
-        # every data row takes at least 6 bytes ("0,0,0\n"): a layout a regular
-        # file cannot hold is refused before its values are allocated (a pipe
-        # has no size to check)
-        st = os.fstat(fh.fileno())
-        if min(nx, num_p) < 0 or (stat.S_ISREG(st.st_mode) and 6 * nx * num_p > st.st_size):
-            raise ConfigurationError(
-                f"{path}: the file is too small for the {nx} x {num_p} rows its header names")
-        values = np.empty((nx, num_p))
-        comments = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_grid(fh, path)
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: holds bytes that are not UTF-8 text") from None
+
+
+def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
+    header = fh.readline().split()
+    if len(header) != 8 or header[:2] != ["#", GRID_MAGIC]:
+        raise ConfigurationError(f"{path}: not a {GRID_MAGIC} file")
+    try:
+        x0, dx, nx = float(header[2]), float(header[3]), int(header[4])
+        p0, dp, num_p = float(header[5]), float(header[6]), int(header[7])
+    except ValueError:
+        raise ConfigurationError(f"{path}: malformed {GRID_MAGIC} header") from None
+    # every data row takes at least 6 bytes ("0,0,0\n"): a layout a regular
+    # file cannot hold is refused before its values are allocated (a pipe
+    # has no size to check)
+    st = os.fstat(fh.fileno())
+    if min(nx, num_p) < 0 or (stat.S_ISREG(st.st_mode) and 6 * nx * num_p > st.st_size):
+        raise ConfigurationError(
+            f"{path}: the file is too small for the {nx} x {num_p} rows its header names")
+    values = np.empty((nx, num_p))
+    comments = []
+    line = fh.readline()
+    while line.startswith("#"):
+        comments.append(line[1:].strip())
         line = fh.readline()
-        while line.startswith("#"):
-            comments.append(line[1:].strip())
-            line = fh.readline()
-        grid = WignerGrid(x0, dx, p0, dp, values)
-        x_text, p_text = _coordinate_text(grid.xs), _coordinate_text(grid.ps)
-        flat = grid.values.reshape(-1)
-        done = 0
-        for text in _line_chunks(fh, line):
-            try:
-                table = np.loadtxt(StringIO(text), delimiter=",", comments=None,
-                                   dtype=_ROW_FIELDS, ndmin=1)
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}: {exc}") from None
-            stop = done + table.size
-            if stop > flat.size:
-                raise ConfigurationError(f"{path}: expected {flat.size} rows, found more")
-            rows, cols = np.divmod(np.arange(done, stop), num_p)
-            if not (_same_text(table["x"], x_text[rows]) and _same_text(table["p"], p_text[cols])):
-                raise ConfigurationError(f"{path}: coordinate columns disagree with header layout")
-            flat[done:stop] = table["value"]
-            done = stop
+    grid = WignerGrid(x0, dx, p0, dp, values)
+    x_text, p_text = _coordinate_text(grid.xs), _coordinate_text(grid.ps)
+    flat = grid.values.reshape(-1)
+    done = 0
+    for text in _line_chunks(fh, line):
+        try:
+            table = np.loadtxt(StringIO(text), delimiter=",", comments=None,
+                               dtype=_ROW_FIELDS, ndmin=1)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+        stop = done + table.size
+        if stop > flat.size:
+            raise ConfigurationError(f"{path}: expected {flat.size} rows, found more")
+        rows, cols = np.divmod(np.arange(done, stop), num_p)
+        if not (_same_text(table["x"], x_text[rows]) and _same_text(table["p"], p_text[cols])):
+            raise ConfigurationError(f"{path}: coordinate columns disagree with header layout")
+        flat[done:stop] = table["value"]
+        done = stop
     if done != flat.size:
         raise ConfigurationError(f"{path}: expected {flat.size} rows, found {done}")
     if not np.all(np.isfinite(flat)):

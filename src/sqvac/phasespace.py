@@ -45,6 +45,7 @@ from .gaussian import AngularAverageSpec, GaussianWignerSpec, wigner_value
 from .special import HERMITE_DEGREE_CAP, hermite_psi_table
 
 _MIN_POINTS = 33
+_MAX_POINTS = 8193  # an 8193^2 W is 537 MB; the finest suite grid has 6145 points
 #: Absolute decay required of inputs on the grid boundary before differencing.
 BOUNDARY_DECAY = 1e-12
 #: Below this integral, renormalization refuses (vacuum after subtraction).
@@ -118,13 +119,15 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
 @dataclass(frozen=True)
 class GridGeometry:
     """Square geometry: x and p both span [-extent, extent] at ``points``
-    points, refused unless the step is positive and finite."""
+    points, at most _MAX_POINTS, on a step that must be positive and finite."""
 
     extent: float
     points: int
 
     def __post_init__(self):
         _validate_count(self.points)
+        if self.points > _MAX_POINTS:
+            raise GeometryError(f"{self.points} points per axis exceed the cap of {_MAX_POINTS}")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise GeometryError(f"extent {self.extent!r} gives the grid step "
                                 f"{self.step!r}; both must be positive and finite")
@@ -331,29 +334,27 @@ def wigner_from_density(state, geometry: GridGeometry) -> WignerGrid:
     return WignerGrid.from_geometry(geometry, values)
 
 
-def state_grid(state, extent: float | None = None, points: int | None = None) -> WignerGrid:
+def state_grid(state, points: int | None = None) -> WignerGrid:
     """Grid of a gaussian spec (rasterized) or a number-basis state
     (transformed) on its default geometry, the one casual-use grid policy.
 
-    The extent is ``policy_extent`` of the widest width, for a number-basis
-    state sqrt(2) * rms from the one density matrix the transform also takes;
-    the point count is 257, or 513 once the extent passes 18. A given
-    ``extent`` or ``points`` replaces its default. Raises ConfigurationError
-    for a basis too large for the transform, and GeometryError when the grid
-    does not resolve the state: its integral drifts by over NORMALIZATION_DRIFT.
+    The extent is always ``policy_extent`` of the widest width, for a
+    number-basis state sqrt(2) * rms from the one density matrix the
+    transform also takes; ``points`` defaults to 257, or 513 once the extent
+    passes 18. Raises ConfigurationError for a basis too large for the
+    transform, and GeometryError when the grid does not resolve the state:
+    its integral drifts by over NORMALIZATION_DRIFT.
     """
     rho = None
     if isinstance(state, (FockVector, DensityMatrix)):
         rho = _transformable_density(state)
-        if extent is None:
-            extent = policy_extent(np.sqrt(2.0 * max(quadrature_moments(rho))))
-    elif not isinstance(state, (GaussianWignerSpec, AngularAverageSpec)):
-        raise ConfigurationError(f"state_grid cannot handle {type(state).__name__}")
-    elif extent is None:
+        extent = policy_extent(np.sqrt(2.0 * max(quadrature_moments(rho))))
+    elif isinstance(state, (GaussianWignerSpec, AngularAverageSpec)):
         extent = policy_extent(state.widths()[1])
-    if points is None:
-        points = 257 if extent <= 18.0 else 513
-    geometry = GridGeometry(extent, points)
+    else:
+        raise ConfigurationError(f"state_grid cannot handle {type(state).__name__}")
+    default_points = 257 if extent <= 18.0 else 513
+    geometry = GridGeometry(extent, default_points if points is None else points)
     grid = rasterize(state, geometry) if rho is None else wigner_from_density(rho, geometry)
     drift = abs(grid.integral() - 1.0)
     if not drift <= NORMALIZATION_DRIFT:

@@ -17,6 +17,8 @@ from sqvac import (
     GridGeometry,
     WignerGrid,
     identity_residual,
+    photon_outcomes,
+    renormalize,
     state_grid,
 )
 from sqvac import verify
@@ -92,38 +94,39 @@ def test_add_sub_and_residual_print_the_same_ratio(tmp_path, capsys):
 
 def test_fock_state_pipeline(tmp_path, capsys):
     state = tmp_path / "squeezed.json"
-    grid_path = tmp_path / "grid.csv"
+    grid_path, add_path, lib_path = (tmp_path / n for n in ("grid.csv", "add.csv", "lib.csv"))
     run(capsys, "state", "--kind", "squeezed", "--sigma-x", "2",
         "--trunc", "68", "-o", str(state))
     assert run(capsys, "wigner", "--state", str(state),
                "-o", str(grid_path))[0] == 0
-    grid, _ = load_grid(grid_path)
+    grid, comments = load_grid(grid_path)
+    assert comments == ["cmd: wigner"]
     center = grid.values[grid.nx // 2, grid.num_p // 2]
     assert center == pytest.approx(1.0 / math.pi, abs=1e-6)
-    code, out, _ = run(capsys, "add", "--state", str(state),
-                       "-o", str(tmp_path / "add.csv"))
+    code, out, _ = run(capsys, "add", "--grid", str(grid_path), "-o", str(add_path))
     assert code == 0
     assert parsed_lines(out)["R_used"] == pytest.approx(25.0 / 9.0, abs=1e-3)
+    # the two commands write the bytes the library gives for the state
+    outcome = renormalize(photon_outcomes(state_grid(load_state(state)))[0])
+    save_grid(lib_path, outcome, ["cmd: add"])
+    assert add_path.read_bytes() == lib_path.read_bytes()
 
 
 def test_wigner_geometry_flags(tmp_path, capsys):
+    # --points sets the point count; the extent, 6 sigma_x, is the state's
     state = tmp_path / "pure.json"
     grid_path = tmp_path / "grid.csv"
     run(capsys, "state", "--kind", "pure", "--sigma-x", "2", "-o", str(state))
-    run(capsys, "wigner", "--state", str(state), "--extent", "14",
-        "--points", "257", "-o", str(grid_path))
+    run(capsys, "wigner", "--state", str(state), "--points", "513", "-o", str(grid_path))
     grid, _ = load_grid(grid_path)
-    assert grid.x0 == -14.0 and grid.nx == 257
+    assert grid.x0 == -12.0 and grid.nx == 513
 
 
 def test_seed_recorded_in_header(tmp_path, capsys):
-    state = tmp_path / "pure.json"
-    grid_path = tmp_path / "grid.csv"
-    run(capsys, "state", "--kind", "pure", "--sigma-x", "2", "-o", str(state))
-    run(capsys, "wigner", "--state", str(state), "--seed", "11",
-        "-o", str(grid_path))
-    _, comments = load_grid(grid_path)
-    assert "seed 11" in comments and "cmd: wigner" in comments
+    code, out, _ = run(capsys, "figure", "fig3", "--seed", "11", "-o", str(tmp_path))
+    assert code == 0
+    for path in out.splitlines():
+        assert "# seed 11\n" in open(path).readlines()
 
 
 # --------------------------------------------------------------- exit codes
@@ -188,7 +191,7 @@ def test_extreme_width_rasterizes_without_warnings(tmp_path, capsys, recwarn):
 
 
 @pytest.mark.parametrize("sigma", ["50", "1e-8"])
-@pytest.mark.parametrize("cmd", ["wigner", "add"])
+@pytest.mark.parametrize("cmd", ["wigner"])
 def test_unresolved_grid_refused_without_output(tmp_path, capsys, cmd, sigma):
     # the default 513-point grid spans 6 sigma_x = 300 for sigma_x = 50, so it
     # undersamples the sigma_p = 0.02 ridge; sigma_x = 1e-8 undersamples itself
@@ -306,17 +309,30 @@ def test_state_refuses_flags_its_kind_ignores(tmp_path, capsys, argv, flag):
         ("--points", "769"),
         ("--extent", "3"),
         ("--state", "missing.json"),
+        ("--seed", "11"),
     ],
 )
 def test_outcome_from_grid_refuses_state_and_geometry_flags(tmp_path, capsys, cmd, extra):
-    # the grid file fixes the state and the geometry; these flags would be ignored
+    # the grid file fixes the state and the geometry: add and sub take no
+    # other input, and nothing is random
     grid_path = tmp_path / "w.csv"
     save_grid(grid_path, state_grid(GaussianWignerSpec.pure_state(2.0)))
     out_path = tmp_path / f"{cmd}.csv"
     code, out, err = run(capsys, cmd, "--grid", str(grid_path), *extra, "-o", str(out_path))
     assert code == 2 and out == ""
-    assert "--grid does not use" in err
-    assert any(flag in err for flag in extra if flag.startswith("--"))
+    assert "unrecognized arguments: " + " ".join(extra) in err
+    assert not out_path.exists()
+
+
+def test_wigner_refuses_seed(tmp_path, capsys):
+    # nothing is random; test_non_finite_extent_or_step_refused_before_the_build
+    # covers wigner --extent
+    state, out_path = tmp_path / "pure.json", tmp_path / "w.csv"
+    run(capsys, "state", "--kind", "pure", "--sigma-x", "2", "-o", str(state))
+    code, out, err = run(capsys, "wigner", "--state", str(state), "--seed", "11",
+                         "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 11" in err
     assert not out_path.exists()
 
 
@@ -343,7 +359,7 @@ def test_truncation_refusal_is_exit_one(tmp_path, capsys):
         ("state", "--kind", "pure"),          # missing --sigma-x
         ("verify", "--suite", "nope"),
         ("figure", "fig9"),
-        ("add",),                             # neither --grid nor --state
+        ("add",),                             # no --grid
         # verify's bounds are pinned: it has no --tol
         ("verify", "--suite", "fock-ratio", "--tol", "junk"),
         ("verify", "--suite", "fock-ratio", "--tol", "ratio=-1"),
@@ -378,7 +394,7 @@ def oversized_state(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("cmd", ["wigner", "add", "sub"])
+@pytest.mark.parametrize("cmd", ["wigner"])
 def test_state_too_large_for_transform_refused_without_output(tmp_path, capsys,
                                                               oversized_state, cmd):
     # refused before the trunc^2 density matrix is built
@@ -419,15 +435,79 @@ def test_state_refuses_a_basis_no_grid_command_takes(tmp_path, capsys, recwarn, 
                                   ("--kind", "squeezed", "--z", "0.5")])
 def test_non_finite_extent_or_step_refused_before_the_build(tmp_path, capsys, recwarn,
                                                              kind, cmd, extent):
-    # --extent 1e308 is finite, but its step 2 * extent / 512 is not
-    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    # an extent whose value (inf) or step (1e308) is not finite once reached
+    # the build; no grid command takes --extent now, so it is a usage error
+    state, grid_path, out_path = (tmp_path / n for n in ("state.json", "w.csv", "out.csv"))
     assert run(capsys, "state", *kind, "-o", str(state))[0] == 0
-    code, out, err = run(capsys, cmd, "--state", str(state), "--extent", extent,
-                         "-o", str(out_path))
+    source = ("--state", str(state))
+    if cmd == "add":
+        assert run(capsys, "wigner", *source, "-o", str(grid_path))[0] == 0
+        source = ("--grid", str(grid_path))
+    code, out, err = run(capsys, cmd, *source, "--extent", extent, "-o", str(out_path))
     assert code == 2 and out == ""
-    assert "positive and finite" in err and err.count("\n") == 1
+    assert f"unrecognized arguments: --extent {extent}" in err
     assert not out_path.exists()
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("kind", [("--kind", "pure", "--sigma-x", "2"),
+                                  ("--kind", "squeezed", "--z", "0.5")])
+def test_point_count_past_the_cap_refused_before_the_build(tmp_path, capsys, kind):
+    # 100000001^2 values would take 71 PiB
+    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    assert run(capsys, "state", *kind, "-o", str(state))[0] == 0
+    code, out, err = run(capsys, "wigner", "--state", str(state), "--points", "100000001",
+                         "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap of 8193" in err
+    assert not out_path.exists()
+
+
+_AMPS = [[1.0, 0.0], [0.0, 0.0]]
+_COMPONENT = {"weight": 1.0, "theta": 0.0, "sigma_x": 2.0, "sigma_p": 0.5}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"format": "fock-v1"}),
+    json.dumps({"format": "gauss-v1",
+                "components": [{k: v for k, v in _COMPONENT.items() if k != "theta"}]}),
+    "[1, 2]",
+    "not json",
+    json.dumps({"format": "fock-v1", "trunc": "abc", "amps": _AMPS}),
+    json.dumps({"format": "fock-v1", "trunc": 2, "amps": [[1.0], [0.0, 0.0]]}),
+    json.dumps({"format": "gauss-v1", "components": [dict(_COMPONENT, sigma_x="2")]}),
+    json.dumps({"format": "gauss-v1", "components": [dict(_COMPONENT, sigma_p=None)]}),
+    json.dumps({"format": "fock-v1", "trunc": 2, "amps": [["x", 0.0], [0.0, 0.0]]}),
+    # once read as trunc 2
+    json.dumps({"format": "fock-v1", "trunc": 2.7, "amps": _AMPS}),
+], ids=["fock-no-fields", "gauss-no-theta", "list", "not-json", "trunc-text", "short-pair",
+        "width-text", "width-null", "amplitude-text", "trunc-fraction"])
+def test_malformed_state_file_refused_without_output(tmp_path, capsys, text):
+    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    state.write_text(text)
+    code, out, err = run(capsys, "wigner", "--state", str(state), "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("where", ["grid-header", "grid-row", "state"])
+def test_undecodable_bytes_refused_naming_the_file(tmp_path, capsys, where):
+    path, out_path = tmp_path / "in.dat", tmp_path / "out.csv"
+    if where == "state":
+        path.write_bytes(b"\xff")
+        argv = ("wigner", "--state", str(path))
+    else:
+        save_grid(path, state_grid(GaussianWignerSpec.pure_state(2.0)))
+        data = bytearray(path.read_bytes())
+        data[10 if where == "grid-header" else 5010] = 0xFF
+        path.write_bytes(bytes(data))
+        argv = ("add", "--grid", str(path))
+    code, out, err = run(capsys, *argv, "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_unresolved_transform_refused_without_output(tmp_path, capsys):

@@ -73,6 +73,10 @@ def test_state_serialization_rejects_unknown():
         obj_to_state({"format": "mystery-v9"})
     with pytest.raises(ConfigurationError):
         obj_to_state({"format": "fock-v1", "trunc": 5, "amps": [[1.0, 0.0]]})
+    # a boolean is not a width, nor is an integer no float can hold
+    for sigma_x in (True, 10 ** 400):
+        with pytest.raises(ConfigurationError, match="finite number"):
+            obj_to_state({"format": "angavg-v1", "sigma_x": sigma_x})
 
 
 # --------------------------------------------------------------- grid CSV

@@ -62,6 +62,11 @@ def test_geometry_validation():
         GridGeometry(6.0, 32)   # even
     with pytest.raises(GeometryError):
         GridGeometry(6.0, 31)   # too small
+    # past the cap an axis would not fit in memory: refused before it exists
+    assert GridGeometry(12.0, 8193).points == 8193
+    for points in (8195, 100000001):
+        with pytest.raises(GeometryError, match="cap of 8193"):
+            GridGeometry(12.0, points)
     # non-finite extents and steps are refused before any axis exists
     for extent in (-1.0, 0.0, math.nan, math.inf, 1e308, 5e-324):
         with pytest.raises(GeometryError):
@@ -99,12 +104,12 @@ def test_default_geometry_policy():
     strong = layout(state_grid(squeezed_vacuum(-math.log(4.0), 300)))
     assert strong.extent == pytest.approx(24.0, rel=1e-12) and strong.points == 513
     assert layout(state_grid(FockVector(8, np.eye(8)[0]))) == GridGeometry(6.0, 257)
-    # the point count doubles once the extent passes 18 (strong squeezing)
-    assert layout(state_grid(PURE2, extent=18.0)) == GridGeometry(18.0, 257)
-    assert layout(state_grid(PURE2, extent=18.000001)) == GridGeometry(18.000001, 513)
-    # a given value replaces its default, the other stays the policy's
+    # the point count doubles once the extent, 6 sigma_x, passes 18
+    assert layout(state_grid(GaussianWignerSpec.pure_state(3.0))) == GridGeometry(18.0, 257)
+    wider = layout(state_grid(GaussianWignerSpec.pure_state(3.0000002)))
+    assert wider.extent == pytest.approx(18.0000012, rel=1e-15) and wider.points == 513
+    # a given point count replaces the default; the extent stays the policy's
     assert layout(state_grid(PURE2, points=513)) == GridGeometry(12.0, 513)
-    assert layout(state_grid(PURE2, extent=10.0)) == GridGeometry(10.0, 257)
 
 
 def test_state_grid_refuses_unresolved_transform():
