@@ -37,4 +37,9 @@ fi
 echo "# 7. run a fast verification suite"
 sqvac verify --suite fock-ratio -o "$out"
 
+echo "# 8. a saved outcome reloads through the same strict grid reader; the"
+echo "#    added state is no squeezed vacuum, so a second round breaks the"
+echo "#    identity (residual ~0.59)"
+sqvac residual --grid "$out/added.csv"
+
 echo "done; artifacts in $out"

@@ -22,8 +22,9 @@ from . import io as sqio
 from .errors import ConfigurationError, DegenerateInputError, SqvacError, TruncationError
 from .fock import coherent_state, squeezed_vacuum, suggested_truncation
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, squeeze_parameter
-from .phasespace import (check_basis_size, identity_residual, outcome_integrals,
-                         outcome_norm_ratio, photon_outcomes, renormalize, state_grid)
+from .phasespace import (identity_residual, outcome_integrals, outcome_norm_ratio,
+                         photon_outcomes, renormalize, state_grid)
+from .special import check_basis_size
 from .verify import SUITE_NAMES, figure_data, run_suite
 
 _FORMATS_HELP = """\
@@ -32,9 +33,10 @@ file formats:
                   {"format": "gauss-v1", "components": [{"weight": w,
                     "theta": t, "sigma_x": sx, "sigma_p": sp}, ...]}
                   {"format": "angavg-v1", "sigma_x": sx}
-  grid CSV        header "# wigner-grid-v1 x0 dx nx p0 dp np", then nx*np
-                  rows "x,p,value"; 17 significant digits throughout, so a
-                  reloaded grid is bit-identical
+  grid CSV        header "# wigner-grid-v1 x0 dx nx x0 dx nx" with x0 =
+                  -extent, dx = 2*extent/(nx-1), nx odd in [33, 8193]; then
+                  nx*nx rows "x,p,value"; 17 significant digits throughout,
+                  so a reloaded grid is bit-identical
   report JSON     {"suite": name, "cases": [{"label", "measured", "bound",
                   "pass"}, ...]}
 

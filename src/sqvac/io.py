@@ -1,8 +1,8 @@
 """On-disk formats: state JSON, grid CSV, verification reports.
 
 Grids round-trip bit-exactly: every float is written with 17 significant
-digits and the axes are rebuilt from the header as x0 + k*dx, the same
-expression that created them.
+digits, and the header is the layout of the grid's square geometry, from
+which the axis is rebuilt as -extent + k*step, the expression that made it.
 
 Grid CSVs move in row blocks of about _BLOCK_VALUES values. ``save_grid``
 formats the blocks on a per-call process pool (inline for a grid of one
@@ -25,11 +25,11 @@ from io import StringIO
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GeometryError
 from .fock import FockVector
 from .gaussian import AngularAverageSpec, GaussianComponent, GaussianWignerSpec
 from . import phasespace
-from .phasespace import WignerGrid, _row_blocks
+from .phasespace import GridGeometry, WignerGrid, _row_blocks
 
 GRID_MAGIC = "wigner-grid-v1"
 _COMPONENT_KEYS = ("weight", "theta", "sigma_x", "sigma_p")
@@ -149,13 +149,11 @@ def save_grid(path, grid: WignerGrid, comments=()):
     """
     if not np.all(np.isfinite(grid.values)):
         raise ConfigurationError("grid holds non-finite values")
-    head = [f"# {GRID_MAGIC} {grid.x0:.17g} {grid.dx:.17g} {grid.nx} "
-            f"{grid.p0:.17g} {grid.dp:.17g} {grid.num_p}\n"]
-    head += [f"# {c}\n" for c in comments]
+    head = [_header(grid.geometry)] + [f"# {c}\n" for c in comments]
     # x.join(parts) gives "x,p_0,%.17g\nx,p_1,%.17g\n...": the row template.
     rows = ([""] + [f",{p:.17g},%.17g\n" for p in grid.ps.tolist()],
             grid.xs.tolist(), grid.values)
-    blocks = list(_row_blocks(grid.nx, max(1, _BLOCK_VALUES // grid.num_p)))
+    blocks = list(_row_blocks(grid.points, max(1, _BLOCK_VALUES // grid.points)))
     workers = min(phasespace._worker_count(), len(blocks)) if hasattr(os, "fork") else 1
     if workers == 1:
         atomic_write(path, itertools.chain(head, map(partial(_format_rows, rows), blocks)))
@@ -169,6 +167,12 @@ def save_grid(path, grid: WignerGrid, comments=()):
     with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                              initializer=_keep_rows, initargs=(rows,)) as pool:
         atomic_write(path, itertools.chain(head, pool.map(_format_kept_rows, blocks)))
+
+
+def _header(geometry: GridGeometry) -> str:
+    """The v1 layout line: x0 dx nx, then the same three for p."""
+    layout = f"{-geometry.extent:.17g} {geometry.step:.17g} {geometry.points}"
+    return f"# {GRID_MAGIC} {layout} {layout}\n"
 
 
 def _format_rows(rows, block) -> str:
@@ -191,9 +195,10 @@ def _format_kept_rows(block) -> str:
 def load_grid(path) -> tuple[WignerGrid, list[str]]:
     """Read a grid CSV written by ``save_grid``.
 
-    The rows are parsed in pieces of about _READ_CHARS characters: values as
-    floats, the x and p columns as text, which must be exactly what
-    ``save_grid`` writes for the header layout. So a coordinate with the
+    The header must be the layout of ``GridGeometry(-x0, nx)``, p the same
+    as x. The rows are parsed in pieces of about _READ_CHARS characters:
+    values as floats, the x and p columns as text, which must be exactly
+    what ``save_grid`` writes for that geometry. So a coordinate with the
     right value in other digits is refused, and so is a header naming more
     rows than a regular file's size could hold, or a byte anywhere in the
     file that is not UTF-8 text.
@@ -210,25 +215,33 @@ def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
     if len(header) != 8 or header[:2] != ["#", GRID_MAGIC]:
         raise ConfigurationError(f"{path}: not a {GRID_MAGIC} file")
     try:
-        x0, dx, nx = float(header[2]), float(header[3]), int(header[4])
-        p0, dp, num_p = float(header[5]), float(header[6]), int(header[7])
+        x0, dx, n = float(header[2]), float(header[3]), int(header[4])
+        p_layout = (float(header[5]), float(header[6]), int(header[7]))
     except ValueError:
         raise ConfigurationError(f"{path}: malformed {GRID_MAGIC} header") from None
+    # outside the try: a GeometryError is a ValueError too
+    try:
+        geometry = GridGeometry(-x0, n)
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from None
+    if p_layout != (x0, dx, n) or dx != geometry.step:
+        raise ConfigurationError(
+            f"{path}: header layout {' '.join(header[2:])} is not a square grid: p "
+            f"must repeat x, and dx must be 2*extent/(nx-1) = {geometry.step!r}")
     # every data row takes at least 6 bytes ("0,0,0\n"): a layout a regular
     # file cannot hold is refused before its values are allocated (a pipe
     # has no size to check)
     st = os.fstat(fh.fileno())
-    if min(nx, num_p) < 0 or (stat.S_ISREG(st.st_mode) and 6 * nx * num_p > st.st_size):
+    if stat.S_ISREG(st.st_mode) and 6 * n * n > st.st_size:
         raise ConfigurationError(
-            f"{path}: the file is too small for the {nx} x {num_p} rows its header names")
-    values = np.empty((nx, num_p))
+            f"{path}: the file is too small for the {n} x {n} rows its header names")
     comments = []
     line = fh.readline()
     while line.startswith("#"):
         comments.append(line[1:].strip())
         line = fh.readline()
-    grid = WignerGrid(x0, dx, p0, dp, values)
-    x_text, p_text = _coordinate_text(grid.xs), _coordinate_text(grid.ps)
+    grid = WignerGrid(geometry, np.empty((n, n)))
+    coords = _coordinate_text(grid.xs)
     flat = grid.values.reshape(-1)
     done = 0
     for text in _line_chunks(fh, line):
@@ -240,8 +253,8 @@ def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
         stop = done + table.size
         if stop > flat.size:
             raise ConfigurationError(f"{path}: expected {flat.size} rows, found more")
-        rows, cols = np.divmod(np.arange(done, stop), num_p)
-        if not (_same_text(table["x"], x_text[rows]) and _same_text(table["p"], p_text[cols])):
+        rows, cols = np.divmod(np.arange(done, stop), n)
+        if not (_same_text(table["x"], coords[rows]) and _same_text(table["p"], coords[cols])):
             raise ConfigurationError(f"{path}: coordinate columns disagree with header layout")
         flat[done:stop] = table["value"]
         done = stop

@@ -26,11 +26,11 @@ shorter rows may differ in its last bit, since einsum groups its terms by
 row length. One helper, ``_outcome_tiles``, runs those clipped blocks for
 both ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
 
-``state_grid`` puts a state on a square ``GridGeometry`` sized from its widest
-width, but a grid's authoritative state is its layout (x0, dx, nx, p0, dp,
-num_p) plus the value array; the axes are always derived as x0 + k*dx from the
-stored floats. Serialization writes the layout, so a saved and reloaded grid
-is bit-identical to the original, derived axes included.
+Every grid is a square ``GridGeometry`` (extent, points) plus its values.
+The geometry owns the layout: x and p share one axis, -extent + k*step, and
+one Simpson weight vector. ``state_grid`` sizes the geometry from a state's
+widest width; serialization writes the geometry, so a saved and reloaded grid
+is bit-identical to the original, derived axis included.
 """
 
 import os
@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import ConfigurationError, DegenerateInputError, DomainError, GeometryError
 from .fock import DensityMatrix, FockVector, quadrature_moments
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, wigner_value
-from .special import HERMITE_DEGREE_CAP, hermite_psi_table
+from .special import check_basis_size, hermite_psi_table
 
 _MIN_POINTS = 33
 _MAX_POINTS = 8193  # an 8193^2 W is 537 MB; the finest suite grid has 6145 points
@@ -64,13 +64,6 @@ _D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 _D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
 _D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-
-
-def _validate_count(n: int):
-    if n < _MIN_POINTS:
-        raise GeometryError(f"grids need at least {_MIN_POINTS} points per axis")
-    if n % 2 == 0:
-        raise GeometryError("point counts must be odd (Simpson integration)")
 
 
 def _d1(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,14 +111,19 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """Square geometry: x and p both span [-extent, extent] at ``points``
-    points, at most _MAX_POINTS, on a step that must be positive and finite."""
+    """Square geometry, the one grid layout: x and p both span
+    [-extent, extent] at ``points`` points, an odd count from _MIN_POINTS to
+    _MAX_POINTS (Simpson integration), on a step that must be positive and
+    finite."""
 
     extent: float
     points: int
 
     def __post_init__(self):
-        _validate_count(self.points)
+        if self.points < _MIN_POINTS:
+            raise GeometryError(f"grids need at least {_MIN_POINTS} points per axis")
+        if self.points % 2 == 0:
+            raise GeometryError("point counts must be odd (Simpson integration)")
         if self.points > _MAX_POINTS:
             raise GeometryError(f"{self.points} points per axis exceed the cap of {_MAX_POINTS}")
         if not (self.step > 0 and np.isfinite(self.step)):
@@ -140,18 +138,16 @@ class GridGeometry:
         """The sample points shared by x and p."""
         return -self.extent + np.arange(self.points) * self.step
 
+    def weights(self) -> np.ndarray:
+        """Simpson weights shared by x and p: step/3 * (1, 4, 2, ..., 4, 1)."""
+        w = np.ones(self.points)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return w * (self.step / 3.0)
+
 
 def policy_extent(widest: float) -> float:
     return 6.0 * max(widest, 1.0)
-
-
-def check_basis_size(trunc: int):
-    """Refuse, before any trunc x trunc array exists, a number-basis size past
-    the transform's cap: its Hermite table stops at degree HERMITE_DEGREE_CAP."""
-    if trunc - 1 > HERMITE_DEGREE_CAP:
-        raise ConfigurationError(
-            f"number-basis size {trunc} exceeds the transform's cap of "
-            f"{HERMITE_DEGREE_CAP + 1} levels (Hermite degree {HERMITE_DEGREE_CAP})")
 
 
 def _transformable_density(state) -> DensityMatrix:
@@ -173,52 +169,35 @@ def refined_geometry(spec) -> GridGeometry:
 
 
 class WignerGrid:
-    """Real samples values[i, j] = W(x0 + i*dx, p0 + j*dp) on a uniform grid."""
+    """Real samples values[i, j] = W(xs[i], ps[j]) on a square geometry;
+    xs and ps name the one axis the geometry derives."""
 
-    def __init__(self, x0: float, dx: float, p0: float, dp: float, values: np.ndarray):
+    def __init__(self, geometry: GridGeometry, values: np.ndarray):
         # contiguous storage: BLAS sums a strided view (a column of a table,
         # say) in a different order, which moves results in their last bits
         values = np.ascontiguousarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ConfigurationError("values must be a 2-d array")
-        _validate_count(values.shape[0])
-        _validate_count(values.shape[1])
-        if not (dx > 0 and dp > 0 and np.isfinite(dx) and np.isfinite(dp)):
-            raise GeometryError("grid steps must be positive and finite")
-        self.x0 = float(x0)
-        self.dx = float(dx)
-        self.p0 = float(p0)
-        self.dp = float(dp)
+        if values.shape != (geometry.points,) * 2:
+            raise ConfigurationError(f"values of shape {values.shape} do not fit a "
+                                     f"{geometry.points}-point square grid")
+        self.geometry = geometry
         self.values = values
-        self.xs = self.x0 + np.arange(values.shape[0]) * self.dx
-        self.ps = self.p0 + np.arange(values.shape[1]) * self.dp
+        self.xs = self.ps = geometry.axis()
 
     @property
-    def nx(self) -> int:
-        return self.values.shape[0]
+    def step(self) -> float:
+        return self.geometry.step
 
     @property
-    def num_p(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def from_geometry(cls, geometry: GridGeometry, values: np.ndarray) -> "WignerGrid":
-        return cls(-geometry.extent, geometry.step, -geometry.extent, geometry.step, values)
+    def points(self) -> int:
+        return self.geometry.points
 
     def with_values(self, values: np.ndarray) -> "WignerGrid":
-        """Same layout, new samples."""
-        return WignerGrid(self.x0, self.dx, self.p0, self.dp, values)
-
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Simpson weights (wx, wp) along x and p: h/3 * (1, 4, 2, ..., 4, 1)."""
-        wx, wp = np.ones(self.nx), np.ones(self.num_p)
-        for w in (wx, wp):
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-        return wx * (self.dx / 3.0), wp * (self.dp / 3.0)
+        """Same geometry, new samples."""
+        return WignerGrid(self.geometry, values)
 
     def integral(self) -> float:
-        return _simpson(self.values, *self.weights())
+        w = self.geometry.weights()
+        return _simpson(self.values, w, w)
 
     def boundary_max(self) -> float:
         v = self.values
@@ -274,7 +253,7 @@ def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
         values[i0:i1] = wigner_value(spec, axis[i0:i1, None], axis[None, :])
 
     _map_blocks(fill, _row_blocks(axis.size, max(1, _RASTER_POINTS // axis.size)))
-    return WignerGrid.from_geometry(geometry, values)
+    return WignerGrid(geometry, values)
 
 
 def wigner_from_density(state, geometry: GridGeometry) -> WignerGrid:
@@ -285,38 +264,34 @@ def wigner_from_density(state, geometry: GridGeometry) -> WignerGrid:
     y integral done by the trapezoid rule over |y| <= 2 * extent at the grid step,
     folded onto y >= 0 by the kernel's Hermitian symmetry. The integrand
     vanishes at the ends, where Simpson's alternating weights would alias it
-    to p +- pi/dx. Every sample point x +- y/2 lies on the half-step lattice
-    k * dx/2, |k| <= 2 nx - 2, so the eigenvectors of the density are
-    evaluated there once and gathered by index; the work scales with the
-    number of significantly occupied eigenstates.
+    to p +- pi/h for the step h. Every sample point x +- y/2 on n points lies
+    on the half-step lattice k * h/2, |k| <= 2n - 2, so the eigenvectors of
+    the density are evaluated there once and gathered by index; the work
+    scales with the number of significantly occupied eigenstates.
 
     Raises ConfigurationError for a basis of more than HERMITE_DEGREE_CAP + 1
-    levels, and GeometryError if the grid does not cover six times the larger
-    of the state's rms quadrature spreads. Only ``state_grid`` checks the
-    normalization drift.
+    levels. Only ``state_grid`` checks the normalization drift; a grid too
+    small for the state is refused where it is differenced, by its boundary
+    values.
     """
     if not isinstance(state, (FockVector, DensityMatrix)):
         raise ConfigurationError(f"wigner_from_density cannot handle {type(state).__name__}")
     rho = _transformable_density(state)
-    rms = np.sqrt(max(quadrature_moments(rho)))
-    if geometry.extent < 6.0 * rms * (1.0 - 1e-9):
-        raise GeometryError(f"grid extent {geometry.extent:.3g} does not cover 6x the "
-                            f"larger rms spread {rms:.3g}")
     ps = geometry.axis()
-    nx, dx = geometry.points, geometry.step
+    n, h = geometry.points, geometry.step
 
     evals, evecs = np.linalg.eigh(rho.elems)
     keep = evals > 1e-13
     evals, evecs = evals[keep], evecs[:, keep]
 
-    # With x_i = -E + i dx, y_k = k dx and E = (nx - 1) dx / 2:
-    # x_i - y_k/2 = lattice[2i - k + nx - 1] and x_i + y_k/2 = lattice[2i + k + nx - 1].
-    lattice = (np.arange(4 * nx - 3) - (2 * nx - 2)) * (dx / 2.0)
+    # With x_i = -E + i h, y_k = k h and E = (n - 1) h / 2:
+    # x_i - y_k/2 = lattice[2i - k + n - 1] and x_i + y_k/2 = lattice[2i + k + n - 1].
+    lattice = (np.arange(4 * n - 3) - (2 * n - 2)) * (h / 2.0)
     psi = hermite_psi_table(rho.trunc, lattice) @ evecs  # (lattice, rank)
-    centre = 2 * np.arange(nx)[:, None] + (nx - 1)
-    k = np.arange(nx)
+    centre = 2 * np.arange(n)[:, None] + (n - 1)
+    k = np.arange(n)
     minus, plus = centre - k, centre + k
-    kernel = np.zeros((nx, nx), dtype=complex)
+    kernel = np.zeros((n, n), dtype=complex)
     for lam, f in zip(evals, psi.T):
         kernel += lam * f[minus] * f.conj()[plus]
 
@@ -324,14 +299,14 @@ def wigner_from_density(state, geometry: GridGeometry) -> WignerGrid:
     # |y| <= 2E is K(x, 0) plus twice Re(K e^{ipy}) over y > 0, the end
     # column halved. einsum, not BLAS, reduces it in real arithmetic: its
     # sums keep one order whatever the BLAS thread count.
-    weight = np.full(nx, 2.0)
+    weight = np.full(n, 2.0)
     weight[0] = weight[-1] = 1.0
-    py = np.outer(k * dx, ps)
+    py = np.outer(k * h, ps)
     values = np.einsum("ik,km->im", kernel.real * weight, np.cos(py))
     values -= np.einsum("ik,km->im", kernel.imag * weight, np.sin(py))
-    values *= dx / (2.0 * np.pi)
+    values *= h / (2.0 * np.pi)
 
-    return WignerGrid.from_geometry(geometry, values)
+    return WignerGrid(geometry, values)
 
 
 def state_grid(state, points: int | None = None) -> WignerGrid:
@@ -358,7 +333,7 @@ def state_grid(state, points: int | None = None) -> WignerGrid:
     grid = rasterize(state, geometry) if rho is None else wigner_from_density(rho, geometry)
     drift = abs(grid.integral() - 1.0)
     if not drift <= NORMALIZATION_DRIFT:
-        raise GeometryError(f"normalization drift {drift:.3e} on the {grid.nx}-point grid: "
+        raise GeometryError(f"normalization drift {drift:.3e} on the {grid.points}-point grid: "
                             "it does not resolve the state; refine it with --points")
     return grid
 
@@ -391,19 +366,20 @@ def _outcome_tile(grid: WignerGrid, i0: int, i1: int, j0: int, j1: int
     The stencils run on W over the halo of both ranges; only the inner tile is
     kept, so every temporary is tile-sized.
     """
-    lo, hi = _halo(i0, i1, grid.nx)
-    left, right = _halo(j0, j1, grid.num_p)
+    n, h = grid.points, grid.step
+    lo, hi = _halo(i0, i1, n)
+    left, right = _halo(j0, j1, n)
     F = grid.values[lo:hi, left:right]
     xs, ps = grid.xs[lo:hi], grid.ps[left:right]
     # Laplacian / 8
-    acc = _d2(F, grid.dx, 0)
-    scratch = _d2(F, grid.dp, 1)
+    acc = _d2(F, h, 0)
+    scratch = _d2(F, h, 1)
     acc += scratch
     acc *= 0.125
     # drift term x Wx + p Wp
-    drift = _d1(F, grid.dx, 0, out=scratch)
+    drift = _d1(F, h, 0, out=scratch)
     drift *= xs[:, None]
-    other = _d1(F, grid.dp, 1)
+    other = _d1(F, h, 1)
     other *= ps[None, :]
     drift += other
     # drift / 2 goes to the free buffer: drift itself is still needed for S
@@ -429,11 +405,11 @@ def _outcome_tiles(grid: WignerGrid, fn) -> list:
     edge columns read 6, so support within 6 columns of an edge extends the
     tile to that edge. The blocks run on a per-call thread pool.
     """
-    n = grid.num_p
+    n = grid.points
 
     def tile(block):
         i0, i1 = block
-        lo, hi = _halo(i0, i1, grid.nx)
+        lo, hi = _halo(i0, i1, n)
         support = np.flatnonzero(np.any(grid.values[lo:hi], axis=0))
         if support.size == 0:
             return None
@@ -441,7 +417,7 @@ def _outcome_tiles(grid: WignerGrid, fn) -> list:
         j1 = int(support[-1]) + 3 if support[-1] < n - 6 else n
         return fn(slice(i0, i1), slice(j0, j1), *_outcome_tile(grid, i0, i1, j0, j1))
 
-    return [r for r in _map_blocks(tile, _row_blocks(grid.nx)) if r is not None]
+    return [r for r in _map_blocks(tile, _row_blocks(n)) if r is not None]
 
 
 def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
@@ -466,14 +442,20 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     return (grid.with_values(added), grid.with_values(subtracted))
 
 
+def _refuse_vanishing(integral: float, quantity: str, undefined: str):
+    """The one refusal of a vanishing integral: DegenerateInputError when
+    |integral| < DEGENERATE_INTEGRAL, naming the quantity and what it leaves
+    undefined."""
+    if abs(integral) < DEGENERATE_INTEGRAL:
+        raise DegenerateInputError(
+            f"{quantity} = {integral:.3e} vanishes, so {undefined} is undefined: "
+            "vacuum-like input (the sigma_x = 1 exclusion)")
+
+
 def renormalize(grid: WignerGrid) -> WignerGrid:
     """Scale a grid to unit integral; refuses on a vanishing integral."""
     total = grid.integral()
-    if abs(total) < DEGENERATE_INTEGRAL:
-        raise DegenerateInputError(
-            f"integral {total:.3e} too small to renormalize: subtraction from a "
-            "vacuum-like state (the sigma_x = 1 exclusion)"
-        )
+    _refuse_vanishing(total, "the grid integral", "the renormalized grid")
     return grid.with_values(grid.values / total)
 
 
@@ -492,11 +474,7 @@ def outcome_norm_ratio(added_integral: float, subtracted_integral: float) -> flo
     Raises DegenerateInputError when integral(S) vanishes (vacuum input:
     subtraction yields nothing, the sigma_x = 1 exclusion).
     """
-    if abs(subtracted_integral) < DEGENERATE_INTEGRAL:
-        raise DegenerateInputError(
-            f"subtracted integral {subtracted_integral:.3e} vanishes: identity ratio "
-            "is undefined on the vacuum (sigma_x = 1 exclusion)"
-        )
+    _refuse_vanishing(subtracted_integral, "the subtracted integral", "the norm ratio")
     return added_integral / subtracted_integral
 
 
@@ -516,18 +494,18 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
     either integral is not finite.
     """
     _check_boundary(grid)
-    wx, wp = grid.weights()
+    w, h = grid.geometry.weights(), grid.step
     # einsum, not BLAS: its sums keep one order whatever the BLAS thread count
-    r = np.einsum("ij,j->i", grid.values, wp)
-    c = np.einsum("i,ij->j", wx, grid.values)
+    r = np.einsum("ij,j->i", grid.values, w)
+    c = np.einsum("i,ij->j", w, grid.values)
     xs, ps = grid.xs, grid.ps
     # an overflow here leaves an integral inf or nan, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        radial = float((0.5 * wx * xs * xs) @ r + c @ (0.5 * wp * (ps * ps - 1.0)))
-        drift = float((wx * xs) @ _d1(r, grid.dx, 0) + _d1(c, grid.dp, 0) @ (wp * ps))
-        laplacian = float(wx @ _d2(r, grid.dx, 0) + _d2(c, grid.dp, 0) @ wp)
+        radial = float((0.5 * w * xs * xs) @ r + c @ (0.5 * w * (ps * ps - 1.0)))
+        drift = float((w * xs) @ _d1(r, h, 0) + _d1(c, h, 0) @ (w * ps))
+        laplacian = float(w @ _d2(r, h, 0) + _d2(c, h, 0) @ w)
         added = radial - 0.5 * drift + 0.125 * laplacian
-        subtracted = added + float(wx @ r) + drift
+        subtracted = added + float(w @ r) + drift
     if not (np.isfinite(added) and np.isfinite(subtracted)):
         raise GeometryError(
             f"outcome integrals ({added!r}, {subtracted!r}) are not finite: the "
@@ -545,24 +523,20 @@ def l1_relative_residual(grid: WignerGrid, ratio: float) -> tuple[float, float]:
     worker count. Raises DegenerateInputError when integral |A| vanishes.
     """
     _check_boundary(grid)
-    wx, wp = grid.weights()
+    w = grid.geometry.weights()
 
     def sums(rows, cols, added, subtracted):
         diff = added - ratio * subtracted
         np.abs(diff, out=diff)
-        return (_simpson(diff, wx[rows], wp[cols]),
-                _simpson(np.abs(added), wx[rows], wp[cols]), float(diff.max()))
+        return (_simpson(diff, w[rows], w[cols]),
+                _simpson(np.abs(added), w[rows], w[cols]), float(diff.max()))
 
     num = den = peak = 0.0
     for block_num, block_den, block_peak in _outcome_tiles(grid, sums):
         num += block_num
         den += block_den
         peak = max(peak, block_peak)
-    if den < DEGENERATE_INTEGRAL:
-        raise DegenerateInputError(
-            f"integral |A| = {den:.3e} vanishes: the added outcome is zero, so the "
-            "relative residual is undefined"
-        )
+    _refuse_vanishing(den, "integral |A|", "the relative residual")
     return num / den, peak
 
 
@@ -590,9 +564,9 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     if ratio is None:
         ratio = outcome_norm_ratio(ia, isub)
     residual, peak = l1_relative_residual(grid, ratio)
-    i, j, tx, tp = _bilinear_cell(grid, 0.0, 0.0)
-    patch = _outcome_tile(grid, i, i + 2, j, j + 2)[0] / ia
-    return IdentityCheck(residual, float(ratio), ia, isub, _interpolate(patch, tx, tp),
+    i, t = _origin_cell(grid)
+    patch = _outcome_tile(grid, i, i + 2, i, i + 2)[0] / ia
+    return IdentityCheck(residual, float(ratio), ia, isub, _interpolate(patch, t),
                          peak / abs(ia))
 
 
@@ -603,27 +577,26 @@ class GridReport(NamedTuple):
     origin_value: float
 
 
-def _bilinear_cell(grid: WignerGrid, x: float, p: float) -> tuple[int, int, float, float]:
-    """Lower corner (i, j) of the cell holding (x, p) and the offsets in it."""
-    i = int(np.clip(np.searchsorted(grid.xs, x) - 1, 0, grid.nx - 2))
-    j = int(np.clip(np.searchsorted(grid.ps, p) - 1, 0, grid.num_p - 2))
-    return i, j, (x - grid.xs[i]) / grid.dx, (p - grid.ps[j]) / grid.dp
+def _origin_cell(grid: WignerGrid) -> tuple[int, float]:
+    """Lower corner (i, i) of the cell holding the origin, and the offset t
+    of the origin in it along both axes."""
+    i = int(np.clip(np.searchsorted(grid.xs, 0.0) - 1, 0, grid.points - 2))
+    return i, (0.0 - grid.xs[i]) / grid.step
 
 
-def _interpolate(v: np.ndarray, tx: float, tp: float) -> float:
-    """Bilinear value inside the 2x2 corner patch v."""
-    return float((1 - tx) * (1 - tp) * v[0, 0] + tx * (1 - tp) * v[1, 0]
-                 + (1 - tx) * tp * v[0, 1] + tx * tp * v[1, 1])
+def _interpolate(v: np.ndarray, t: float) -> float:
+    """Bilinear value at offset (t, t) inside the 2x2 corner patch v."""
+    return float((1 - t) * (1 - t) * v[0, 0] + t * (1 - t) * v[1, 0]
+                 + (1 - t) * t * v[0, 1] + t * t * v[1, 1])
 
 
 def grid_metrics(grid: WignerGrid) -> GridReport:
     """Integral, purity 2 pi integral W^2, mean photon number and origin value."""
-    wx, wp = grid.weights()
+    w = grid.geometry.weights()
     total = grid.integral()
-    purity = 2.0 * np.pi * _simpson(grid.values * grid.values, wx, wp)
+    purity = 2.0 * np.pi * _simpson(grid.values * grid.values, w, w)
     s2 = grid.xs[:, None] ** 2 + grid.ps[None, :] ** 2
-    energy = _simpson(s2 * grid.values, wx, wp)
+    energy = _simpson(s2 * grid.values, w, w)
     mean_n = 0.5 * energy - 0.5
-    i, j, tx, tp = _bilinear_cell(grid, 0.0, 0.0)
-    return GridReport(total, purity, mean_n,
-                      _interpolate(grid.values[i:i + 2, j:j + 2], tx, tp))
+    i, t = _origin_cell(grid)
+    return GridReport(total, purity, mean_n, _interpolate(grid.values[i:i + 2, i:i + 2], t))

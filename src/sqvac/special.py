@@ -21,6 +21,15 @@ from .errors import ConfigurationError, DomainError
 HERMITE_DEGREE_CAP = 512
 
 
+def check_basis_size(trunc: int):
+    """Refuse, before any trunc x trunc array exists, a number-basis size past
+    the transform's cap: its Hermite table stops at degree HERMITE_DEGREE_CAP."""
+    if trunc - 1 > HERMITE_DEGREE_CAP:
+        raise ConfigurationError(
+            f"number-basis size {trunc} exceeds the transform's cap of "
+            f"{HERMITE_DEGREE_CAP + 1} levels (Hermite degree {HERMITE_DEGREE_CAP})")
+
+
 def bessel_i0_scaled(t):
     """exp(-|t|) * I0(t): bounded by 1, usable at any |t| without overflow."""
     from scipy.special import i0e
@@ -57,10 +66,7 @@ def hermite_psi_table(nmax, x):
     """
     if nmax < 1:
         raise ConfigurationError("hermite_psi_table needs nmax >= 1")
-    if nmax - 1 > HERMITE_DEGREE_CAP:
-        raise ConfigurationError(
-            f"hermite_psi_table degree {nmax - 1} exceeds cap {HERMITE_DEGREE_CAP}"
-        )
+    check_basis_size(nmax)
     arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     table = np.empty((arr.size, nmax))
     table[:, 0] = np.pi ** -0.25 * np.exp(-arr * arr / 2.0)

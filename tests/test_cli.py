@@ -18,6 +18,7 @@ from sqvac import (
     WignerGrid,
     identity_residual,
     photon_outcomes,
+    rasterize,
     renormalize,
     state_grid,
 )
@@ -75,7 +76,7 @@ def test_add_and_sub_outcomes(tmp_path, capsys):
         assert parsed_lines(out)["R_used"] == pytest.approx(25.0 / 9.0, abs=1e-6)
         outcome, _ = load_grid(out_path)
         assert outcome.integral() == pytest.approx(1.0, abs=1e-12)
-        center = outcome.values[outcome.nx // 2, outcome.num_p // 2]
+        center = outcome.values[outcome.points // 2, outcome.points // 2]
         assert center == pytest.approx(-1.0 / math.pi, abs=1e-3)
 
 
@@ -101,7 +102,7 @@ def test_fock_state_pipeline(tmp_path, capsys):
                "-o", str(grid_path))[0] == 0
     grid, comments = load_grid(grid_path)
     assert comments == ["cmd: wigner"]
-    center = grid.values[grid.nx // 2, grid.num_p // 2]
+    center = grid.values[grid.points // 2, grid.points // 2]
     assert center == pytest.approx(1.0 / math.pi, abs=1e-6)
     code, out, _ = run(capsys, "add", "--grid", str(grid_path), "-o", str(add_path))
     assert code == 0
@@ -119,7 +120,7 @@ def test_wigner_geometry_flags(tmp_path, capsys):
     run(capsys, "state", "--kind", "pure", "--sigma-x", "2", "-o", str(state))
     run(capsys, "wigner", "--state", str(state), "--points", "513", "-o", str(grid_path))
     grid, _ = load_grid(grid_path)
-    assert grid.x0 == -12.0 and grid.nx == 513
+    assert grid.xs[0] == -12.0 and grid.points == 513
 
 
 def test_seed_recorded_in_header(tmp_path, capsys):
@@ -144,8 +145,7 @@ def test_vacuum_residual_names_the_exclusion(tmp_path, capsys):
 def test_vanishing_added_outcome_exits_one_without_traceback(tmp_path):
     import sqvac
     grid_path = tmp_path / "zero.csv"
-    save_grid(grid_path, WignerGrid.from_geometry(GridGeometry(1.0, 33),
-                                                  np.zeros((33, 33))))
+    save_grid(grid_path, WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33))))
     src = os.path.dirname(os.path.dirname(sqvac.__file__))
     proc = subprocess.run([sys.executable, "-m", "sqvac.cli", "residual",
                            "--grid", str(grid_path), "--ratio", "1"],
@@ -163,7 +163,7 @@ def test_overflowing_outcome_integrals_refused_without_output(tmp_path, capsys, 
     values = np.zeros((65, 65))
     values[:, 32] = np.exp(-(geometry.axis() / 1e150) ** 2) / np.pi
     grid_path = tmp_path / "grid.csv"
-    save_grid(grid_path, WignerGrid.from_geometry(geometry, values))
+    save_grid(grid_path, WignerGrid(geometry, values))
     code, out, err = run(capsys, "residual", "--grid", str(grid_path))
     assert code == 2 and out == ""
     assert "not finite" in err and err.count("\n") == 1
@@ -211,7 +211,7 @@ def test_refined_grid_resolves_a_wide_state(tmp_path, capsys):
     code, out, _ = run(capsys, "wigner", "--state", str(state), "--points", "1025",
                        "-o", str(grid_path))
     assert code == 0 and out.strip() == str(grid_path)
-    assert load_grid(grid_path)[0].nx == 1025
+    assert load_grid(grid_path)[0].points == 1025
 
 
 @pytest.mark.parametrize("kind", ["pure", "angular-average"])
@@ -376,13 +376,36 @@ def test_missing_grid_file_exit_two(tmp_path, capsys):
 
 
 def test_grid_header_larger_than_file_exit_two(tmp_path, capsys):
-    # allocating the 1000000001^2 values the header names would fail
+    # the 8193^2 values the header names need at least 400 MB of rows
     grid_path = tmp_path / "huge.csv"
-    grid_path.write_text("# wigner-grid-v1 -1 0.5 1000000001 -1 0.5 1000000001\n0,0,0\n")
+    grid_path.write_text("# wigner-grid-v1 -4096 1 8193 -4096 1 8193\n0,0,0\n")
     code, out, err = run(capsys, "residual", "--grid", str(grid_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "too small" in err
+
+
+@pytest.mark.parametrize("layout,message", [
+    ("-12 0.375 65 -11 0.375 65", "not a square grid"),       # p layout differs from x
+    ("-12 0.375 65 -12 0.375 63", "not a square grid"),
+    ("-12 0.5 65 -12 0.5 65", "2*extent/(nx-1) = 0.375"),     # dx is not 24/64
+    ("-12 0.375 64 -12 0.375 64", "odd"),                     # even count
+    ("-12 0.75 31 -12 0.75 31", "at least 33 points"),        # below 33 points
+    ("-4097 1 8195 -4097 1 8195", "cap of 8193"),             # past the cap
+], ids=["p0", "np", "dx", "even", "few", "cap"])
+@pytest.mark.parametrize("cmd", ["add", "sub", "residual"])
+def test_grid_header_not_a_square_geometry_exit_two(tmp_path, capsys, cmd, layout, message):
+    grid_path, out_path = tmp_path / "grid.csv", tmp_path / "out.csv"
+    save_grid(grid_path, rasterize(GaussianWignerSpec.pure_state(2.0), GridGeometry(12.0, 65)))
+    lines = grid_path.read_text().splitlines()
+    assert lines[0] == "# wigner-grid-v1 -12 0.375 65 -12 0.375 65"
+    grid_path.write_text("\n".join([f"# wigner-grid-v1 {layout}"] + lines[1:]) + "\n")
+    argv = (cmd, "--grid", str(grid_path)) + (() if cmd == "residual" else ("-o", str(out_path)))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {grid_path}: ") and err.count("\n") == 1
+    assert message in err
+    assert not out_path.exists()
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 
 import numpy as np
@@ -12,6 +13,7 @@ from sqvac import (
     AngularAverageSpec,
     ConfigurationError,
     GaussianWignerSpec,
+    GeometryError,
     GridGeometry,
     WignerGrid,
     coherent_state,
@@ -91,8 +93,7 @@ def test_grid_roundtrip_bit_exact(tmp_path):
     save_grid(path, grid, ["alpha", "seed 7"])
     loaded, comments = load_grid(path)
     assert comments == ["alpha", "seed 7"]
-    assert (loaded.x0, loaded.dx, loaded.p0, loaded.dp) == \
-        (grid.x0, grid.dx, grid.p0, grid.dp)
+    assert loaded.geometry == grid.geometry
     assert np.array_equal(loaded.values, grid.values)
     assert np.array_equal(loaded.xs, grid.xs)
     assert np.array_equal(loaded.ps, grid.ps)
@@ -107,22 +108,23 @@ def test_roundtrip_preserves_residual_bitwise(tmp_path):
     assert identity_residual(loaded) == identity_residual(grid)
 
 
-def awkward_grid(nx, num_p):
-    # non-square, so an x/p transposition cannot pass; steps that are not
-    # exact binary fractions, so every coordinate needs all 17 digits
+def awkward_grid(n):
+    # values of every magnitude, none symmetric, so an x/p transposition
+    # cannot pass; a step that is not an exact binary fraction, so every
+    # coordinate needs all 17 digits
     rng = np.random.default_rng(11)
-    values = rng.standard_normal((nx, num_p)) * 10.0 ** rng.integers(-20, 5, (nx, num_p))
+    values = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-20, 5, (n, n))
     values.flat[:8] = [-0.0, 5e-324, 1e-300, 1.0, 0.1, -1.0, -2.5e-7, 0.0]
-    return WignerGrid(-1.7, 0.1, -2.3, 0.1 / 3, values)
+    return WignerGrid(GridGeometry(1.7, n), values)
 
 
 def savetxt_reference(grid, comments) -> bytes:
     ref = io.StringIO()
-    ref.write("# wigner-grid-v1 %.17g %.17g %d %.17g %.17g %d\n"
-              % (grid.x0, grid.dx, grid.nx, grid.p0, grid.dp, grid.num_p))
+    layout = "%.17g %.17g %d" % (grid.xs[0], grid.step, grid.points)
+    ref.write(f"# wigner-grid-v1 {layout} {layout}\n")
     for c in comments:
         ref.write(f"# {c}\n")
-    table = np.column_stack([np.repeat(grid.xs, grid.num_p), np.tile(grid.ps, grid.nx),
+    table = np.column_stack([np.repeat(grid.xs, grid.points), np.tile(grid.ps, grid.points),
                              grid.values.ravel()])
     np.savetxt(ref, table, fmt="%.17g", delimiter=",")
     return ref.getvalue().encode()
@@ -130,11 +132,13 @@ def savetxt_reference(grid, comments) -> bytes:
 
 @pytest.mark.parametrize("comments", [[], ["alpha"], ["alpha", "seed 7; x,p"]])
 def test_grid_bytes_match_savetxt_reference(tmp_path, comments):
-    grid = awkward_grid(33, 35)
+    grid = awkward_grid(35)
     path = tmp_path / "grid.csv"
     save_grid(path, grid, comments)
     assert path.read_bytes() == savetxt_reference(grid, comments)
-    assert path.read_bytes().splitlines()[len(comments) + 1] == b"-1.7,-2.2999999999999998,-0"
+    assert path.read_bytes().splitlines()[len(comments) + 1] == b"-1.7,-1.7,-0"
+    second_row = b"-1.7,-1.5999999999999999,4.9406564584124654e-324"
+    assert path.read_bytes().splitlines()[len(comments) + 2] == second_row
 
 
 def _set_workers(monkeypatch, workers):
@@ -143,12 +147,12 @@ def _set_workers(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers,fork", [(1, True), (2, True), (2, False)])
 def test_pooled_grid_bytes_match_savetxt_reference(tmp_path, monkeypatch, workers, fork):
-    # 301 rows of 513 values are two row blocks, so two workers split them;
+    # 401 rows of 401 values are two row blocks, so two workers split them;
     # a platform without fork formats them inline
     _set_workers(monkeypatch, workers)
     if not fork:
         monkeypatch.delattr(os, "fork")
-    grid = awkward_grid(301, 513)
+    grid = awkward_grid(401)
     path = tmp_path / "grid.csv"
     save_grid(path, grid, ["alpha"])
     assert multiprocessing.active_children() == []
@@ -171,7 +175,7 @@ def test_worker_error_reaches_caller_and_keeps_target(tmp_path, monkeypatch):
     target = tmp_path / "grid.csv"
     target.write_text("old\n")
     with pytest.raises(RuntimeError, match="worker failed"):
-        save_grid(target, awkward_grid(301, 513))
+        save_grid(target, awkward_grid(401))
     assert multiprocessing.active_children() == []
     assert os.listdir(tmp_path) == ["grid.csv"]
     assert target.read_text() == "old\n"
@@ -252,7 +256,7 @@ def test_grid_read_in_small_pieces(tmp_path, monkeypatch):
     # pieces of 97 characters cut most rows in two; every row must still be
     # read once, bit for bit, and checked
     monkeypatch.setattr(io_module, "_READ_CHARS", 97)
-    grid = awkward_grid(33, 35)
+    grid = awkward_grid(35)
     path = tmp_path / "grid.csv"
     save_grid(path, grid, ["alpha"])
     loaded, comments = load_grid(path)
@@ -280,6 +284,52 @@ def test_grid_refuses_malformed_rows(tmp_path, edit):
         lines[0] = lines[0].replace(" 65 ", " 65.0 ", 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError):
+        load_grid(path)
+
+
+V1_GRID = os.path.join(os.path.dirname(__file__), "data", "wigner_v1_33.csv")
+
+
+def test_checked_in_v1_grid_reloads_and_resaves_byte_for_byte(tmp_path):
+    # written by the save_grid of the general (x0, dx, p0, dp) layout
+    grid, comments = load_grid(V1_GRID)
+    assert grid.geometry == GridGeometry(13.2, 33) and comments == ["pure sigma_x=2.2 theta=0.3"]
+    path = tmp_path / "grid.csv"
+    save_grid(path, grid, comments)
+    with open(V1_GRID, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def _with_header(tmp_path, layout):
+    """small_grid's file with its header layout replaced."""
+    path = tmp_path / "grid.csv"
+    save_grid(path, small_grid())
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# wigner-grid-v1 -12 0.375 65 -12 0.375 65"
+    path.write_text("\n".join([f"# wigner-grid-v1 {layout}"] + lines[1:]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("layout,error,message", [
+    ("-12 0.375 65 -11 0.375 65", ConfigurationError, "not a square grid"),    # p0 != x0
+    ("-12 0.375 65 -12 0.25 65", ConfigurationError, "not a square grid"),     # dp != dx
+    ("-12 0.375 65 -12 0.375 63", ConfigurationError, "not a square grid"),    # np != nx
+    ("-12 0.5 65 -12 0.5 65", ConfigurationError, "= 0.375"),                  # dx != 24/64
+    ("-12 0.375 64 -12 0.375 64", GeometryError, "odd"),                       # even count
+    ("-12 0.75 31 -12 0.75 31", GeometryError, "at least 33"),                 # too few
+    ("12 -0.375 65 12 -0.375 65", GeometryError, "positive and finite"),       # step < 0
+], ids=["p0", "dp", "np", "dx", "even", "few", "negative-step"])
+def test_grid_refuses_a_header_that_is_not_a_square_geometry(tmp_path, layout, error, message):
+    with pytest.raises(error, match="^" + re.escape(str(tmp_path))) as info:
+        load_grid(_with_header(tmp_path, layout))
+    assert message in str(info.value)
+
+
+def test_grid_refuses_a_count_past_the_cap_before_allocating(tmp_path):
+    # the 8195^2 values would fit nowhere in this file: the cap is checked first
+    path = tmp_path / "grid.csv"
+    path.write_text("# wigner-grid-v1 -4097 1 8195 -4097 1 8195\n0,0,0\n")
+    with pytest.raises(GeometryError, match="8195 points per axis exceed the cap of 8193"):
         load_grid(path)
 
 

@@ -29,6 +29,7 @@ from sqvac import (
     l1_relative_residual,
     outcome_factors,
     outcome_integrals,
+    outcome_norm_ratio,
     photon_outcomes,
     policy_extent,
     rasterize,
@@ -88,28 +89,22 @@ def test_policy_extent():
     assert policy_extent(4.0) == 24.0
 
 
-def layout(grid):
-    """The square geometry a grid was built on."""
-    assert (grid.p0, grid.dp, grid.num_p) == (grid.x0, grid.dx, grid.nx)
-    return GridGeometry(-grid.x0, grid.nx)
-
-
 def test_default_geometry_policy():
-    assert layout(state_grid(PURE2)) == GridGeometry(12.0, 257)
-    assert layout(state_grid(IMPURE)) == GridGeometry(24.0, 513)
-    assert layout(state_grid(GaussianWignerSpec.pure_state(1.0))) == GridGeometry(6.0, 257)
+    assert state_grid(PURE2).geometry == GridGeometry(12.0, 257)
+    assert state_grid(IMPURE).geometry == GridGeometry(24.0, 513)
+    assert state_grid(GaussianWignerSpec.pure_state(1.0)).geometry == GridGeometry(6.0, 257)
     # number-basis states: sqrt(2) rms is the gaussian-equivalent width
-    fock2 = layout(state_grid(squeezed_vacuum(-math.log(2.0), 68)))
+    fock2 = state_grid(squeezed_vacuum(-math.log(2.0), 68)).geometry
     assert fock2.extent == pytest.approx(12.0, rel=1e-12) and fock2.points == 257
-    strong = layout(state_grid(squeezed_vacuum(-math.log(4.0), 300)))
+    strong = state_grid(squeezed_vacuum(-math.log(4.0), 300)).geometry
     assert strong.extent == pytest.approx(24.0, rel=1e-12) and strong.points == 513
-    assert layout(state_grid(FockVector(8, np.eye(8)[0]))) == GridGeometry(6.0, 257)
+    assert state_grid(FockVector(8, np.eye(8)[0])).geometry == GridGeometry(6.0, 257)
     # the point count doubles once the extent, 6 sigma_x, passes 18
-    assert layout(state_grid(GaussianWignerSpec.pure_state(3.0))) == GridGeometry(18.0, 257)
-    wider = layout(state_grid(GaussianWignerSpec.pure_state(3.0000002)))
+    assert state_grid(GaussianWignerSpec.pure_state(3.0)).geometry == GridGeometry(18.0, 257)
+    wider = state_grid(GaussianWignerSpec.pure_state(3.0000002)).geometry
     assert wider.extent == pytest.approx(18.0000012, rel=1e-15) and wider.points == 513
     # a given point count replaces the default; the extent stays the policy's
-    assert layout(state_grid(PURE2, points=513)) == GridGeometry(12.0, 513)
+    assert state_grid(PURE2, points=513).geometry == GridGeometry(12.0, 513)
 
 
 def test_state_grid_refuses_unresolved_transform():
@@ -129,30 +124,38 @@ def test_refined_geometry_policy():
 # --------------------------------------------------------------- WignerGrid
 
 def test_grid_shape_validation():
-    with pytest.raises(ConfigurationError):
-        WignerGrid(0.0, 0.1, 0.0, 0.1, np.zeros(33))
-    with pytest.raises(GeometryError):
-        WignerGrid(0.0, -0.1, 0.0, 0.1, np.zeros((33, 33)))
-    with pytest.raises(GeometryError):
-        WignerGrid(0.0, 0.1, 0.0, 0.1, np.zeros((33, 34)))
+    # values must fill the geometry's square: no other shape has a layout
+    for shape in [(33,), (33, 35), (35, 33), (35, 35), (33, 33, 1)]:
+        with pytest.raises(ConfigurationError, match="33-point square grid"):
+            WignerGrid(GridGeometry(1.0, 33), np.zeros(shape))
+
+
+def test_grid_axis_and_weights_come_from_the_geometry():
+    geometry = GridGeometry(1.7, 35)
+    grid = WignerGrid(geometry, np.ones((35, 35)))
+    assert grid.xs is grid.ps and np.array_equal(grid.xs, geometry.axis())
+    assert (grid.step, grid.points) == (geometry.step, geometry.points)
+    w = geometry.weights()
+    assert np.array_equal(w[:4] / (geometry.step / 3.0), [1.0, 4.0, 2.0, 4.0])
+    assert w[-1] == w[0] and w.sum() == pytest.approx(3.4, rel=1e-14)
 
 
 def test_grid_integral_of_constant():
-    grid = WignerGrid.from_geometry(GridGeometry(1.0, 33), np.ones((33, 33)))
+    grid = WignerGrid(GridGeometry(1.0, 33), np.ones((33, 33)))
     assert grid.integral() == pytest.approx(4.0, rel=1e-14)
 
 
 def test_with_values_keeps_layout():
     grid = state_grid(PURE2)
     doubled = grid.with_values(2.0 * grid.values)
-    assert doubled.x0 == grid.x0 and doubled.dx == grid.dx
+    assert doubled.geometry == grid.geometry
     assert doubled.integral() == pytest.approx(2.0 * grid.integral(), rel=1e-14)
 
 
 def test_boundary_max_scans_all_edges():
     vals = np.zeros((33, 33))
     vals[7, -1] = 0.25
-    grid = WignerGrid.from_geometry(GridGeometry(1.0, 33), vals)
+    grid = WignerGrid(GridGeometry(1.0, 33), vals)
     assert grid.boundary_max() == 0.25
 
 
@@ -276,9 +279,13 @@ def test_transform_mixture_metrics():
 
 
 def test_transform_undersized_grid_refused():
-    state = squeezed_vacuum(-math.log(2.0), 68)  # rms_x = sqrt(2)
-    with pytest.raises(GeometryError):
-        wigner_from_density(state, GridGeometry(6.0, 257))
+    # sigma_x = 2 on a grid of extent 6: the transform makes the grid, and
+    # differencing refuses it by its boundary values, as for rasterized grids
+    grid = wigner_from_density(squeezed_vacuum(-math.log(2.0), 68), GridGeometry(6.0, 257))
+    assert grid.boundary_max() == pytest.approx(3.9e-5, rel=0.05)
+    for refused in (photon_outcomes, outcome_integrals, identity_residual):
+        with pytest.raises(GeometryError, match="boundary values"):
+            refused(grid)
 
 
 def test_transform_rejects_unknown_input():
@@ -350,18 +357,30 @@ def test_vacuum_input_degenerate():
 
 
 def test_renormalize_zero_grid_degenerate():
-    grid = WignerGrid.from_geometry(GridGeometry(1.0, 33), np.zeros((33, 33)))
+    grid = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
     with pytest.raises(DegenerateInputError):
         renormalize(grid)
 
 
 def test_vanishing_added_outcome_degenerate():
     # with an explicit ratio nothing guards S, so integral |A| = 0 must refuse
-    zero = WignerGrid.from_geometry(GridGeometry(1.0, 33), np.zeros((33, 33)))
+    zero = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
     with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
         identity_residual(zero, ratio=1.0)
     with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
         l1_relative_residual(zero, 1.0)
+
+
+@pytest.mark.parametrize("refused,quantity", [
+    (renormalize, "grid integral"),
+    (lambda zero: outcome_norm_ratio(1.0, zero.integral()), "subtracted integral"),
+    (lambda zero: l1_relative_residual(zero, 1.0), "integral |A|"),
+], ids=["renormalize", "norm-ratio", "l1-residual"])
+def test_vanishing_integral_messages_name_quantity_and_exclusion(refused, quantity):
+    zero = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
+    with pytest.raises(DegenerateInputError) as info:
+        refused(zero)
+    assert quantity in str(info.value) and "sigma_x = 1" in str(info.value)
 
 
 def test_doubling_resolution_shrinks_residual():
@@ -393,29 +412,27 @@ def full_array_outcomes(grid):
     """The whole-grid stencil assembly that predates the row-block kernel:
     the oracle the blocked outcomes must reproduce bit for bit."""
     W, xs, ps = grid.values, grid.xs, grid.ps
-    laplacian = (_d2(W, grid.dx, 0) + _d2(W, grid.dp, 1)) * 0.125
-    drift = _d1(W, grid.dx, 0) * xs[:, None] + _d1(W, grid.dp, 1) * ps[None, :]
+    h = grid.step
+    laplacian = (_d2(W, h, 0) + _d2(W, h, 1)) * 0.125
+    drift = _d1(W, h, 0) * xs[:, None] + _d1(W, h, 1) * ps[None, :]
     radial = (0.5 * xs * xs)[:, None] + (0.5 * (ps * ps - 1.0))[None, :]
     added = laplacian - 0.5 * drift + radial * W
     return added, added + W + drift
 
 
-def grid_of(spec, nx, num_p):
-    """A spec sampled on an nx x num_p grid over the default extent; grid
-    geometries are square, so a rectangular one is built directly."""
-    extent = policy_extent(spec.widths()[1])
-    dx, dp = 2.0 * extent / (nx - 1), 2.0 * extent / (num_p - 1)
-    xs, ps = -extent + np.arange(nx) * dx, -extent + np.arange(num_p) * dp
-    return WignerGrid(-extent, dx, -extent, dp, wigner_value(spec, xs[:, None], ps[None, :]))
+def grid_of(spec, n):
+    """A spec sampled on n x n points over the default extent."""
+    return rasterize(spec, GridGeometry(policy_extent(spec.widths()[1]), n))
 
 
 @pytest.mark.parametrize("shape", [
-    (33, 35),                    # smaller than one block
-    (129, 97),                   # non-square
-    (4 * _BLOCK_ROWS + 1, 41),   # last block is a single row
+    (33, 33),                                    # smaller than one block
+    (97, 97),                                    # a full block and a partial one
+    (4 * _BLOCK_ROWS + 1, 4 * _BLOCK_ROWS + 1),  # last block is a single row
 ])
 def test_blocked_outcomes_match_full_array_assembly(shape):
-    grid = grid_of(SKEW, *shape)
+    grid = grid_of(SKEW, shape[0])
+    assert grid.values.shape == shape
     added, subtracted = photon_outcomes(grid)
     want_added, want_subtracted = full_array_outcomes(grid)
     assert np.array_equal(added.values, want_added)
@@ -428,16 +445,15 @@ def _rel(a, b):
 
 def full_array_l1(grid, added, subtracted, ratio):
     """integral |A - ratio * S| / integral |A| over the whole grid at once."""
-    wx, wp = grid.weights()
-    return _simpson(np.abs(added - ratio * subtracted), wx, wp) / _simpson(np.abs(added), wx, wp)
+    w = grid.geometry.weights()
+    return _simpson(np.abs(added - ratio * subtracted), w, w) / _simpson(np.abs(added), w, w)
 
 
 @settings(max_examples=25, deadline=None)
-@given(nx=st.integers(16, 150).map(lambda k: 2 * k + 1),
-       num_p=st.integers(16, 150).map(lambda k: 2 * k + 1),
+@given(n=st.integers(16, 150).map(lambda k: 2 * k + 1),
        sx=st.floats(1.5, 3.0), sp=st.floats(0.7, 1.2), theta=st.floats(0.0, math.pi))
-def test_identity_residual_matches_full_array_oracle(nx, num_p, sx, sp, theta):
-    grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), nx, num_p)
+def test_identity_residual_matches_full_array_oracle(n, sx, sp, theta):
+    grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), n)
     added, subtracted = full_array_outcomes(grid)
     want_residual = full_array_l1(grid, added, subtracted, 1.25)
     added, subtracted = grid.with_values(added), grid.with_values(subtracted)
@@ -472,12 +488,12 @@ def _serial_residual(grid, ratio):
     """The in-order serial L1 pass over whole rows of the full-array outcomes:
     the oracle of the pooled pass, which skips the columns where W is zero."""
     added, subtracted = full_array_outcomes(grid)
-    wx, wp = grid.weights()
+    w = grid.geometry.weights()
     num = den = 0.0
-    for i0, i1 in _row_blocks(grid.nx):
+    for i0, i1 in _row_blocks(grid.points):
         rows = slice(i0, i1)
-        num += _simpson(np.abs(added[rows] - ratio * subtracted[rows]), wx[rows], wp)
-        den += _simpson(np.abs(added[rows]), wx[rows], wp)
+        num += _simpson(np.abs(added[rows] - ratio * subtracted[rows]), w[rows], w)
+        den += _simpson(np.abs(added[rows]), w[rows], w)
     return num / den
 
 
@@ -521,7 +537,7 @@ def support_grid(n, rows, cols):
     """n x n grid: random values on rows x cols, exact zeros elsewhere."""
     values = np.zeros((n, n))
     values[rows, cols] = 0.5 + np.random.default_rng(7).random(values[rows, cols].shape)
-    return WignerGrid.from_geometry(GridGeometry(6.0, n), values)
+    return WignerGrid(GridGeometry(6.0, n), values)
 
 
 CLIPPED_CASES = {
@@ -608,11 +624,10 @@ def _simpson_integrals(grid):
 
 
 @settings(max_examples=25, deadline=None)
-@given(nx=st.integers(16, 150).map(lambda k: 2 * k + 1),
-       num_p=st.integers(16, 150).map(lambda k: 2 * k + 1),
+@given(n=st.integers(16, 150).map(lambda k: 2 * k + 1),
        sx=st.floats(1.5, 3.0), sp=st.floats(0.7, 1.2), theta=st.floats(0.0, math.pi))
-def test_outcome_integrals_match_full_array_oracle(nx, num_p, sx, sp, theta):
-    grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), nx, num_p)
+def test_outcome_integrals_match_full_array_oracle(n, sx, sp, theta):
+    grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), n)
     ia, isub = outcome_integrals(grid)
     want_a, want_s = _simpson_integrals(grid)
     assert _rel(ia, want_a) < 1e-12
@@ -634,11 +649,11 @@ def test_outcome_integrals_of_transformed_coherent_state():
 def test_strided_values_give_bitwise_results():
     # io.load_grid builds its grid from a column view of the parsed table
     grid = state_grid(SKEW)
-    table = np.zeros((grid.nx * grid.num_p, 3))
+    table = np.zeros((grid.points ** 2, 3))
     table[:, 2] = grid.values.ravel()
-    view = table[:, 2].reshape(grid.nx, grid.num_p)
+    view = table[:, 2].reshape(grid.values.shape)
     assert not view.flags.c_contiguous
-    strided = WignerGrid(grid.x0, grid.dx, grid.p0, grid.dp, view)
+    strided = WignerGrid(grid.geometry, view)
     assert strided.values.flags.c_contiguous
     assert outcome_integrals(strided) == outcome_integrals(grid)
     assert identity_residual(strided) == identity_residual(grid)

@@ -128,7 +128,7 @@ def test_fig1_deterministic(tmp_path):
 def test_fig2_outcome_origins(tmp_path):
     for path in figure_data("fig2", str(tmp_path)):
         grid, _ = load_grid(path)
-        origin = grid.values[grid.nx // 2, grid.num_p // 2]
+        origin = grid.values[grid.points // 2, grid.points // 2]
         assert abs(origin - (-1.0 / math.pi)) < 1e-3
 
 
