@@ -2,7 +2,7 @@
 
 The grid route is deliberately independent of the closed forms in `gaussian`:
 states enter either by rasterizing a gaussian spec or by the integral transform
-of a number-basis density matrix, and the one-photon operations act through
+of a pure number-basis state, and the one-photon operations act through
 finite differences:
 
     added      A = (x^2 + p^2 - 1) W / 2 - (x Wx + p Wp) / 2 + (Wxx + Wpp) / 8
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, GeometryError
-from .fock import DensityMatrix, FockVector, quadrature_moments
+from .fock import FockVector, quadrature_moments
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, wigner_value
 from .special import check_basis_size, hermite_psi_table
 
@@ -150,12 +150,6 @@ def policy_extent(widest: float) -> float:
     return 6.0 * max(widest, 1.0)
 
 
-def _transformable_density(state) -> DensityMatrix:
-    """The density matrix of a number-basis state the transform can take."""
-    check_basis_size(state.trunc)
-    return DensityMatrix.from_pure(state) if isinstance(state, FockVector) else state
-
-
 def refined_geometry(spec) -> GridGeometry:
     """Finite-difference-grade geometry: step = (narrowest width)/16.
 
@@ -256,49 +250,44 @@ def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
     return WignerGrid(geometry, values)
 
 
-def wigner_from_density(state, geometry: GridGeometry) -> WignerGrid:
+def wigner_from_density(state: FockVector, geometry: GridGeometry) -> WignerGrid:
     """Integral transform of a number-basis state to the phase-space grid.
 
-    W(x, p) = (1/2pi) * integral dy <x - y/2| rho |x + y/2> exp(i p y),
-    with the position kernel built from orthonormal Hermite functions and the
-    y integral done by the trapezoid rule over |y| <= 2 * extent at the grid step,
-    folded onto y >= 0 by the kernel's Hermitian symmetry. The integrand
+    W(x, p) = (1/2pi) * integral dy psi(x - y/2) psi*(x + y/2) exp(i p y),
+    the position kernel <x - y/2| rho |x + y/2> of rho = |psi><psi|, with psi
+    summed from orthonormal Hermite functions over the normalized amplitudes
+    and the y integral done by the trapezoid rule over |y| <= 2 * extent at
+    the grid step, folded onto y >= 0 by the kernel's symmetry. The integrand
     vanishes at the ends, where Simpson's alternating weights would alias it
     to p +- pi/h for the step h. Every sample point x +- y/2 on n points lies
-    on the half-step lattice k * h/2, |k| <= 2n - 2, so the eigenvectors of
-    the density are evaluated there once and gathered by index; the work
-    scales with the number of significantly occupied eigenstates.
+    on the half-step lattice k * h/2, |k| <= 2n - 2, so psi is evaluated there
+    once and gathered by index.
 
     Raises ConfigurationError for a basis of more than HERMITE_DEGREE_CAP + 1
-    levels. Only ``state_grid`` checks the normalization drift; a grid too
-    small for the state is refused where it is differenced, by its boundary
-    values.
+    levels, from ``hermite_psi_table``. Only ``state_grid`` checks the
+    normalization drift; a grid too small for the state is refused where it
+    is differenced, by its boundary values.
     """
-    if not isinstance(state, (FockVector, DensityMatrix)):
+    if not isinstance(state, FockVector):
         raise ConfigurationError(f"wigner_from_density cannot handle {type(state).__name__}")
-    rho = _transformable_density(state)
     ps = geometry.axis()
     n, h = geometry.points, geometry.step
-
-    evals, evecs = np.linalg.eigh(rho.elems)
-    keep = evals > 1e-13
-    evals, evecs = evals[keep], evecs[:, keep]
 
     # With x_i = -E + i h, y_k = k h and E = (n - 1) h / 2:
     # x_i - y_k/2 = lattice[2i - k + n - 1] and x_i + y_k/2 = lattice[2i + k + n - 1].
     lattice = (np.arange(4 * n - 3) - (2 * n - 2)) * (h / 2.0)
-    psi = hermite_psi_table(rho.trunc, lattice) @ evecs  # (lattice, rank)
+    table = hermite_psi_table(state.trunc, lattice)
+    amps = state.normalized().amps
+    psi = np.einsum("ln,n->l", table, amps.real) + 1j * np.einsum("ln,n->l", table, amps.imag)
     centre = 2 * np.arange(n)[:, None] + (n - 1)
     k = np.arange(n)
-    minus, plus = centre - k, centre + k
-    kernel = np.zeros((n, n), dtype=complex)
-    for lam, f in zip(evals, psi.T):
-        kernel += lam * f[minus] * f.conj()[plus]
+    kernel = psi[centre - k] * psi.conj()[centre + k]
 
-    # rho is Hermitian, so K(x, -y) = K(x, y)*: the trapezoid sum over
-    # |y| <= 2E is K(x, 0) plus twice Re(K e^{ipy}) over y > 0, the end
-    # column halved. einsum, not BLAS, reduces it in real arithmetic: its
-    # sums keep one order whatever the BLAS thread count.
+    # K(x, y) = psi(x - y/2) psi*(x + y/2), so K(x, -y) = K(x, y)*: the
+    # trapezoid sum over |y| <= 2E is K(x, 0) plus twice Re(K e^{ipy}) over
+    # y > 0, the end column halved. einsum, not BLAS, forms psi and reduces
+    # the sum in real arithmetic: its sums keep one order whatever the BLAS
+    # thread count.
     weight = np.full(n, 2.0)
     weight[0] = weight[-1] = 1.0
     py = np.outer(k * h, ps)
@@ -314,23 +303,23 @@ def state_grid(state, points: int | None = None) -> WignerGrid:
     (transformed) on its default geometry, the one casual-use grid policy.
 
     The extent is always ``policy_extent`` of the widest width, for a
-    number-basis state sqrt(2) * rms from the one density matrix the
-    transform also takes; ``points`` defaults to 257, or 513 once the extent
-    passes 18. Raises ConfigurationError for a basis too large for the
-    transform, and GeometryError when the grid does not resolve the state:
-    its integral drifts by over NORMALIZATION_DRIFT.
+    number-basis state sqrt(2) * rms of its quadratures; ``points`` defaults
+    to 257, or 513 once the extent passes 18. Raises ConfigurationError for a
+    basis too large for the transform, before any trunc x trunc array exists,
+    and GeometryError when the grid does not resolve the state: its integral
+    drifts by over NORMALIZATION_DRIFT.
     """
-    rho = None
-    if isinstance(state, (FockVector, DensityMatrix)):
-        rho = _transformable_density(state)
-        extent = policy_extent(np.sqrt(2.0 * max(quadrature_moments(rho))))
+    if isinstance(state, FockVector):
+        check_basis_size(state.trunc)
+        extent = policy_extent(np.sqrt(2.0 * max(quadrature_moments(state))))
+        build = wigner_from_density
     elif isinstance(state, (GaussianWignerSpec, AngularAverageSpec)):
         extent = policy_extent(state.widths()[1])
+        build = rasterize
     else:
         raise ConfigurationError(f"state_grid cannot handle {type(state).__name__}")
     default_points = 257 if extent <= 18.0 else 513
-    geometry = GridGeometry(extent, default_points if points is None else points)
-    grid = rasterize(state, geometry) if rho is None else wigner_from_density(rho, geometry)
+    grid = build(state, GridGeometry(extent, default_points if points is None else points))
     drift = abs(grid.integral() - 1.0)
     if not drift <= NORMALIZATION_DRIFT:
         raise GeometryError(f"normalization drift {drift:.3e} on the {grid.points}-point grid: "

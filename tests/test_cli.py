@@ -6,12 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from sqvac import (
-    DensityMatrix,
     FockVector,
     GaussianWignerSpec,
     GridGeometry,
@@ -22,7 +22,7 @@ from sqvac import (
     renormalize,
     state_grid,
 )
-from sqvac import verify
+from sqvac import phasespace, verify
 from sqvac.cli import main
 from sqvac.io import load_grid, load_state, save_grid, save_state
 
@@ -420,7 +420,7 @@ def oversized_state(tmp_path_factory):
 @pytest.mark.parametrize("cmd", ["wigner"])
 def test_state_too_large_for_transform_refused_without_output(tmp_path, capsys,
                                                               oversized_state, cmd):
-    # refused before the trunc^2 density matrix is built
+    # refused before the trunc^2 lowering matrix of the moments is built
     capsys.readouterr()
     out_path = tmp_path / f"{cmd}.csv"
     code, out, err = run(capsys, cmd, "--state", str(oversized_state), "-o", str(out_path))
@@ -515,6 +515,20 @@ def test_malformed_state_file_refused_without_output(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
+def test_overflowing_amplitude_norm_refused_without_output(tmp_path, capsys):
+    # every amplitude is finite, but their squares overflow the norm: one
+    # error line names it, and numpy warns of no overflow
+    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    state.write_text(json.dumps({"format": "fock-v1", "trunc": 3,
+                                 "amps": [[1e300, 0.0], [1e300, 0.0], [0.0, 0.0]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "wigner", "--state", str(state), "-o", str(out_path))
+    assert code == 2 and out == "" and caught == []
+    assert err == "error: amplitude norm is inf: the squared amplitudes overflow; rescale them\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("where", ["grid-header", "grid-row", "state"])
 def test_undecodable_bytes_refused_naming_the_file(tmp_path, capsys, where):
     path, out_path = tmp_path / "in.dat", tmp_path / "out.csv"
@@ -546,24 +560,27 @@ def test_unresolved_transform_refused_without_output(tmp_path, capsys):
 
 
 def test_transform_builds_one_density_matrix(tmp_path, capsys, monkeypatch):
-    # the extent and the transform share one matrix, checked once
+    # one moments pass sizes the grid and one Hermite table feeds the
+    # transform's kernel psi(x - y/2) psi*(x + y/2): a pure state needs no
+    # eigendecomposition
     state, grid_path = tmp_path / "z1.json", tmp_path / "z1.csv"
     assert run(capsys, "state", "--kind", "squeezed", "--z", "1", "-o", str(state))[0] == 0
-    calls = {"from_pure": 0, "eigvalsh": 0}
-    from_pure, eigvalsh = DensityMatrix.from_pure.__func__, np.linalg.eigvalsh
+    calls = {}
 
-    def counted_from_pure(cls, vec):
-        calls["from_pure"] += 1
-        return from_pure(cls, vec)
+    def count(owner, name):
+        wrapped = getattr(owner, name)
+        calls[name] = 0
 
-    def counted_eigvalsh(*args, **kwargs):
-        calls["eigvalsh"] += 1
-        return eigvalsh(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
 
-    monkeypatch.setattr(DensityMatrix, "from_pure", classmethod(counted_from_pure))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    for owner, name in ((phasespace, "quadrature_moments"), (phasespace, "hermite_psi_table"),
+                        (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        count(owner, name)
     assert run(capsys, "wigner", "--state", str(state), "-o", str(grid_path))[0] == 0
-    assert calls == {"from_pure": 1, "eigvalsh": 1}
+    assert calls == {"quadrature_moments": 1, "hermite_psi_table": 1, "eigh": 0, "eigvalsh": 0}
 
 
 # ------------------------------------------------------- figures and verify
@@ -645,22 +662,27 @@ def test_reports_do_not_depend_on_blas_thread_count(tmp_path):
 
 def test_transform_grid_does_not_depend_on_blas_thread_count(tmp_path):
     # the transform's y sum once ran through a complex BLAS product, which
-    # OpenBLAS splits by its thread count
+    # OpenBLAS splits by its thread count; the complex state also feeds the
+    # imaginary parts of psi and of the kernel
     import sqvac
     src = os.path.dirname(os.path.dirname(sqvac.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    state = tmp_path / "squeezed.json"
+    squeezed, complex_state = tmp_path / "squeezed.json", tmp_path / "complex.json"
     subprocess.run([sys.executable, "-m", "sqvac.cli", "state", "--kind", "squeezed", "--z",
-                    repr(math.log(2.0)), "-o", str(state)], check=True, capture_output=True,
+                    repr(math.log(2.0)), "-o", str(squeezed)], check=True, capture_output=True,
                    env=env)
-    grids = []
-    for threads in ("1", "2"):
-        path = tmp_path / f"blas{threads}.csv"
-        subprocess.run([sys.executable, "-m", "sqvac.cli", "wigner", "--state", str(state),
-                        "-o", str(path)], check=True, capture_output=True,
-                       env=dict(env, OPENBLAS_NUM_THREADS=threads))
-        grids.append(path.read_bytes())
-    assert grids[0] == grids[1]
+    r = 1.0 / math.sqrt(3.0)  # (|0> + i|1> + |2>) / sqrt(3)
+    complex_state.write_text(json.dumps({"format": "fock-v1", "trunc": 3,
+                                         "amps": [[r, 0.0], [0.0, r], [r, 0.0]]}))
+    for state in (squeezed, complex_state):
+        grids = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"{state.stem}_blas{threads}.csv"
+            subprocess.run([sys.executable, "-m", "sqvac.cli", "wigner", "--state", str(state),
+                            "-o", str(path)], check=True, capture_output=True,
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads))
+            grids.append(path.read_bytes())
+        assert grids[0] == grids[1], state.name
 
 
 def test_console_script_installed():

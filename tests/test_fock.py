@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sqvac import (
     ConfigurationError,
     DegenerateInputError,
-    DensityMatrix,
     DomainError,
     FockVector,
     TruncationError,
@@ -31,12 +30,6 @@ def basis_vector(n, trunc):
     amps = np.zeros(trunc)
     amps[n] = 1.0
     return FockVector(trunc, amps)
-
-
-def mixture(weights, vecs):
-    """Convex mixture of pure number-basis states as a density matrix."""
-    return DensityMatrix(vecs[0].trunc,
-                         sum(w * DensityMatrix.from_pure(v).elems for w, v in zip(weights, vecs)))
 
 
 def mean_photon(amps):
@@ -78,41 +71,10 @@ def test_fock_vector_validation():
         squeezed_vacuum(math.nan)
     with pytest.raises(DomainError):
         coherent_state(math.inf, 40)
-
-
-def test_density_matrix_rejects_non_hermitian():
-    with pytest.raises(ConfigurationError):
-        DensityMatrix(2, np.array([[0.5, 0.3], [0.1, 0.5]]))
-
-
-def test_density_matrix_rejects_wrong_trace():
-    with pytest.raises(ConfigurationError):
-        DensityMatrix(2, np.array([[0.7, 0.0], [0.0, 0.7]]))
-
-
-def test_density_matrix_rejects_negative_eigenvalue():
-    with pytest.raises(ConfigurationError):
-        DensityMatrix(2, np.array([[1.5, 0.0], [0.0, -0.5]]))
-
-
-@pytest.mark.parametrize("elems", [
-    [[math.nan, 0.0], [0.0, 1.0]],
-    [[0.5, math.nan], [math.nan, 0.5]],
-    [[math.inf, 0.0], [0.0, 1.0]],
-])
-def test_density_matrix_rejects_non_finite(elems):
-    # NaN makes every ">" tolerance check false, so it must be refused first
-    with pytest.raises(DomainError):
-        DensityMatrix(2, np.array(elems))
-
-
-def test_mixture_weights_and_purity():
-    rho = mixture(
-        [0.5, 0.5], [basis_vector(0, 8), basis_vector(2, 8)]
-    )
-    assert np.trace(rho.elems).real == pytest.approx(1.0, abs=1e-14)
-    assert np.trace(rho.elems @ rho.elems).real == pytest.approx(0.5, abs=1e-14)
-    assert np.diag(rho.elems).real @ np.arange(8) == pytest.approx(1.0, abs=1e-14)
+    # finite amplitudes whose squares overflow: the norm is refused, not
+    # divided into zeros
+    with pytest.raises(DomainError, match="norm is inf"):
+        FockVector(3, np.array([1e300, 1e300, 0.0])).normalized()
 
 
 # ---------------------------------------------------------- ladder algebra
@@ -313,17 +275,20 @@ def test_bogoliubov_on_vacuum():
 # ----------------------------------------------------------------- metrics
 
 def test_state_metrics_pure():
-    rho = DensityMatrix.from_pure(squeezed_vacuum(LN2, 68)).elems
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
-    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-13)
-    assert np.diag(rho).real @ np.arange(68) == pytest.approx(0.5625, abs=1e-10)
+    amps = squeezed_vacuum(-LN2, 68).amps  # sigma_x = 2
+    weights = np.abs(amps) ** 2
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-13)
+    assert weights @ np.arange(68) == pytest.approx(0.5625, abs=1e-10)  # sinh^2(ln 2)
 
 
 def test_quadrature_moments_density_matrix():
-    rho = mixture(
-        [0.5, 0.5], [basis_vector(0, 8), basis_vector(2, 8)]
-    )
-    x2, p2 = quadrature_moments(rho)
-    # <n+1/2> per quadrature: (0.5*0.5 + 0.5*2.5) = 1.5
-    assert x2 == pytest.approx(1.5, abs=1e-12)
-    assert p2 == pytest.approx(1.5, abs=1e-12)
+    # Tr(rho X^2) = ||X psi||^2 for rho = |psi><psi|; |1> has <n + 1/2> = 1.5
+    # in each quadrature
+    assert quadrature_moments(basis_vector(1, 8)) == pytest.approx((1.5, 1.5), abs=1e-12)
+    wide = squeezed_vacuum(-LN2, 68)  # sigma_x = 2
+    assert quadrature_moments(wide) == pytest.approx((2.0, 0.125), abs=1e-6)
+    # the moments are those of the normalized state
+    tripled = FockVector(68, 3.0 * wide.amps)
+    assert quadrature_moments(tripled) == pytest.approx(quadrature_moments(wide), rel=1e-14)
+    with pytest.raises(ConfigurationError):
+        quadrature_moments(np.outer(wide.amps, wide.amps))

@@ -17,7 +17,6 @@ from sqvac import (
     AngularAverageSpec,
     ConfigurationError,
     DegenerateInputError,
-    DensityMatrix,
     FockVector,
     GaussianWignerSpec,
     GeometryError,
@@ -48,12 +47,6 @@ PURE2 = GaussianWignerSpec.pure_state(2.0)
 IMPURE = GaussianWignerSpec.single(4.0, 0.5)
 # rotated and impure: no symmetry of W hides a transposed or shifted row
 SKEW = GaussianWignerSpec.single(2.0, 0.7, theta=0.4)
-
-
-def mixture(weights, vecs):
-    """Convex mixture of pure number-basis states as a density matrix."""
-    return DensityMatrix(vecs[0].trunc,
-                         sum(w * DensityMatrix.from_pure(v).elems for w, v in zip(weights, vecs)))
 
 
 # ----------------------------------------------------------------- geometry
@@ -213,20 +206,18 @@ def test_transform_single_photon():
     closed = (2.0 * s - 1.0) * np.exp(-s) / math.pi
     assert np.max(np.abs(grid.values - closed)) < 1e-8
 
-    # Number states, a rank-3 mixture with coherences and, last, a
-    # superposition whose W is not even in p, so a swapped x +- y/2 gather
-    # would mirror it.
+    # Number states, an unnormalized random complex vector with coherences
+    # at every level and, last, a superposition whose W is not even in p, so
+    # a swapped x +- y/2 gather would mirror it.
     rng = np.random.default_rng(7)
-    vecs = [FockVector(8, rng.normal(size=8) + 1j * rng.normal(size=8)).normalized()
-            for _ in range(3)]
     states = [FockVector(8, np.eye(8)[n]) for n in (0, 1, 2, 5)] + [
-        mixture([0.5, 0.3, 0.2], vecs),
+        FockVector(8, rng.normal(size=8) + 1j * rng.normal(size=8)),
         FockVector(8, np.array([1.0, 1j, 0, 0, 0, 0, 0, 0]) / math.sqrt(2.0)),
     ]
     for state in states:
-        rho = state if isinstance(state, DensityMatrix) else DensityMatrix.from_pure(state)
+        psi = state.normalized().amps
         grid = state_grid(state)
-        oracle = laguerre_wigner(rho.elems, grid.xs[:, None], grid.ps[None, :])
+        oracle = laguerre_wigner(np.outer(psi, psi.conj()), grid.xs[:, None], grid.ps[None, :])
         assert np.max(np.abs(grid.values - oracle)) < 1e-10
     assert np.max(np.abs(oracle - oracle[:, ::-1])) > 0.1
 
@@ -265,17 +256,6 @@ def test_transform_coherent_is_shifted_vacuum():
         -((grid.xs[:, None] - math.sqrt(2.0)) ** 2) - grid.ps[None, :] ** 2
     ) / math.pi
     assert np.max(np.abs(grid.values - closed)) < 1e-7
-
-
-def test_transform_mixture_metrics():
-    rho = mixture(
-        [0.5, 0.5],
-        [FockVector(12, np.eye(12)[0]), FockVector(12, np.eye(12)[2])],
-    )
-    m = grid_metrics(state_grid(rho))
-    assert m.integral == pytest.approx(1.0, abs=1e-6)
-    assert m.purity == pytest.approx(0.5, abs=1e-6)
-    assert m.mean_photon == pytest.approx(1.0, abs=1e-6)
 
 
 def test_transform_undersized_grid_refused():
