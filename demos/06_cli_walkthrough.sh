@@ -1,7 +1,12 @@
 #!/bin/sh
 # End-to-end walkthrough of the sqvac command line.
-# Run from anywhere; writes into a temporary directory.
+# Run from anywhere; writes into a temporary directory. Without the installed
+# console script it runs the module, e.g. from a checkout with PYTHONPATH=src.
 set -eu
+
+if ! command -v sqvac >/dev/null 2>&1; then
+    sqvac() { python3 -m sqvac.cli "$@"; }
+fi
 
 out=$(mktemp -d)
 echo "working in $out"

@@ -30,7 +30,9 @@ Every grid is a square ``GridGeometry`` (extent, points) plus its values.
 The geometry owns the layout: x and p share one axis, -extent + k*step, and
 one Simpson weight vector. ``state_grid`` sizes the geometry from a state's
 widest width; serialization writes the geometry, so a saved and reloaded grid
-is bit-identical to the original, derived axis included.
+is bit-identical to the original, derived axis included. An odd point count
+puts the centre node, index points // 2, within one ulp of the extent of the
+origin, so origin values are read there with no interpolation.
 """
 
 import os
@@ -453,6 +455,7 @@ class IdentityCheck(NamedTuple):
     ratio_used: float
     added_integral: float
     subtracted_integral: float
+    # A / integral(A) at the centre node, within one ulp of the extent of the origin
     added_origin: float
     max_gap: float  # max |A - R S| / |int A|; at the default R, max |A/int A - S/int S|
 
@@ -536,7 +539,9 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     from ``outcome_norm_ratio``) and returns the L1-relative residual
     integral |A - R S| / integral |A|, the outcome integrals, the origin value
     of A / integral(A) and ``max_gap``. The integrals come from
-    ``outcome_integrals``, the rest from one ``l1_relative_residual`` pass.
+    ``outcome_integrals``, the residual and ``max_gap`` from one
+    ``l1_relative_residual`` pass, and the origin value from one outcome tile
+    at the centre node, within one ulp of the extent of the origin.
 
     An explicit ``ratio`` must lie in [1, 1 + 1/DEGENERATE_INTEGRAL]: the
     norm ratio of any grid that ``outcome_norm_ratio`` accepts is
@@ -553,39 +558,20 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     if ratio is None:
         ratio = outcome_norm_ratio(ia, isub)
     residual, peak = l1_relative_residual(grid, ratio)
-    i, t = _origin_cell(grid)
-    patch = _outcome_tile(grid, i, i + 2, i, i + 2)[0] / ia
-    return IdentityCheck(residual, float(ratio), ia, isub, _interpolate(patch, t),
-                         peak / abs(ia))
+    m = grid.points // 2
+    origin = float(_outcome_tile(grid, m, m + 1, m, m + 1)[0][0, 0] / ia)
+    return IdentityCheck(residual, float(ratio), ia, isub, origin, peak / abs(ia))
 
 
 class GridReport(NamedTuple):
-    integral: float
     purity: float
-    mean_photon: float
     origin_value: float
 
 
-def _origin_cell(grid: WignerGrid) -> tuple[int, float]:
-    """Lower corner (i, i) of the cell holding the origin, and the offset t
-    of the origin in it along both axes."""
-    i = int(np.clip(np.searchsorted(grid.xs, 0.0) - 1, 0, grid.points - 2))
-    return i, (0.0 - grid.xs[i]) / grid.step
-
-
-def _interpolate(v: np.ndarray, t: float) -> float:
-    """Bilinear value at offset (t, t) inside the 2x2 corner patch v."""
-    return float((1 - t) * (1 - t) * v[0, 0] + t * (1 - t) * v[1, 0]
-                 + (1 - t) * t * v[0, 1] + t * t * v[1, 1])
-
-
 def grid_metrics(grid: WignerGrid) -> GridReport:
-    """Integral, purity 2 pi integral W^2, mean photon number and origin value."""
+    """Purity 2 pi integral W^2 and the origin value: W at the centre node,
+    which lies within one ulp of the extent of the origin."""
     w = grid.geometry.weights()
-    total = grid.integral()
     purity = 2.0 * np.pi * _simpson(grid.values * grid.values, w, w)
-    s2 = grid.xs[:, None] ** 2 + grid.ps[None, :] ** 2
-    energy = _simpson(s2 * grid.values, w, w)
-    mean_n = 0.5 * energy - 0.5
-    i, t = _origin_cell(grid)
-    return GridReport(total, purity, mean_n, _interpolate(grid.values[i:i + 2, i:i + 2], t))
+    m = grid.points // 2
+    return GridReport(purity, float(grid.values[m, m]))

@@ -256,9 +256,10 @@ def test_residual_refuses_non_finite_ratio(tmp_path, capsys, ratio):
     assert "not finite" in err
 
 
-@pytest.mark.parametrize("ratio", ["1.7e308", "-3", "0.5"])
+@pytest.mark.parametrize("ratio", ["1.7e308", "-3", "0.5", "2e6"])
 def test_residual_refuses_ratio_outside_norm_ratio_range(tmp_path, capsys, ratio):
-    # a norm ratio is 1 + integral(W)/integral(S), with integral(S) bounded below
+    # a norm ratio is 1 + integral(W)/integral(S), with integral(S) bounded below;
+    # 2e6 lies past the top, 1 + 1/DEGENERATE_INTEGRAL
     grid_path = tmp_path / "grid.csv"
     save_grid(grid_path, state_grid(GaussianWignerSpec.pure_state(2.0)))
     code, out, err = run(capsys, "residual", "--grid", str(grid_path), f"--ratio={ratio}")

@@ -75,6 +75,15 @@ def test_geometry_steps_and_axes():
     assert axis.size == 257
 
 
+def test_centre_node_is_the_origin():
+    # origin values are read at index points // 2 with no interpolation: on
+    # any odd count that node lies within one ulp of the extent of 0
+    for extent in np.geomspace(0.5, 100.0, 300):
+        for points in (33, 257, 513, 769, 931, 3073):
+            axis = GridGeometry(float(extent), points).axis()
+            assert abs(axis[points // 2]) <= np.spacing(extent)
+
+
 def test_policy_extent():
     assert policy_extent(2.0) == 12.0
     assert policy_extent(1.0) == 6.0
@@ -173,10 +182,10 @@ def test_rasterize_rejects_unknown_spec():
 
 
 def test_rasterize_default_geometry_normalized():
-    m = grid_metrics(state_grid(PURE2))
-    assert m.integral == pytest.approx(1.0, abs=1e-9)
+    grid = state_grid(PURE2)
+    m = grid_metrics(grid)
+    assert grid.integral() == pytest.approx(1.0, abs=1e-9)
     assert m.purity == pytest.approx(1.0, abs=1e-8)
-    assert m.mean_photon == pytest.approx(0.5625, abs=1e-8)  # sinh^2(ln 2)
     assert m.origin_value == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
@@ -276,11 +285,13 @@ def test_transform_rejects_unknown_input():
 # ----------------------------------------------------------- photon outcomes
 
 def test_outcomes_need_decayed_boundary():
-    grid = rasterize(IMPURE, GridGeometry(8.0, 257))
-    with pytest.raises(GeometryError):
-        photon_outcomes(grid)
-    with pytest.raises(GeometryError):
-        outcome_integrals(grid)
+    # the second grid's boundary lies between BOUNDARY_DECAY and 1e-6
+    near = rasterize(PURE2, GridGeometry(8.85, 257))
+    assert near.boundary_max() == pytest.approx(9.98e-10, rel=1e-3)
+    for grid in (rasterize(IMPURE, GridGeometry(8.0, 257)), near):
+        for refused in (photon_outcomes, outcome_integrals, identity_residual):
+            with pytest.raises(GeometryError, match="boundary values"):
+                refused(grid)
 
 
 def test_outcome_integrals_are_ladder_norms():
@@ -358,9 +369,13 @@ def test_vanishing_added_outcome_degenerate():
 ], ids=["renormalize", "norm-ratio", "l1-residual"])
 def test_vanishing_integral_messages_name_quantity_and_exclusion(refused, quantity):
     zero = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
-    with pytest.raises(DegenerateInputError) as info:
-        refused(zero)
-    assert quantity in str(info.value) and "sigma_x = 1" in str(info.value)
+    # integral W = 1e-8: under DEGENERATE_INTEGRAL, yet no round-off zero
+    pure = state_grid(PURE2)
+    tiny = pure.with_values(pure.values * 1e-8)
+    for grid in (zero, tiny):
+        with pytest.raises(DegenerateInputError) as info:
+            refused(grid)
+        assert quantity in str(info.value) and "sigma_x = 1" in str(info.value)
 
 
 def test_doubling_resolution_shrinks_residual():
@@ -447,7 +462,8 @@ def test_identity_residual_matches_full_array_oracle(n, sx, sp, theta):
     gap = np.max(np.abs(renormalize(added).values - renormalize(subtracted).values))
     assert _rel(chk.max_gap, gap) < 1e-12
     assert _rel(l1_relative_residual(grid, 1.25)[0], want_residual) < 1e-12
-    assert _rel(chk.added_origin, grid_metrics(renormalize(added)).origin_value) < 1e-12
+    m = n // 2
+    assert _rel(chk.added_origin, added.values[m, m] / ia) < 1e-12
 
 
 def test_identity_residual_holds_no_full_size_grid():
