@@ -152,7 +152,11 @@ def coherent_state(alpha: complex, trunc: int) -> FockVector:
     if trunc < 2:
         raise ConfigurationError("coherent_state needs trunc >= 2")
     amps = np.zeros(trunc, dtype=complex)
-    amps[0] = np.exp(-abs(alpha) ** 2 / 2.0)
+    # exp(-|alpha|^2 / 2) underflows to 0.0 past |alpha| ~ 38.6, long before
+    # the square overflows (an OverflowError past ~1.34e154); a basis of zeros
+    # is refused below
+    size = abs(alpha)
+    amps[0] = np.exp(-size ** 2 / 2.0) if size < 1e100 else 0.0
     for n in range(1, trunc):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))

@@ -190,16 +190,21 @@ def _log_density(c: GaussianComponent, x, p, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def wigner_value(spec, x, p):
-    """Wigner function of a GaussianWignerSpec or AngularAverageSpec, broadcast."""
+def wigner_value(spec, x, p, out=None):
+    """Wigner function of a GaussianWignerSpec or AngularAverageSpec, broadcast;
+    written into ``out`` when it is given (and returned)."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if isinstance(spec, AngularAverageSpec):
-        return angular_average_value(spec.sigma_x, x, p)
+        value = angular_average_value(spec.sigma_x, x, p)
+        if out is None:
+            return value
+        out[...] = value
+        return out
     # exp in place; later components are added into the first one's buffer
     shape = np.broadcast_shapes(x.shape, p.shape)
     first, *rest = spec.components
-    out = _log_density(first, x, p, np.empty(shape))
+    out = _log_density(first, x, p, np.empty(shape) if out is None else out)
     np.exp(out, out=out)
     if rest:
         term = np.empty(shape)

@@ -26,6 +26,15 @@ shorter rows may differ in its last bit, since einsum groups its terms by
 row length. One helper, ``_outcome_tiles``, runs those clipped blocks for
 both ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
 
+The outcome passes read W from a row source: a held ``WignerGrid``, or a
+``SampledSpec``, a gaussian spec on a geometry that is sampled only in the
+windows a pass reads. One first pass over row blocks keeps axis-length
+vectors only (r = W wp, c = wx W, the boundary maximum and each row's first
+and last nonzero column): the outcome integrals come from r and c, and each
+tile's columns from the nonzero ranges of the rows it reads, so the identity
+check of a SampledSpec never holds W. Each worker of a pass writes its
+windows and tile temporaries into buffers it reuses from block to block.
+
 Every grid is a square ``GridGeometry`` (extent, points) plus its values.
 The geometry owns the layout: x and p share one axis, -extent + k*step, and
 one Simpson weight vector. ``state_grid`` sizes the geometry from a state's
@@ -36,9 +45,11 @@ origin, so origin values are read there with no interpolation.
 """
 
 import os
+import threading
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError, GeometryError
@@ -90,7 +101,10 @@ def _d1(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
     return out
 
 
-def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None) -> np.ndarray:
+    # `scratch`, shaped like F and aliasing neither F nor out, takes the one
+    # F-sized product, which is otherwise a fresh temporary
     G = np.moveaxis(F, axis, 0)
     if out is None:
         out = np.empty_like(F)
@@ -100,7 +114,8 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
     t *= 16.0
     t -= G[:-4]
     t -= G[4:]
-    t -= 30.0 * G[2:-2]
+    centre = None if scratch is None else np.moveaxis(scratch, axis, 0)[2:-2]
+    t -= np.multiply(G[2:-2], 30.0, out=centre)
     t *= 1.0 / (12.0 * h * h)
     O[0] = sum(wj * G[j] for j, wj in enumerate(_D2_EDGE0))
     O[1] = sum(wj * G[j] for j, wj in enumerate(_D2_EDGE1))
@@ -191,6 +206,10 @@ class WignerGrid:
         """Same geometry, new samples."""
         return WignerGrid(self.geometry, values)
 
+    def _window(self, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
+        """W on rows x cols as a view; ``out`` serves sources that sample."""
+        return self.values[rows, cols]
+
     def integral(self) -> float:
         w = self.geometry.weights()
         return _simpson(self.values, w, w)
@@ -235,11 +254,37 @@ def _map_blocks(fn, blocks) -> list:
         return list(pool.map(fn, blocks))
 
 
+class _Buffers(threading.local):
+    """Flat float buffers of the calling thread, one per name, each made on
+    first use with room for ``capacity`` values (the largest block of the
+    pass) and reused by every block the thread runs in that pass.
+
+    ``take`` carves a C-contiguous array of the asked shape from the front of
+    one: einsum sums a strided view in a different order, so a reduction over
+    a carved array keeps the bits it has over a fresh one.
+    """
+
+    def __init__(self, capacity: int = 0):
+        self.capacity = capacity
+        self.flat = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self.flat.get(name)
+        if buf is None or buf.size < size:
+            buf = self.flat[name] = np.empty(max(size, self.capacity))
+        return buf[:size].reshape(shape)
+
+
+def _require_spec(spec, user: str):
+    if not isinstance(spec, (GaussianWignerSpec, AngularAverageSpec)):
+        raise ConfigurationError(f"{user} cannot handle {type(spec).__name__}")
+
+
 def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
     """Sample a gaussian mixture or angular-average spec onto ``geometry``;
     only ``state_grid`` checks that the grid resolves it."""
-    if not isinstance(spec, (GaussianWignerSpec, AngularAverageSpec)):
-        raise ConfigurationError(f"rasterize cannot handle {type(spec).__name__}")
+    _require_spec(spec, "rasterize")
     axis = geometry.axis()
     # evaluate in row blocks: identical values, cache-sized temporaries
     values = np.empty((axis.size, axis.size))
@@ -248,8 +293,40 @@ def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
         i0, i1 = block
         values[i0:i1] = wigner_value(spec, axis[i0:i1, None], axis[None, :])
 
-    _map_blocks(fill, _row_blocks(axis.size, max(1, _RASTER_POINTS // axis.size)))
+    _map_blocks(fill, _row_blocks(axis.size, _raster_rows(axis.size)))
     return WignerGrid(geometry, values)
+
+
+def _raster_rows(n: int) -> int:
+    return max(1, _RASTER_POINTS // n)
+
+
+@dataclass(frozen=True)
+class SampledSpec:
+    """A gaussian mixture or angular-average spec read as a grid on
+    ``geometry`` that is never held: the identity check samples W with
+    ``wigner_value`` only in the windows it reads. ``wigner_value`` is
+    elementwise, so each window holds the floats ``rasterize(spec, geometry)``
+    holds there, and every result equals the held grid's bit for bit.
+
+    Its first pass (row sums, column sums, boundary, row support) runs once,
+    on first use, and is kept: a few axis-length vectors.
+    """
+
+    spec: object
+    geometry: GridGeometry
+
+    def __post_init__(self):
+        _require_spec(self.spec, "SampledSpec")
+
+    def _window(self, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
+        """W on rows x cols, sampled into ``out``."""
+        axis = self.geometry.axis()
+        return wigner_value(self.spec, axis[rows, None], axis[None, cols], out=out)
+
+    @cached_property
+    def _kept_pass(self) -> "_FirstPass":
+        return _sampled_pass(self)
 
 
 def wigner_from_density(state: FockVector, geometry: GridGeometry) -> WignerGrid:
@@ -329,13 +406,87 @@ def state_grid(state, points: int | None = None) -> WignerGrid:
     return grid
 
 
-def _check_boundary(grid: WignerGrid):
-    b = grid.boundary_max()
-    if b > BOUNDARY_DECAY:
+class _FirstPass(NamedTuple):
+    """What the outcome passes read of W before any tile: one scan of it."""
+    r: np.ndarray       # W wp, one entry per row
+    c: np.ndarray       # wx W, one entry per column
+    boundary: float     # largest |W| on the four edges
+    first: np.ndarray   # each row's first nonzero column; points on a row of zeros
+    last: np.ndarray    # each row's last nonzero column; -1 on a row of zeros
+
+
+def _row_support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first and last nonzero column: (points, -1) on a row of zeros."""
+    n = block.shape[1]
+    nonzero = block != 0.0
+    found = nonzero.any(axis=1)
+    return (np.where(found, nonzero.argmax(axis=1), n),
+            np.where(found, n - 1 - nonzero[:, ::-1].argmax(axis=1), -1))
+
+
+def _held_pass(grid: WignerGrid) -> _FirstPass:
+    """The first pass over a held grid: r and c contract it at once, and the
+    row support is found block by block, so its temporaries stay block-sized."""
+    values, w = grid.values, grid.geometry.weights()
+    first, last = (np.concatenate(parts) for parts in zip(
+        *(_row_support(values[i0:i1]) for i0, i1 in _row_blocks(grid.points))))
+    # einsum, not BLAS: its sums keep one order whatever the BLAS thread count
+    return _FirstPass(np.einsum("ij,j->i", values, w), np.einsum("i,ij->j", w, values),
+                      grid.boundary_max(), first, last)
+
+
+def _sampled_pass(source: "SampledSpec") -> _FirstPass:
+    """The first pass over a SampledSpec: one pooled pass over row blocks,
+    each sampled and dropped, that keeps only axis-length vectors.
+
+    Each row of r takes its terms in the order einsum gives a whole grid's.
+    c sums down the rows: a block is sampled one row below the top of its
+    worker's buffer, waits for the block before it, puts the running c in that
+    top row and contracts it with weight 1.0, so c takes its terms in row
+    order, as the held grid's einsum does, whatever the worker count.
+    """
+    geometry = source.geometry
+    n, w = geometry.points, geometry.weights()
+    r, c = np.empty(n), np.zeros(n)
+    first, last = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    blocks = list(_row_blocks(n, _raster_rows(n)))
+    ready = [threading.Event() for _ in blocks]
+    buffers = _Buffers((_raster_rows(n) + 1) * n)
+
+    def sample_block(k):
+        i0, i1 = blocks[k]
+        try:
+            top = buffers.take("block", (i1 - i0 + 1, n))
+            block = source._window(slice(i0, i1), slice(0, n), top[1:])
+            r[i0:i1] = np.einsum("ij,j->i", block, w)
+            first[i0:i1], last[i0:i1] = _row_support(block)
+            edges = [block[:, 0], block[:, -1]]
+            if i0 == 0:
+                edges.append(block[0])
+            if i1 == n:
+                edges.append(block[-1])
+            if k:
+                ready[k - 1].wait()
+            top[0] = c
+            np.einsum("i,ij->j", np.concatenate(([1.0], w[i0:i1])), top, out=c)
+        finally:
+            ready[k].set()
+        return max(float(np.max(np.abs(e))) for e in edges)
+
+    return _FirstPass(r, c, max(_map_blocks(sample_block, range(len(blocks)))), first, last)
+
+
+def _first_pass(source) -> _FirstPass:
+    """The first pass over ``source`` (a SampledSpec keeps its own); raises
+    GeometryError, before any tile is formed, when W is not decayed on the
+    boundary."""
+    scan = source._kept_pass if isinstance(source, SampledSpec) else _held_pass(source)
+    if scan.boundary > BOUNDARY_DECAY:
         raise GeometryError(
-            f"boundary values reach {b:.3e} > {BOUNDARY_DECAY}; enlarge the grid "
+            f"boundary values reach {scan.boundary:.3e} > {BOUNDARY_DECAY}; enlarge the grid "
             "before differencing"
         )
+    return scan
 
 
 def _halo(i0: int, i1: int, n: int) -> tuple[int, int]:
@@ -349,66 +500,86 @@ def _halo(i0: int, i1: int, n: int) -> tuple[int, int]:
     return lo, min(n, max(hi, lo + 6))
 
 
-def _outcome_tile(grid: WignerGrid, i0: int, i1: int, j0: int, j1: int
+def _outcome_tile(source, i0: int, i1: int, cols: slice, buffers: _Buffers
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows i0:i1 and columns j0:j1 of the added and subtracted outcomes,
+    """Rows i0:i1 and columns cols of the added and subtracted outcomes,
     bit-identical to a full-array assembly.
 
-    The stencils run on W over the halo of both ranges; only the inner tile is
-    kept, so every temporary is tile-sized.
+    The stencils run on the window of W over the halo of both ranges; only
+    the inner tile is kept. The window and every temporary live in the
+    thread's ``buffers`` ("window", "acc", "drift", "other"), so a worker
+    allocates them once per pass; the window is free again on return.
     """
-    n, h = grid.points, grid.step
+    n, h = source.geometry.points, source.geometry.step
     lo, hi = _halo(i0, i1, n)
-    left, right = _halo(j0, j1, n)
-    F = grid.values[lo:hi, left:right]
-    xs, ps = grid.xs[lo:hi], grid.ps[left:right]
+    left, right = _halo(cols.start, cols.stop, n)
+    shape = (hi - lo, right - left)
+    F = source._window(slice(lo, hi), slice(left, right), buffers.take("window", shape))
+    axis = source.geometry.axis()
+    xs, ps = axis[lo:hi], axis[left:right]
+    acc, drift, other = (buffers.take(name, shape) for name in ("acc", "drift", "other"))
     # Laplacian / 8
-    acc = _d2(F, h, 0)
-    scratch = _d2(F, h, 1)
-    acc += scratch
+    _d2(F, h, 0, out=acc, scratch=drift)
+    acc += _d2(F, h, 1, out=drift, scratch=other)
     acc *= 0.125
     # drift term x Wx + p Wp
-    drift = _d1(F, h, 0, out=scratch)
+    _d1(F, h, 0, out=drift)
     drift *= xs[:, None]
-    other = _d1(F, h, 1)
+    _d1(F, h, 1, out=other)
     other *= ps[None, :]
     drift += other
     # drift / 2 goes to the free buffer: drift itself is still needed for S
     acc -= np.multiply(drift, 0.5, out=other)
     # (x^2 + p^2 - 1)/2 * W
-    radial = (0.5 * xs * xs)[:, None] + (0.5 * (ps * ps - 1.0))[None, :]
+    radial = np.add((0.5 * xs * xs)[:, None], (0.5 * (ps * ps - 1.0))[None, :], out=other)
     radial *= F
     acc += radial
-    added = acc
-    subtracted = np.add(added, F, out=other)
+    subtracted = np.add(acc, F, out=other)
     subtracted += drift
-    rows, cols = slice(i0 - lo, i1 - lo), slice(j0 - left, j1 - left)
-    return added[rows, cols], subtracted[rows, cols]
+    inner = slice(i0 - lo, i1 - lo), slice(cols.start - left, cols.stop - left)
+    return acc[inner], subtracted[inner]
 
 
-def _outcome_tiles(grid: WignerGrid, fn) -> list:
-    """fn(rows, cols, A, S) for each row block, in block order, where A and S
-    are the block's outcomes over the column slice cols only; blocks where W
-    vanishes on every row they read are skipped.
+def _tile_columns(scan: _FirstPass, lo: int, hi: int, n: int) -> slice | None:
+    """The column slice outside which both outcomes are exactly zero on a row
+    block whose stencils read rows lo:hi, or None when W is zero on all of
+    them: the one support rule.
 
-    Outside cols both outcomes are exactly zero: every stencil input there is
-    0.0. A central stencil reaches 2 columns; the one-sided ones of the two
-    edge columns read 6, so support within 6 columns of an edge extends the
-    tile to that edge. The blocks run on a per-call thread pool.
+    Every stencil input outside it is 0.0. A central stencil reaches 2
+    columns; the one-sided ones of the two edge columns read 6, so support
+    within 6 columns of an edge extends the slice to that edge.
     """
-    n = grid.points
+    j0, j1 = int(scan.first[lo:hi].min()), int(scan.last[lo:hi].max())
+    if j1 < 0:
+        return None
+    return slice(j0 - 2 if j0 >= 6 else 0, j1 + 3 if j1 < n - 6 else n)
+
+
+def _outcome_tiles(source, scan: _FirstPass, fn) -> list:
+    """fn(rows, cols, A, S, spare) for each row block of ``source``, in block
+    order, where A and S are the block's outcomes over the column slice cols
+    only (``_tile_columns``; outside it both are exactly zero) and spare is a
+    C-contiguous buffer of their shape that fn may overwrite. Blocks where W
+    vanishes on every row they read are skipped. The blocks run on a per-call
+    thread pool, each worker with its own buffers.
+    """
+    n = source.geometry.points
+    tiles, largest = [], 0
+    for i0, i1 in _row_blocks(n):
+        lo, hi = _halo(i0, i1, n)
+        cols = _tile_columns(scan, lo, hi, n)
+        if cols is not None:
+            tiles.append((i0, i1, cols))
+            left, right = _halo(cols.start, cols.stop, n)
+            largest = max(largest, (hi - lo) * (right - left))
+    buffers = _Buffers(largest)
 
     def tile(block):
-        i0, i1 = block
-        lo, hi = _halo(i0, i1, n)
-        support = np.flatnonzero(np.any(grid.values[lo:hi], axis=0))
-        if support.size == 0:
-            return None
-        j0 = int(support[0]) - 2 if support[0] >= 6 else 0
-        j1 = int(support[-1]) + 3 if support[-1] < n - 6 else n
-        return fn(slice(i0, i1), slice(j0, j1), *_outcome_tile(grid, i0, i1, j0, j1))
+        i0, i1, cols = block
+        added, subtracted = _outcome_tile(source, i0, i1, cols, buffers)
+        return fn(slice(i0, i1), cols, added, subtracted, buffers.take("window", added.shape))
 
-    return [r for r in _map_blocks(tile, _row_blocks(n)) if r is not None]
+    return _map_blocks(tile, tiles)
 
 
 def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
@@ -416,20 +587,21 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
 
     Filled in row blocks on a per-call thread pool, each block only over the
     columns where W is nonzero near it (the rest stays +0.0), so besides the
-    two results only tile-sized temporaries are live, one set per worker: on
-    fig2's 931^2 grids, the largest ``verify`` passes it (6.9 MB of input), it
-    allocates 18 MB at its peak, 13.9 MB of it the results, and takes
-    0.04-0.05 s on two Xeon cores.
+    two results only tile-sized buffers are live, one set per worker: on
+    fig2's 931^2 grids, the largest ``figure_data`` passes it (6.9 MB of
+    input; the suites pass at most the 769^2 grid of ``negative-cases``), it
+    allocates 18.4 MB at its peak, 13.9 MB of it the results, and takes
+    0.03-0.04 s on two Xeon cores.
     """
-    _check_boundary(grid)
+    scan = _first_pass(grid)
     added = np.zeros(grid.values.shape)
     subtracted = np.zeros(grid.values.shape)
 
-    def fill(rows, cols, block_added, block_subtracted):
+    def fill(rows, cols, block_added, block_subtracted, spare):
         added[rows, cols] = block_added
         subtracted[rows, cols] = block_subtracted
 
-    _outcome_tiles(grid, fill)
+    _outcome_tiles(grid, scan, fill)
     return (grid.with_values(added), grid.with_values(subtracted))
 
 
@@ -470,8 +642,9 @@ def outcome_norm_ratio(added_integral: float, subtracted_integral: float) -> flo
     return added_integral / subtracted_integral
 
 
-def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
-    """Simpson integrals of the added and subtracted outcomes, forming neither.
+def outcome_integrals(source) -> tuple[float, float]:
+    """Simpson integrals of the added and subtracted outcomes of a WignerGrid
+    or SampledSpec, forming neither.
 
     The Simpson weights are separable and each stencil acts along one axis, so
     wx^T A wp needs only r = W wp, c = wx W and 1-d stencils on them:
@@ -482,15 +655,13 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
         Laplacian / 8  = (wx . d2(r) + d2(c) . wp) / 8
 
     with integral(A) = radial - drift / 2 + Laplacian / 8 and
-    integral(S) = integral(A) + integral W + drift. Raises GeometryError when
-    either integral is not finite.
+    integral(S) = integral(A) + integral W + drift, r and c from the first
+    pass. Raises GeometryError when either integral is not finite.
     """
-    _check_boundary(grid)
-    w, h = grid.geometry.weights(), grid.step
-    # einsum, not BLAS: its sums keep one order whatever the BLAS thread count
-    r = np.einsum("ij,j->i", grid.values, w)
-    c = np.einsum("i,ij->j", w, grid.values)
-    xs, ps = grid.xs, grid.ps
+    scan = _first_pass(source)
+    r, c = scan.r, scan.c
+    w, h = source.geometry.weights(), source.geometry.step
+    xs = ps = source.geometry.axis()
     # an overflow here leaves an integral inf or nan, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         radial = float((0.5 * w * xs * xs) @ r + c @ (0.5 * w * (ps * ps - 1.0)))
@@ -506,25 +677,27 @@ def outcome_integrals(grid: WignerGrid) -> tuple[float, float]:
     return added, subtracted
 
 
-def l1_relative_residual(grid: WignerGrid, ratio: float) -> tuple[float, float]:
-    """(integral |A - ratio S| / integral |A|, max |A - ratio S|) for outcomes A, S of W.
+def l1_relative_residual(source, ratio: float) -> tuple[float, float]:
+    """(integral |A - ratio S| / integral |A|, max |A - ratio S|) for outcomes
+    A, S of the W of a WignerGrid or SampledSpec.
 
     One pass over row blocks, each over the columns where W is nonzero near
     it, so no full-size outcome grid is ever held. The block sums are added
     in block order and a max has no order, so neither value depends on the
     worker count. Raises DegenerateInputError when integral |A| vanishes.
     """
-    _check_boundary(grid)
-    w = grid.geometry.weights()
+    scan = _first_pass(source)
+    w = source.geometry.weights()
 
-    def sums(rows, cols, added, subtracted):
-        diff = added - ratio * subtracted
+    def sums(rows, cols, added, subtracted, spare):
+        den = _simpson(np.abs(added, out=spare), w[rows], w[cols])
+        diff = np.multiply(subtracted, ratio, out=spare)
+        np.subtract(added, diff, out=diff)
         np.abs(diff, out=diff)
-        return (_simpson(diff, w[rows], w[cols]),
-                _simpson(np.abs(added), w[rows], w[cols]), float(diff.max()))
+        return _simpson(diff, w[rows], w[cols]), den, float(diff.max())
 
     num = den = peak = 0.0
-    for block_num, block_den, block_peak in _outcome_tiles(grid, sums):
+    for block_num, block_den, block_peak in _outcome_tiles(source, scan, sums):
         num += block_num
         den += block_den
         peak = max(peak, block_peak)
@@ -532,8 +705,9 @@ def l1_relative_residual(grid: WignerGrid, ratio: float) -> tuple[float, float]:
     return num / den, peak
 
 
-def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityCheck:
-    """How far the added and subtracted outcomes are from proportionality.
+def identity_residual(source, ratio: float | None = None) -> IdentityCheck:
+    """How far the added and subtracted outcomes of a WignerGrid or
+    SampledSpec are from proportionality.
 
     Scales S by ``ratio`` (by default the integral ratio integral(A)/integral(S),
     from ``outcome_norm_ratio``) and returns the L1-relative residual
@@ -541,7 +715,9 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
     of A / integral(A) and ``max_gap``. The integrals come from
     ``outcome_integrals``, the residual and ``max_gap`` from one
     ``l1_relative_residual`` pass, and the origin value from one outcome tile
-    at the centre node, within one ulp of the extent of the origin.
+    at the centre node, within one ulp of the extent of the origin. A
+    SampledSpec is sampled in one first pass and then only in the windows
+    the tiles read, with the held grid's results bit for bit.
 
     An explicit ``ratio`` must lie in [1, 1 + 1/DEGENERATE_INTEGRAL]: the
     norm ratio of any grid that ``outcome_norm_ratio`` accepts is
@@ -554,12 +730,12 @@ def identity_residual(grid: WignerGrid, ratio: float | None = None) -> IdentityC
         top = 1.0 + 1.0 / DEGENERATE_INTEGRAL
         if not 1.0 <= ratio <= top:
             raise DomainError(f"ratio {ratio!r} lies outside the norm-ratio range [1, {top:g}]")
-    ia, isub = outcome_integrals(grid)
+    ia, isub = outcome_integrals(source)
     if ratio is None:
         ratio = outcome_norm_ratio(ia, isub)
-    residual, peak = l1_relative_residual(grid, ratio)
-    m = grid.points // 2
-    origin = float(_outcome_tile(grid, m, m + 1, m, m + 1)[0][0, 0] / ia)
+    residual, peak = l1_relative_residual(source, ratio)
+    m = source.geometry.points // 2
+    origin = float(_outcome_tile(source, m, m + 1, slice(m, m + 1), _Buffers())[0][0, 0] / ia)
     return IdentityCheck(residual, float(ratio), ia, isub, origin, peak / abs(ia))
 
 

@@ -9,8 +9,13 @@ error-expectation cases store 0.0 when the error was raised, 1.0 when not.
 
 Every bound comes from one pinned table, ``_TOLERANCES``, and each suite
 fixes its own grids and number-basis sizes: suites take no arguments, so
-nothing a caller passes changes what a report checks. No suite holds a whole
-outcome grid except to reuse one (``negative-cases``' second round);
+nothing a caller passes changes what a report checks. ``pure-identity``,
+``impure-difference`` and ``mixtures`` check each spec as a ``SampledSpec``
+on its refined geometry, so they hold no W grid at all: the identity check
+samples W block by block where it reads it. ``angular-average`` holds its
+W, since it reads the purity from that same grid, and ``commutator`` and
+``negative-cases`` hold default-size grids. No suite holds a whole outcome
+grid except to reuse one (``negative-cases``' second round);
 ``figure_data`` holds the outcome grids it writes.
 """
 
@@ -27,7 +32,7 @@ from .fock import (bogoliubov_annihilate, coherent_state, outcome_ratio,
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
                        angular_average_purity, angular_average_value, norm_ratio,
                        outcome_factors, spec_norm_ratio)
-from .phasespace import (grid_metrics, identity_residual, outcome_integrals,
+from .phasespace import (SampledSpec, grid_metrics, identity_residual, outcome_integrals,
                          photon_outcomes, rasterize, refined_geometry, renormalize,
                          state_grid)
 from .special import elliptic_k
@@ -92,9 +97,13 @@ def _expect_degenerate(label: str, fn) -> CaseResult:
     return CaseResult(label, 1.0, 0.0)
 
 
-def _outcome_checks(label: str, grid, closed_ratio: float) -> list:
+def _streamed(spec) -> SampledSpec:
+    return SampledSpec(spec, refined_geometry(spec))
+
+
+def _outcome_checks(label: str, source, closed_ratio: float) -> list:
     """Shared positive-case body: residual, ratio against closed form, origin."""
-    chk = identity_residual(grid)
+    chk = identity_residual(source)
     return [
         _upper(f"{label}-residual", chk.residual, _TOLERANCES["residual"]),
         _upper(f"{label}-ratio-err", abs(chk.ratio_used - closed_ratio), _TOLERANCES["ratio"]),
@@ -107,10 +116,8 @@ def _suite_pure_identity() -> list:
     cases = []
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
-            spec = GaussianWignerSpec.pure_state(sx, th)
-            # the grid is freed before the next one is made (3073^2 for sx 4)
             cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}",
-                                     rasterize(spec, refined_geometry(spec)),
+                                     _streamed(GaussianWignerSpec.pure_state(sx, th)),
                                      norm_ratio(sx))
     return cases
 
@@ -118,7 +125,7 @@ def _suite_pure_identity() -> list:
 def _suite_impure_difference() -> list:
     sx, sp = 4.0, 0.5
     spec = GaussianWignerSpec.single(sx, sp)
-    chk = identity_residual(rasterize(spec, refined_geometry(spec)))
+    chk = identity_residual(_streamed(spec))
     f_plus, f_minus = outcome_factors(0.0, 0.0, sx, sp)
     return [
         _floor("impure-residual-floor", chk.residual, _TOLERANCES["residual_floor"]),
@@ -166,11 +173,10 @@ def _suite_mixtures() -> list:
     for weight, th1, th2 in samples:
         spec = GaussianWignerSpec.two_angle_mixture(weight, th1, th2, sx)
         label = f"two-angle-P{weight:g}-th{th1:g}-{th2:g}"
-        cases += _outcome_checks(label, rasterize(spec, refined_geometry(spec)),
-                                 spec_norm_ratio(spec))
+        cases += _outcome_checks(label, _streamed(spec), spec_norm_ratio(spec))
     unequal = GaussianWignerSpec((GaussianComponent.pure(0.0, 2.0, 0.5),
                                   GaussianComponent.pure(0.0, 3.0, 0.5)))
-    chk = identity_residual(rasterize(unequal, refined_geometry(unequal)))
+    chk = identity_residual(_streamed(unequal))
     cases.append(_floor("unequal-widths-residual-floor", chk.residual,
                         _TOLERANCES["mixture_floor"]))
     return cases

@@ -453,6 +453,18 @@ def test_state_refuses_a_basis_no_grid_command_takes(tmp_path, capsys, recwarn, 
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize("alpha", ["1e20", "1.4e154", "1e200"])
+def test_state_refuses_a_coherent_amplitude_no_basis_holds(tmp_path, capsys, recwarn, alpha):
+    # 1.4e154 and 1e200 once ended in an OverflowError traceback
+    out_path = tmp_path / "state.json"
+    code, out, err = run(capsys, "state", "--kind", "coherent", "--alpha", alpha,
+                         "-o", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: trunc 40 keeps only 1 - 1.000e+00 of the coherent state\n"
+    assert not out_path.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
 @pytest.mark.parametrize("extent", ["inf", "1e308"])
 @pytest.mark.parametrize("cmd", ["wigner", "add"])
 @pytest.mark.parametrize("kind", [("--kind", "pure", "--sigma-x", "2"),

@@ -174,6 +174,15 @@ def test_coherent_refuses_small_basis():
         coherent_state(3.0, 10)
 
 
+@pytest.mark.parametrize("alpha", [1e20, 1.4e154, 1e200 + 1e200j, -1e308])
+def test_coherent_refuses_an_amplitude_no_basis_holds(recwarn, alpha):
+    # squaring |alpha| past ~1.34e154 raised OverflowError; every such state
+    # leaves an empty basis, refused like |alpha| = 1e20
+    with pytest.raises(TruncationError, match="keeps only 1 - 1.000e\\+00"):
+        coherent_state(alpha, 40)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_coherent_quadratures():
     x2, p2 = quadrature_moments(coherent_state(1.0, 40))
     assert x2 == pytest.approx(2.5, abs=1e-8)  # (sqrt(2))^2 + 1/2

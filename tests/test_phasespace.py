@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sqvac import (
     GaussianWignerSpec,
     GeometryError,
     GridGeometry,
+    SampledSpec,
     WignerGrid,
     coherent_state,
     grid_metrics,
@@ -39,6 +41,7 @@ from sqvac import (
     wigner_from_density,
     wigner_value,
 )
+from sqvac import phasespace
 from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY, DEGENERATE_INTEGRAL,
                               _d1, _d2, _map_blocks, _row_blocks, _simpson,
                               _worker_count)
@@ -517,8 +520,11 @@ def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
         grid = rasterize(SKEW, geometry)
         added, subtracted = photon_outcomes(grid)
         chk = identity_residual(grid)
+        # the streamed first pass hands its running column sum from block to block
+        streamed = identity_residual(SampledSpec(SKEW, geometry))
     finally:
         sys.setswitchinterval(interval)
+    assert streamed == chk
     assert np.array_equal(grid.values, wigner_value(SKEW, axis[:, None], axis[None, :]))
     want_added, want_subtracted = full_array_outcomes(grid)
     assert np.array_equal(added.values, want_added)
@@ -665,3 +671,90 @@ def test_outcome_integrals_allocate_no_grid():
         tracemalloc.stop()
     # only axis-length vectors: r = W wp, c = wx W and their stencils
     assert peak < 0.05 * grid.values.nbytes
+
+
+# ------------------------------------------------------ streamed spec source
+
+def _spec_strategy():
+    impure = st.builds(GaussianWignerSpec.single, st.floats(1.5, 3.0), st.floats(0.7, 1.2),
+                       st.floats(0.0, math.pi))
+    mixture = st.builds(lambda weight, th1, th2, sx:
+                        GaussianWignerSpec.two_angle_mixture(weight, th1, th2, sx),
+                        st.floats(0.1, 0.9), st.floats(0.0, math.pi),
+                        st.floats(0.0, math.pi), st.floats(1.5, 3.0))
+    return st.one_of(impure, mixture)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(16, 150).map(lambda k: 2 * k + 1), spec=_spec_strategy())
+def test_sampled_spec_agrees_with_the_held_grid(n, spec):
+    geometry = GridGeometry(policy_extent(spec.widths()[1]), n)
+    grid = rasterize(spec, geometry)
+    held_integrals = outcome_integrals(grid)
+    held = identity_residual(grid, 1.25)
+    runs = []
+    for workers in (1, 4):
+        with mock.patch.object(phasespace, "_worker_count", lambda: workers):
+            # a fresh source per worker count: each keeps its own first pass
+            source = SampledSpec(spec, geometry)
+            integrals = outcome_integrals(source)
+            chk = identity_residual(source, 1.25)
+            runs.append((integrals, chk, identity_residual(source)))
+        for got, want in zip(integrals, held_integrals):
+            assert _rel(got, want) <= 1e-14
+        # at a fixed ratio the L1 pass and the origin tile read the held floats
+        assert (chk.residual, chk.max_gap, chk.added_origin) == \
+            (held.residual, held.max_gap, held.added_origin)
+    assert runs[0] == runs[1]
+
+
+def test_sampled_angular_average_agrees_with_the_held_grid():
+    spec = AngularAverageSpec(2.2)
+    geometry = GridGeometry(policy_extent(spec.widths()[1]), 129)
+    assert identity_residual(SampledSpec(spec, geometry)) == \
+        identity_residual(rasterize(spec, geometry))
+
+
+def test_streamed_identity_check_holds_no_grid(monkeypatch):
+    geometry = refined_geometry(IMPURE)
+    assert geometry.points == 1537
+    w_bytes = 8 * geometry.points ** 2
+    # each worker keeps its own tile buffers
+    _set_workers(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        identity_residual(SampledSpec(IMPURE, geometry))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a held W alone is w_bytes; the streamed check keeps axis-length vectors
+    # and two workers' tile-sized buffers
+    assert peak < 0.25 * w_bytes
+
+
+def test_streamed_check_refuses_as_the_held_one(monkeypatch):
+    undecayed = GridGeometry(8.85, 257)  # PURE2's boundary reaches 9.98e-10
+    vacuum = GaussianWignerSpec.pure_state(1.0)
+    vacuum_geometry = state_grid(vacuum).geometry
+    with pytest.raises(GeometryError, match="boundary values") as boundary:
+        identity_residual(rasterize(PURE2, undecayed))
+    with pytest.raises(DegenerateInputError, match="sigma_x = 1") as degenerate:
+        identity_residual(rasterize(vacuum, vacuum_geometry))
+
+    def no_tile(*args):
+        raise AssertionError("an outcome tile was formed")
+
+    monkeypatch.setattr(phasespace, "_outcome_tile", no_tile)
+    for refused in (outcome_integrals, identity_residual,
+                    lambda source: l1_relative_residual(source, 1.25)):
+        with pytest.raises(GeometryError) as info:
+            refused(SampledSpec(PURE2, undecayed))
+        assert str(info.value) == str(boundary.value)
+    with pytest.raises(DegenerateInputError) as info:
+        identity_residual(SampledSpec(vacuum, vacuum_geometry))
+    assert str(info.value) == str(degenerate.value)
+
+
+def test_sampled_spec_rejects_unknown_input():
+    with pytest.raises(ConfigurationError, match="SampledSpec cannot handle"):
+        SampledSpec(coherent_state(1.0, 40), GridGeometry(6.0, 33))

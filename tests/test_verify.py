@@ -62,9 +62,9 @@ def test_impure_suite_holds_no_outcome_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # W itself plus tile-sized temporaries; whole outcome grids and their
-    # renormalized copies would add about four times W
-    assert peak < 2.0 * w_bytes
+    # the spec is sampled block by block, so not even W is held: only
+    # axis-length vectors and each worker's tile-sized buffers
+    assert peak < 0.5 * w_bytes
 
 
 def test_floor_cases_store_negated_values():
