@@ -144,11 +144,8 @@ def save_grid(path, grid: WignerGrid, comments=()):
     byte. Row blocks of about _BLOCK_VALUES values are formatted on a process
     pool that lives for this call only, one forked process per CPU (at most
     four), and written in block order; a grid of one block, or a process with
-    one CPU or no fork, formats its blocks inline. Refuses non-finite values,
-    which ``load_grid`` would refuse to read back.
+    one CPU or no fork, formats its blocks inline.
     """
-    if not np.all(np.isfinite(grid.values)):
-        raise ConfigurationError("grid holds non-finite values")
     head = [_header(grid.geometry)] + [f"# {c}\n" for c in comments]
     # x.join(parts) gives "x,p_0,%.17g\nx,p_1,%.17g\n...": the row template.
     rows = ([""] + [f",{p:.17g},%.17g\n" for p in grid.ps.tolist()],
@@ -240,9 +237,9 @@ def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
     while line.startswith("#"):
         comments.append(line[1:].strip())
         line = fh.readline()
-    grid = WignerGrid(geometry, np.empty((n, n)))
-    coords = _coordinate_text(grid.xs)
-    flat = grid.values.reshape(-1)
+    values = np.empty((n, n))
+    coords = _coordinate_text(geometry.axis())
+    flat = values.reshape(-1)
     done = 0
     for text in _line_chunks(fh, line):
         try:
@@ -260,9 +257,10 @@ def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
         done = stop
     if done != flat.size:
         raise ConfigurationError(f"{path}: expected {flat.size} rows, found {done}")
-    if not np.all(np.isfinite(flat)):
-        raise ConfigurationError(f"{path}: grid holds non-finite values")
-    return grid, comments
+    try:
+        return WignerGrid(geometry, values), comments
+    except ConfigurationError as exc:  # a non-finite value
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _line_chunks(fh, first: str):

@@ -26,14 +26,16 @@ shorter rows may differ in its last bit, since einsum groups its terms by
 row length. One helper, ``_outcome_tiles``, runs those clipped blocks for
 both ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
 
-The outcome passes read W from a row source: a held ``WignerGrid``, or a
-``SampledSpec``, a gaussian spec on a geometry that is sampled only in the
-windows a pass reads. One first pass over row blocks keeps axis-length
+The outcome passes read W from a row source through its ``_window``: a held
+``WignerGrid`` gives views, and a ``SampledSpec``, a gaussian spec on a
+geometry, samples W only in the windows a pass reads. One first pass,
+``_scan``, serves both and is kept on the source; it keeps axis-length
 vectors only (r = W wp, c = wx W, the boundary maximum and each row's first
-and last nonzero column): the outcome integrals come from r and c, and each
+and last nonzero column). The outcome integrals come from r and c, and each
 tile's columns from the nonzero ranges of the rows it reads, so the identity
-check of a SampledSpec never holds W. Each worker of a pass writes its
-windows and tile temporaries into buffers it reuses from block to block.
+check of a SampledSpec never holds W and equals the held grid's bit for bit.
+Each worker of a pass writes its windows and tile temporaries into buffers
+it reuses from block to block.
 
 Every grid is a square ``GridGeometry`` (extent, points) plus its values.
 The geometry owns the layout: x and p share one axis, -extent + k*step, and
@@ -69,6 +71,8 @@ NORMALIZATION_DRIFT = 1e-4
 _BLOCK_ROWS = 64
 # points per rasterize block: its temporaries stay in cache
 _RASTER_POINTS = 65_536
+# points per row-support mask: the first pass's workers hold small masks, not block-sized ones
+_MASK_POINTS = 16_384
 # at most this many threads share a row-block pass (or processes, io.save_grid)
 _MAX_WORKERS = 4
 
@@ -181,7 +185,9 @@ def refined_geometry(spec) -> GridGeometry:
 
 class WignerGrid:
     """Real samples values[i, j] = W(xs[i], ps[j]) on a square geometry;
-    xs and ps name the one axis the geometry derives."""
+    xs and ps name the one axis the geometry derives. The values are finite
+    and read-only: a C-contiguous float array passed in is kept, not copied,
+    and made read-only, so the grid can keep its first pass."""
 
     def __init__(self, geometry: GridGeometry, values: np.ndarray):
         # contiguous storage: BLAS sums a strided view (a column of a table,
@@ -190,6 +196,10 @@ class WignerGrid:
         if values.shape != (geometry.points,) * 2:
             raise ConfigurationError(f"values of shape {values.shape} do not fit a "
                                      f"{geometry.points}-point square grid")
+        # min and max propagate nan, and neither forms a grid-sized temporary
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise ConfigurationError("grid holds non-finite values")
+        values.flags.writeable = False
         self.geometry = geometry
         self.values = values
         self.xs = self.ps = geometry.axis()
@@ -206,18 +216,17 @@ class WignerGrid:
         """Same geometry, new samples."""
         return WignerGrid(self.geometry, values)
 
-    def _window(self, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
-        """W on rows x cols as a view; ``out`` serves sources that sample."""
+    def _window(self, rows: slice, cols: slice, buffers: "_Buffers") -> np.ndarray:
+        """W on rows x cols as a view; ``buffers`` serve sources that sample."""
         return self.values[rows, cols]
+
+    @cached_property
+    def _kept_pass(self) -> "_FirstPass":
+        return _scan(self)
 
     def integral(self) -> float:
         w = self.geometry.weights()
         return _simpson(self.values, w, w)
-
-    def boundary_max(self) -> float:
-        v = self.values
-        return float(max(np.max(np.abs(v[0])), np.max(np.abs(v[-1])),
-                         np.max(np.abs(v[:, 0])), np.max(np.abs(v[:, -1]))))
 
 
 def _simpson(values: np.ndarray, wx: np.ndarray, wp: np.ndarray) -> float:
@@ -309,8 +318,7 @@ class SampledSpec:
     elementwise, so each window holds the floats ``rasterize(spec, geometry)``
     holds there, and every result equals the held grid's bit for bit.
 
-    Its first pass (row sums, column sums, boundary, row support) runs once,
-    on first use, and is kept: a few axis-length vectors.
+    Its first pass runs once, on first use, and is kept, as a held grid's is.
     """
 
     spec: object
@@ -319,14 +327,15 @@ class SampledSpec:
     def __post_init__(self):
         _require_spec(self.spec, "SampledSpec")
 
-    def _window(self, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
-        """W on rows x cols, sampled into ``out``."""
+    def _window(self, rows: slice, cols: slice, buffers: _Buffers) -> np.ndarray:
+        """W on rows x cols, sampled into the thread's "window" buffer."""
         axis = self.geometry.axis()
+        out = buffers.take("window", (rows.stop - rows.start, cols.stop - cols.start))
         return wigner_value(self.spec, axis[rows, None], axis[None, cols], out=out)
 
     @cached_property
     def _kept_pass(self) -> "_FirstPass":
-        return _sampled_pass(self)
+        return _scan(self)
 
 
 def wigner_from_density(state: FockVector, geometry: GridGeometry) -> WignerGrid:
@@ -407,7 +416,7 @@ def state_grid(state, points: int | None = None) -> WignerGrid:
 
 
 class _FirstPass(NamedTuple):
-    """What the outcome passes read of W before any tile: one scan of it."""
+    """What the outcome passes read of W before any tile: one scan, kept on its source."""
     r: np.ndarray       # W wp, one entry per row
     c: np.ndarray       # wx W, one entry per column
     boundary: float     # largest |W| on the four edges
@@ -424,63 +433,47 @@ def _row_support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.where(found, n - 1 - nonzero[:, ::-1].argmax(axis=1), -1))
 
 
-def _held_pass(grid: WignerGrid) -> _FirstPass:
-    """The first pass over a held grid: r and c contract it at once, and the
-    row support is found block by block, so its temporaries stay block-sized."""
-    values, w = grid.values, grid.geometry.weights()
-    first, last = (np.concatenate(parts) for parts in zip(
-        *(_row_support(values[i0:i1]) for i0, i1 in _row_blocks(grid.points))))
-    # einsum, not BLAS: its sums keep one order whatever the BLAS thread count
-    return _FirstPass(np.einsum("ij,j->i", values, w), np.einsum("i,ij->j", w, values),
-                      grid.boundary_max(), first, last)
+def _scan(source) -> _FirstPass:
+    """The one first pass over the W of a WignerGrid or SampledSpec: a pooled
+    pass over row blocks, each read through ``source._window`` and dropped.
 
-
-def _sampled_pass(source: "SampledSpec") -> _FirstPass:
-    """The first pass over a SampledSpec: one pooled pass over row blocks,
-    each sampled and dropped, that keeps only axis-length vectors.
-
-    Each row of r takes its terms in the order einsum gives a whole grid's.
-    c sums down the rows: a block is sampled one row below the top of its
-    worker's buffer, waits for the block before it, puts the running c in that
-    top row and contracts it with weight 1.0, so c takes its terms in row
-    order, as the held grid's einsum does, whatever the worker count.
+    Each row of r takes its terms in the order einsum gives a whole grid's;
+    c adds the blocks' partial column sums in block order, as the L1 pass
+    adds its sums. A partial is added once those before it are, by whichever
+    worker ends that run of blocks, so no worker waits and only the partials
+    of blocks that ended early are held.
     """
-    geometry = source.geometry
-    n, w = geometry.points, geometry.weights()
+    n, w = source.geometry.points, source.geometry.weights()
     r, c = np.empty(n), np.zeros(n)
     first, last = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     blocks = list(_row_blocks(n, _raster_rows(n)))
-    ready = [threading.Event() for _ in blocks]
-    buffers = _Buffers((_raster_rows(n) + 1) * n)
+    buffers = _Buffers(_raster_rows(n) * n)
+    lock, pending, added = threading.Lock(), {}, 0  # partials not yet in c; blocks in c
 
-    def sample_block(k):
+    def scan_block(k):
+        nonlocal c, added
         i0, i1 = blocks[k]
-        try:
-            top = buffers.take("block", (i1 - i0 + 1, n))
-            block = source._window(slice(i0, i1), slice(0, n), top[1:])
-            r[i0:i1] = np.einsum("ij,j->i", block, w)
-            first[i0:i1], last[i0:i1] = _row_support(block)
-            edges = [block[:, 0], block[:, -1]]
-            if i0 == 0:
-                edges.append(block[0])
-            if i1 == n:
-                edges.append(block[-1])
-            if k:
-                ready[k - 1].wait()
-            top[0] = c
-            np.einsum("i,ij->j", np.concatenate(([1.0], w[i0:i1])), top, out=c)
-        finally:
-            ready[k].set()
-        return max(float(np.max(np.abs(e))) for e in edges)
+        W = source._window(slice(i0, i1), slice(0, n), buffers)
+        r[i0:i1] = np.einsum("ij,j->i", W, w)
+        for j0, j1 in _row_blocks(i1 - i0, max(1, _MASK_POINTS // n)):
+            first[i0 + j0:i0 + j1], last[i0 + j0:i0 + j1] = _row_support(W[j0:j1])
+        partial = np.einsum("i,ij->j", w[i0:i1], W)
+        with lock:
+            pending[k] = partial
+            while added in pending:
+                c += pending.pop(added)
+                added += 1
+        ends = [W[0]] * (i0 == 0) + [W[-1]] * (i1 == n)
+        return max(float(np.max(np.abs(e))) for e in [W[:, 0], W[:, -1], *ends])
 
-    return _FirstPass(r, c, max(_map_blocks(sample_block, range(len(blocks)))), first, last)
+    boundary = max(_map_blocks(scan_block, range(len(blocks))))
+    return _FirstPass(r, c, boundary, first, last)
 
 
 def _first_pass(source) -> _FirstPass:
-    """The first pass over ``source`` (a SampledSpec keeps its own); raises
-    GeometryError, before any tile is formed, when W is not decayed on the
-    boundary."""
-    scan = source._kept_pass if isinstance(source, SampledSpec) else _held_pass(source)
+    """The first pass over ``source``, kept on it; raises GeometryError,
+    before any tile is formed, when W is not decayed on the boundary."""
+    scan = source._kept_pass
     if scan.boundary > BOUNDARY_DECAY:
         raise GeometryError(
             f"boundary values reach {scan.boundary:.3e} > {BOUNDARY_DECAY}; enlarge the grid "
@@ -506,7 +499,7 @@ def _outcome_tile(source, i0: int, i1: int, cols: slice, buffers: _Buffers
     bit-identical to a full-array assembly.
 
     The stencils run on the window of W over the halo of both ranges; only
-    the inner tile is kept. The window and every temporary live in the
+    the inner tile is kept. A sampled window and every temporary live in the
     thread's ``buffers`` ("window", "acc", "drift", "other"), so a worker
     allocates them once per pass; the window is free again on return.
     """
@@ -514,7 +507,7 @@ def _outcome_tile(source, i0: int, i1: int, cols: slice, buffers: _Buffers
     lo, hi = _halo(i0, i1, n)
     left, right = _halo(cols.start, cols.stop, n)
     shape = (hi - lo, right - left)
-    F = source._window(slice(lo, hi), slice(left, right), buffers.take("window", shape))
+    F = source._window(slice(lo, hi), slice(left, right), buffers)
     axis = source.geometry.axis()
     xs, ps = axis[lo:hi], axis[left:right]
     acc, drift, other = (buffers.take(name, shape) for name in ("acc", "drift", "other"))
@@ -715,9 +708,10 @@ def identity_residual(source, ratio: float | None = None) -> IdentityCheck:
     of A / integral(A) and ``max_gap``. The integrals come from
     ``outcome_integrals``, the residual and ``max_gap`` from one
     ``l1_relative_residual`` pass, and the origin value from one outcome tile
-    at the centre node, within one ulp of the extent of the origin. A
-    SampledSpec is sampled in one first pass and then only in the windows
-    the tiles read, with the held grid's results bit for bit.
+    at the centre node, within one ulp of the extent of the origin. Both
+    passes read the one first pass kept on the source. A SampledSpec is
+    sampled in that pass and then only in the windows the tiles read, with
+    the held grid's results bit for bit.
 
     An explicit ``ratio`` must lie in [1, 1 + 1/DEGENERATE_INTEGRAL]: the
     norm ratio of any grid that ``outcome_norm_ratio`` accepts is

@@ -93,6 +93,17 @@ def test_add_sub_and_residual_print_the_same_ratio(tmp_path, capsys):
     assert len(printed) == 1, printed
 
 
+def test_add_scans_its_grid_once(tmp_path, capsys, monkeypatch):
+    # the norm ratio's integrals and the outcome grids read one kept first pass
+    grid_path = tmp_path / "grid.csv"
+    save_grid(grid_path, state_grid(GaussianWignerSpec.pure_state(2.0)))
+    calls = []
+    scan = phasespace._scan
+    monkeypatch.setattr(phasespace, "_scan", lambda source: calls.append(source) or scan(source))
+    code, _, _ = run(capsys, "add", "--grid", str(grid_path), "-o", str(tmp_path / "a.csv"))
+    assert code == 0 and len(calls) == 1
+
+
 def test_fock_state_pipeline(tmp_path, capsys):
     state = tmp_path / "squeezed.json"
     grid_path, add_path, lib_path = (tmp_path / n for n in ("grid.csv", "add.csv", "lib.csv"))

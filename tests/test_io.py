@@ -207,6 +207,18 @@ def test_grid_rejects_non_finite_values(tmp_path):
         load_grid(path)
 
 
+def test_load_grid_names_the_file_holding_non_finite_values(tmp_path):
+    # the grid refuses the values; load_grid adds the path
+    path = tmp_path / "grid.csv"
+    save_grid(path, small_grid())
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",-inf"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError) as info:
+        load_grid(path)
+    assert str(info.value) == f"{path}: grid holds non-finite values"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_save_grid_refuses_non_finite_values(tmp_path, bad):
     values = small_grid().values.copy()

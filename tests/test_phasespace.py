@@ -135,6 +135,40 @@ def test_grid_shape_validation():
             WignerGrid(GridGeometry(1.0, 33), np.zeros(shape))
 
 
+def test_grid_refuses_non_finite_values():
+    # a nan on the boundary of a decayed grid: the outcomes would carry it
+    # into 9 of their values, past the boundary refusal
+    grid = state_grid(PURE2)
+    values = grid.values.copy()
+    values[0, 5] = np.nan
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        grid.with_values(values)
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            WignerGrid(GridGeometry(1.0, 33), np.full((33, 33), bad))
+
+
+def test_grid_values_are_read_only():
+    grid = state_grid(PURE2)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values *= 2.0
+
+
+def test_grid_keeps_its_first_pass(monkeypatch):
+    calls = []
+    scan = phasespace._scan
+    monkeypatch.setattr(phasespace, "_scan", lambda source: calls.append(source) or scan(source))
+    grid = state_grid(PURE2)
+    chk = identity_residual(grid)
+    assert len(calls) == 1
+    assert identity_residual(grid) == chk
+    assert outcome_integrals(grid) == (chk.added_integral, chk.subtracted_integral)
+    photon_outcomes(grid)
+    assert calls == [grid]
+
+
 def test_grid_axis_and_weights_come_from_the_geometry():
     geometry = GridGeometry(1.7, 35)
     grid = WignerGrid(geometry, np.ones((35, 35)))
@@ -161,7 +195,19 @@ def test_boundary_max_scans_all_edges():
     vals = np.zeros((33, 33))
     vals[7, -1] = 0.25
     grid = WignerGrid(GridGeometry(1.0, 33), vals)
-    assert grid.boundary_max() == 0.25
+    assert grid._kept_pass.boundary == 0.25
+    # 1025 points: the first pass reads 17 row blocks, and each edge value
+    # must reach the one boundary maximum from its own block
+    n = 1025
+    middle = n // 2
+    for k, (i, j) in enumerate([(0, middle), (n - 1, middle), (middle, 0), (middle, n - 1)]):
+        vals = np.zeros((n, n))
+        vals[i, j] = value = 0.25 * (k + 1)
+        grid = WignerGrid(GridGeometry(1.0, n), vals)
+        assert grid._kept_pass.boundary == value
+        with pytest.raises(GeometryError) as info:
+            outcome_integrals(grid)
+        assert f"boundary values reach {value:.3e} >" in str(info.value)
 
 
 # ---------------------------------------------------------------- rasterize
@@ -245,7 +291,7 @@ def test_transform_squeezed_matches_closed_form():
     # stencils, the identity holds.
     state = squeezed_vacuum(1.0)
     grid = state_grid(state)
-    assert grid.boundary_max() <= BOUNDARY_DECAY
+    assert grid._kept_pass.boundary <= BOUNDARY_DECAY
     fine = state_grid(state, points=769)
     assert identity_residual(fine).residual < 1e-4
 
@@ -274,7 +320,7 @@ def test_transform_undersized_grid_refused():
     # sigma_x = 2 on a grid of extent 6: the transform makes the grid, and
     # differencing refuses it by its boundary values, as for rasterized grids
     grid = wigner_from_density(squeezed_vacuum(-math.log(2.0), 68), GridGeometry(6.0, 257))
-    assert grid.boundary_max() == pytest.approx(3.9e-5, rel=0.05)
+    assert grid._kept_pass.boundary == pytest.approx(3.9e-5, rel=0.05)
     for refused in (photon_outcomes, outcome_integrals, identity_residual):
         with pytest.raises(GeometryError, match="boundary values"):
             refused(grid)
@@ -290,7 +336,7 @@ def test_transform_rejects_unknown_input():
 def test_outcomes_need_decayed_boundary():
     # the second grid's boundary lies between BOUNDARY_DECAY and 1e-6
     near = rasterize(PURE2, GridGeometry(8.85, 257))
-    assert near.boundary_max() == pytest.approx(9.98e-10, rel=1e-3)
+    assert near._kept_pass.boundary == pytest.approx(9.98e-10, rel=1e-3)
     for grid in (rasterize(IMPURE, GridGeometry(8.0, 257)), near):
         for refused in (photon_outcomes, outcome_integrals, identity_residual):
             with pytest.raises(GeometryError, match="boundary values"):
@@ -520,11 +566,16 @@ def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
         grid = rasterize(SKEW, geometry)
         added, subtracted = photon_outcomes(grid)
         chk = identity_residual(grid)
-        # the streamed first pass hands its running column sum from block to block
         streamed = identity_residual(SampledSpec(SKEW, geometry))
     finally:
         sys.setswitchinterval(interval)
     assert streamed == chk
+    # the first pass adds its blocks' column sums in block order, whichever
+    # worker finishes first; a lost or reordered addition changes c
+    w, c = geometry.weights(), np.zeros(geometry.points)
+    for i0, i1 in _row_blocks(geometry.points, phasespace._raster_rows(geometry.points)):
+        c += np.einsum("i,ij->j", w[i0:i1], grid.values[i0:i1])
+    assert np.array_equal(grid._kept_pass.c, c)
     assert np.array_equal(grid.values, wigner_value(SKEW, axis[:, None], axis[None, :]))
     want_added, want_subtracted = full_array_outcomes(grid)
     assert np.array_equal(added.values, want_added)
@@ -689,23 +740,16 @@ def _spec_strategy():
 @given(n=st.integers(16, 150).map(lambda k: 2 * k + 1), spec=_spec_strategy())
 def test_sampled_spec_agrees_with_the_held_grid(n, spec):
     geometry = GridGeometry(policy_extent(spec.widths()[1]), n)
-    grid = rasterize(spec, geometry)
-    held_integrals = outcome_integrals(grid)
-    held = identity_residual(grid, 1.25)
     runs = []
     for workers in (1, 4):
         with mock.patch.object(phasespace, "_worker_count", lambda: workers):
-            # a fresh source per worker count: each keeps its own first pass
-            source = SampledSpec(spec, geometry)
-            integrals = outcome_integrals(source)
-            chk = identity_residual(source, 1.25)
-            runs.append((integrals, chk, identity_residual(source)))
-        for got, want in zip(integrals, held_integrals):
-            assert _rel(got, want) <= 1e-14
-        # at a fixed ratio the L1 pass and the origin tile read the held floats
-        assert (chk.residual, chk.max_gap, chk.added_origin) == \
-            (held.residual, held.max_gap, held.added_origin)
-    assert runs[0] == runs[1]
+            # fresh sources per worker count: each keeps its own first pass
+            for source in (rasterize(spec, geometry), SampledSpec(spec, geometry)):
+                runs.append((outcome_integrals(source), identity_residual(source),
+                             identity_residual(source, 1.25)))
+    # one first pass for both sources: every result is equal, at the default
+    # ratio too, whose residual reads the integrals
+    assert all(run == runs[0] for run in runs)
 
 
 def test_sampled_angular_average_agrees_with_the_held_grid():
