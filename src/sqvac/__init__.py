@@ -12,8 +12,8 @@ the three descriptions agree.
 from .errors import (ConfigurationError, DegenerateInputError, DomainError,
                      GeometryError, SqvacError, TruncationError)
 from .fock import (FockVector, OutcomeRatio, annihilate, bogoliubov_annihilate,
-                   coherent_state, create, lowering_matrix, outcome_ratio,
-                   quadrature_moments, squeezed_vacuum, suggested_truncation)
+                   coherent_state, create, outcome_ratio, quadrature_moments,
+                   squeezed_vacuum, suggested_truncation)
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
                        angular_average_purity, angular_average_value, norm_ratio,
                        outcome_factors, spec_norm_ratio, squeeze_parameter,

@@ -21,26 +21,26 @@ TRUNCATION_BUDGET = 1e-10
 
 @dataclass
 class FockVector:
-    """State vector in the truncated number basis.
+    """State vector in the truncated number basis |0>..|N-1>.
 
     Args:
-        trunc: basis size N (>= 2); amplitudes cover |0>..|N-1>.
-        amps: complex array of shape (N,).
+        amps: 1-d complex array of N >= 2 finite amplitudes; N is ``trunc``.
     """
 
-    trunc: int
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.trunc < 2:
-            raise ConfigurationError("FockVector needs trunc >= 2")
         self.amps = np.asarray(self.amps, dtype=complex)
-        if self.amps.shape != (self.trunc,):
+        if self.amps.ndim != 1 or self.amps.size < 2:
             raise ConfigurationError(
-                f"amps shape {self.amps.shape} does not match trunc {self.trunc}"
-            )
+                f"FockVector needs a 1-d array of at least 2 amplitudes, not shape {self.amps.shape}")
         if not np.all(np.isfinite(self.amps)):
             raise DomainError("amplitudes must be finite")
+
+    @property
+    def trunc(self) -> int:
+        """Basis size N."""
+        return self.amps.size
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -53,15 +53,28 @@ class FockVector:
                               "overflow; rescale them")
         if n < 1e-14:
             raise DegenerateInputError("cannot normalize a zero vector")
-        return FockVector(self.trunc, self.amps / n)
+        return FockVector(self.amps / n)
 
 
-def lowering_matrix(trunc: int) -> np.ndarray:
-    """Matrix of the annihilation operator: a|n> = sqrt(n)|n-1>."""
-    a = np.zeros((trunc, trunc))
-    idx = np.arange(1, trunc)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return a
+def _refuse_loss(lost_weight: float, message: str, **details):
+    """The one truncation refusal: raise TruncationError when ``lost_weight``,
+    the weight pushed past the basis edge, exceeds TRUNCATION_BUDGET."""
+    if lost_weight > TRUNCATION_BUDGET:
+        raise TruncationError(message, lost_weight=lost_weight, **details)
+
+
+def _shift_down(amps: np.ndarray) -> np.ndarray:
+    """a on amplitudes: out[n] = sqrt(n+1) * amps[n+1]; the top level receives nothing."""
+    out = np.zeros_like(amps)
+    out[:-1] = np.sqrt(np.arange(1, amps.size)) * amps[1:]
+    return out
+
+
+def _shift_up(amps: np.ndarray) -> np.ndarray:
+    """a^dag kept inside the basis: out[n] = sqrt(n) * amps[n-1], the top amplitude dropped."""
+    out = np.zeros_like(amps)
+    out[1:] = np.sqrt(np.arange(1, amps.size)) * amps[:-1]
+    return out
 
 
 def annihilate(state: FockVector) -> FockVector:
@@ -69,29 +82,20 @@ def annihilate(state: FockVector) -> FockVector:
 
     Never loses weight (the top amplitude maps downward), so no budget check.
     """
-    out = np.zeros_like(state.amps)
-    n = np.arange(1, state.trunc)
-    out[:-1] = np.sqrt(n) * state.amps[1:]
-    return FockVector(state.trunc, out)
+    return FockVector(_shift_down(state.amps))
 
 
 def create(state: FockVector) -> FockVector:
     """Apply the creation operator: out[n] = sqrt(n) * in[n-1].
 
-    The top input amplitude would leave the basis; if its weight exceeds the
-    truncation budget the operation refuses.
+    The top input amplitude would leave the basis with weight
+    trunc * |c_top|^2; if that exceeds the truncation budget the operation
+    refuses.
     """
-    top = abs(state.amps[-1]) ** 2
-    if top > TRUNCATION_BUDGET:
-        raise TruncationError(
-            f"create would lose weight {state.trunc * top:.3e} past the basis edge; "
-            "enlarge trunc",
-            lost_weight=state.trunc * top,
-        )
-    out = np.zeros_like(state.amps)
-    n = np.arange(1, state.trunc)
-    out[1:] = np.sqrt(n) * state.amps[:-1]
-    return FockVector(state.trunc, out)
+    lost = state.trunc * abs(state.amps[-1]) ** 2
+    _refuse_loss(lost, f"create would lose weight {lost:.3e} past the basis edge; "
+                       "enlarge trunc")
+    return FockVector(_shift_up(state.amps))
 
 
 def suggested_truncation(z: float) -> int:
@@ -134,15 +138,10 @@ def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
         m = (j - 2) // 2
         c[j] = c[j - 2] * (-t) * np.sqrt((2 * m + 1) * (2 * m + 2)) / (2 * (m + 1))
     tail = 1.0 - float(np.sum(c * c))
-    if tail > TRUNCATION_BUDGET:
-        raise TruncationError(
-            f"trunc {trunc} keeps only 1 - {tail:.3e} of the squeezed vacuum; "
-            f"suggested trunc >= {suggested}",
-            lost_weight=tail,
-            suggested_trunc=suggested,
-        )
+    _refuse_loss(tail, f"trunc {trunc} keeps only 1 - {tail:.3e} of the squeezed vacuum; "
+                       f"suggested trunc >= {suggested}", suggested_trunc=suggested)
     c /= np.linalg.norm(c)
-    return FockVector(trunc, c)
+    return FockVector(c)
 
 
 def coherent_state(alpha: complex, trunc: int) -> FockVector:
@@ -160,12 +159,8 @@ def coherent_state(alpha: complex, trunc: int) -> FockVector:
     for n in range(1, trunc):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > TRUNCATION_BUDGET:
-        raise TruncationError(
-            f"trunc {trunc} keeps only 1 - {tail:.3e} of the coherent state",
-            lost_weight=tail,
-        )
-    return FockVector(trunc, amps / np.linalg.norm(amps))
+    _refuse_loss(tail, f"trunc {trunc} keeps only 1 - {tail:.3e} of the coherent state")
+    return FockVector(amps / np.linalg.norm(amps))
 
 
 def bogoliubov_annihilate(z: float, state: FockVector) -> FockVector:
@@ -176,7 +171,7 @@ def bogoliubov_annihilate(z: float, state: FockVector) -> FockVector:
     """
     lo = annihilate(state)
     hi = create(state)
-    return FockVector(state.trunc, np.cosh(z) * lo.amps - np.sinh(z) * hi.amps)
+    return FockVector(np.cosh(z) * lo.amps - np.sinh(z) * hi.amps)
 
 
 class OutcomeRatio(NamedTuple):
@@ -215,14 +210,15 @@ def quadrature_moments(state: FockVector) -> tuple[float, float]:
     """Second moments (<x^2>, <p^2>), non-central so displacement is covered.
 
     Used to size phase-space grids: the grid must extend several times the
-    root-mean-square spread in each quadrature. X is real symmetric and P
-    Hermitian, so <X^2> = ||X psi||^2 and <P^2> = ||P psi||^2 on the normalized
-    amplitudes.
+    root-mean-square spread in each quadrature. X psi = (a^dag psi + a psi)/sqrt(2)
+    and, up to its phase i, P psi = (a^dag psi - a psi)/sqrt(2), with a^dag kept
+    inside the basis; so truncated, X is real symmetric and P Hermitian, and
+    <X^2> = ||X psi||^2 and <P^2> = ||P psi||^2 on the normalized amplitudes.
     """
     if not isinstance(state, FockVector):
         raise ConfigurationError(f"quadrature_moments cannot handle {type(state).__name__}")
     psi = state.normalized().amps
-    a = lowering_matrix(state.trunc)
-    x_psi = np.einsum("mn,n->m", a + a.T, psi) / np.sqrt(2.0)
-    p_psi = np.einsum("mn,n->m", a.T - a, psi) / np.sqrt(2.0)  # P psi up to its phase i
+    up, down = _shift_up(psi), _shift_down(psi)
+    x_psi = (up + down) / np.sqrt(2.0)
+    p_psi = (up - down) / np.sqrt(2.0)  # P psi up to its phase i
     return float(np.vdot(x_psi, x_psi).real), float(np.vdot(p_psi, p_psi).real)

@@ -95,8 +95,8 @@ def obj_to_state(obj):
         if not (type(trunc) is int and isinstance(pairs, list) and len(pairs) == trunc
                 and all(isinstance(a, list) and len(a) == 2 for a in pairs)):
             raise ConfigurationError("fock-v1 needs an integer trunc and trunc [re, im] amps")
-        return FockVector(trunc, np.array([complex(*(_number(v, "fock-v1 amplitude") for v in a))
-                                           for a in pairs]))
+        return FockVector(np.array([complex(*(_number(v, "fock-v1 amplitude") for v in a))
+                                    for a in pairs]))
     if fmt == "gauss-v1":
         comps = obj.get("components")
         if not (isinstance(comps, list) and all(isinstance(c, dict) for c in comps)):

@@ -57,7 +57,7 @@ from typing import NamedTuple
 from .errors import ConfigurationError, DegenerateInputError, DomainError, GeometryError
 from .fock import FockVector, quadrature_moments
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, wigner_value
-from .special import check_basis_size, hermite_psi_table
+from .special import hermite_psi_table
 
 _MIN_POINTS = 33
 _MAX_POINTS = 8193  # an 8193^2 W is 537 MB; the finest suite grid has 6145 points
@@ -393,12 +393,11 @@ def state_grid(state, points: int | None = None) -> WignerGrid:
     The extent is always ``policy_extent`` of the widest width, for a
     number-basis state sqrt(2) * rms of its quadratures; ``points`` defaults
     to 257, or 513 once the extent passes 18. Raises ConfigurationError for a
-    basis too large for the transform, before any trunc x trunc array exists,
-    and GeometryError when the grid does not resolve the state: its integral
-    drifts by over NORMALIZATION_DRIFT.
+    basis too large for the transform, from the transform's Hermite table
+    (``hermite_psi_table``), and GeometryError when the grid does not resolve
+    the state: its integral drifts by over NORMALIZATION_DRIFT.
     """
     if isinstance(state, FockVector):
-        check_basis_size(state.trunc)
         extent = policy_extent(np.sqrt(2.0 * max(quadrature_moments(state))))
         build = wigner_from_density
     elif isinstance(state, (GaussianWignerSpec, AngularAverageSpec)):

@@ -22,8 +22,8 @@ HERMITE_DEGREE_CAP = 512
 
 
 def check_basis_size(trunc: int):
-    """Refuse, before any trunc x trunc array exists, a number-basis size past
-    the transform's cap: its Hermite table stops at degree HERMITE_DEGREE_CAP."""
+    """Refuse a number-basis size past the transform's cap: its Hermite table
+    stops at degree HERMITE_DEGREE_CAP."""
     if trunc - 1 > HERMITE_DEGREE_CAP:
         raise ConfigurationError(
             f"number-basis size {trunc} exceeds the transform's cap of "

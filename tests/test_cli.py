@@ -425,14 +425,14 @@ def oversized_state(tmp_path_factory):
     """A 514-level number-basis state, one level past the transform's cap:
     a file `state` refuses to write, so it is written here."""
     path = tmp_path_factory.mktemp("oversized") / "past-cap.json"
-    save_state(path, FockVector(514, np.eye(514)[0]))
+    save_state(path, FockVector(np.eye(514)[0]))
     return path
 
 
 @pytest.mark.parametrize("cmd", ["wigner"])
 def test_state_too_large_for_transform_refused_without_output(tmp_path, capsys,
                                                               oversized_state, cmd):
-    # refused before the trunc^2 lowering matrix of the moments is built
+    # refused by the transform's Hermite table, before any grid exists
     capsys.readouterr()
     out_path = tmp_path / f"{cmd}.csv"
     code, out, err = run(capsys, cmd, "--state", str(oversized_state), "-o", str(out_path))
@@ -551,6 +551,24 @@ def test_overflowing_amplitude_norm_refused_without_output(tmp_path, capsys):
     assert code == 2 and out == "" and caught == []
     assert err == "error: amplitude norm is inf: the squared amplitudes overflow; rescale them\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("amps", [
+    [1e150, -1e150j, 1e-150, 0.0, 5e-324],
+    [1e150 * (-1) ** n if n % 3 else 1e-150j for n in range(40)],
+], ids=["transformed", "refused"])
+def test_wide_range_amplitudes_give_finite_grid_or_no_file(tmp_path, capsys, amps):
+    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
+    save_state(state, FockVector(np.array(amps)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "wigner", "--state", str(state), "-o", str(out_path))
+    if code == 0:
+        grid, _ = load_grid(out_path)
+        assert np.all(np.isfinite(grid.values))
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize("where", ["grid-header", "grid-row", "state"])

@@ -16,7 +16,6 @@ from sqvac import (
     bogoliubov_annihilate,
     coherent_state,
     create,
-    lowering_matrix,
     outcome_ratio,
     quadrature_moments,
     squeezed_vacuum,
@@ -29,7 +28,7 @@ LN2 = math.log(2.0)
 def basis_vector(n, trunc):
     amps = np.zeros(trunc)
     amps[n] = 1.0
-    return FockVector(trunc, amps)
+    return FockVector(amps)
 
 
 def mean_photon(amps):
@@ -39,11 +38,16 @@ def mean_photon(amps):
 
 def rotated(state, theta):
     """The phase rotation exp(i theta n): amplitudes times e^{+i n theta}."""
-    return FockVector(state.trunc, state.amps * np.exp(1j * theta * np.arange(state.trunc)))
+    return FockVector(state.amps * np.exp(1j * theta * np.arange(state.trunc)))
 
 
 # Oracles: the squeeze and displacement unitaries as matrix exponentials of
 # their generators, an independent route to the recurrences in sqvac.fock.
+
+def lowering_matrix(trunc):
+    """Matrix of the annihilation operator: a|n> = sqrt(n)|n-1>."""
+    return np.diag(np.sqrt(np.arange(1.0, trunc)), k=1)
+
 
 def squeeze_operator(z, trunc, phi=0.0):
     """exp((zeta a^2 - zeta* a^dag^2) / 2) with zeta = z e^{i phi}."""
@@ -62,11 +66,11 @@ def displacement_operator(alpha, trunc):
 
 def test_fock_vector_validation():
     with pytest.raises(ConfigurationError):
-        FockVector(1, np.array([1.0]))
+        FockVector(np.array([1.0]))
     with pytest.raises(ConfigurationError):
-        FockVector(4, np.zeros(3))
+        FockVector(np.eye(3))
     with pytest.raises(DomainError):
-        FockVector(2, np.array([1.0, math.nan]))
+        FockVector(np.array([1.0, math.nan]))
     with pytest.raises(DomainError):
         squeezed_vacuum(math.nan)
     with pytest.raises(DomainError):
@@ -74,16 +78,10 @@ def test_fock_vector_validation():
     # finite amplitudes whose squares overflow: the norm is refused, not
     # divided into zeros
     with pytest.raises(DomainError, match="norm is inf"):
-        FockVector(3, np.array([1e300, 1e300, 0.0])).normalized()
+        FockVector(np.array([1e300, 1e300, 0.0])).normalized()
 
 
 # ---------------------------------------------------------- ladder algebra
-
-def test_lowering_matrix_entries():
-    a = lowering_matrix(5)
-    assert a[2, 3] == pytest.approx(math.sqrt(3))
-    assert np.count_nonzero(a) == 4
-
 
 def test_annihilate_on_number_state():
     out = annihilate(basis_vector(3, 8))
@@ -101,6 +99,35 @@ def test_create_refuses_at_basis_edge():
     with pytest.raises(TruncationError) as exc:
         create(basis_vector(7, 8))
     assert exc.value.lost_weight > 0
+
+
+def top_weighted(trunc, top):
+    """A normalized state whose top level holds weight ``top``, the rest in |0>."""
+    amps = np.zeros(trunc)
+    amps[0], amps[-1] = math.sqrt(1.0 - top), math.sqrt(top)
+    return FockVector(amps)
+
+
+def test_create_refuses_by_the_weight_it_loses():
+    # |c_9|^2 = 5e-11 is under the budget, but a^dag sends trunc |c_9|^2 =
+    # 5e-10 past the edge: that weight is compared, as it is reported
+    with pytest.raises(TruncationError) as exc:
+        create(top_weighted(10, 5e-11))
+    assert exc.value.lost_weight == pytest.approx(5e-10, rel=1e-12)
+    assert "lose weight 5.000e-10" in str(exc.value)
+
+
+@pytest.mark.parametrize("refused,lost", [
+    (lambda: squeezed_vacuum(LN2, 32), 1.37e-8),
+    (lambda: coherent_state(1.0, 11), 1.00e-8),
+    (lambda: create(top_weighted(10, 1e-9)), 1.00e-8),
+], ids=["squeezed", "coherent", "create"])
+def test_truncation_budget_is_pinned(refused, lost):
+    # losses of about 1e-8: refused at the 1e-10 budget, and a budget moved
+    # to 1e-6 accepts all three
+    with pytest.raises(TruncationError) as exc:
+        refused()
+    assert exc.value.lost_weight == pytest.approx(lost, rel=5e-3)
 
 
 @pytest.mark.parametrize("z", [0.0, 0.4, -0.9])
@@ -297,7 +324,7 @@ def test_quadrature_moments_density_matrix():
     wide = squeezed_vacuum(-LN2, 68)  # sigma_x = 2
     assert quadrature_moments(wide) == pytest.approx((2.0, 0.125), abs=1e-6)
     # the moments are those of the normalized state
-    tripled = FockVector(68, 3.0 * wide.amps)
+    tripled = FockVector(3.0 * wide.amps)
     assert quadrature_moments(tripled) == pytest.approx(quadrature_moments(wide), rel=1e-14)
     with pytest.raises(ConfigurationError):
         quadrature_moments(np.outer(wide.amps, wide.amps))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from sqvac import (
     GeometryError,
     GridGeometry,
     SampledSpec,
+    SqvacError,
     WignerGrid,
     coherent_state,
     grid_metrics,
@@ -33,6 +35,7 @@ from sqvac import (
     outcome_norm_ratio,
     photon_outcomes,
     policy_extent,
+    quadrature_moments,
     rasterize,
     refined_geometry,
     renormalize,
@@ -103,7 +106,7 @@ def test_default_geometry_policy():
     assert fock2.extent == pytest.approx(12.0, rel=1e-12) and fock2.points == 257
     strong = state_grid(squeezed_vacuum(-math.log(4.0), 300)).geometry
     assert strong.extent == pytest.approx(24.0, rel=1e-12) and strong.points == 513
-    assert state_grid(FockVector(8, np.eye(8)[0])).geometry == GridGeometry(6.0, 257)
+    assert state_grid(FockVector(np.eye(8)[0])).geometry == GridGeometry(6.0, 257)
     # the point count doubles once the extent, 6 sigma_x, passes 18
     assert state_grid(GaussianWignerSpec.pure_state(3.0)).geometry == GridGeometry(18.0, 257)
     wider = state_grid(GaussianWignerSpec.pure_state(3.0000002)).geometry
@@ -258,7 +261,7 @@ def laguerre_wigner(rho, x, p):
 
 
 def test_transform_single_photon():
-    vec = FockVector(8, np.eye(8)[1])
+    vec = FockVector(np.eye(8)[1])
     grid = state_grid(vec)
     s = grid.xs[:, None] ** 2 + grid.ps[None, :] ** 2
     closed = (2.0 * s - 1.0) * np.exp(-s) / math.pi
@@ -268,9 +271,9 @@ def test_transform_single_photon():
     # at every level and, last, a superposition whose W is not even in p, so
     # a swapped x +- y/2 gather would mirror it.
     rng = np.random.default_rng(7)
-    states = [FockVector(8, np.eye(8)[n]) for n in (0, 1, 2, 5)] + [
-        FockVector(8, rng.normal(size=8) + 1j * rng.normal(size=8)),
-        FockVector(8, np.array([1.0, 1j, 0, 0, 0, 0, 0, 0]) / math.sqrt(2.0)),
+    states = [FockVector(np.eye(8)[n]) for n in (0, 1, 2, 5)] + [
+        FockVector(rng.normal(size=8) + 1j * rng.normal(size=8)),
+        FockVector(np.array([1.0, 1j, 0, 0, 0, 0, 0, 0]) / math.sqrt(2.0)),
     ]
     for state in states:
         psi = state.normalized().amps
@@ -301,7 +304,7 @@ def test_transform_rotated_squeezed_matches_rotated_spec():
     # this pins the number-basis and grid angle conventions to each other
     z, theta = math.log(2.0), 0.3
     vac = squeezed_vacuum(z, 68)
-    rotated = FockVector(68, vac.amps * np.exp(1j * theta * np.arange(68)))
+    rotated = FockVector(vac.amps * np.exp(1j * theta * np.arange(68)))
     spec = GaussianWignerSpec.pure_state(math.exp(-z), theta)
     geometry = GridGeometry(policy_extent(spec.widths()[1]), 257)
     grid = wigner_from_density(rotated, geometry)
@@ -329,6 +332,36 @@ def test_transform_undersized_grid_refused():
 def test_transform_rejects_unknown_input():
     with pytest.raises(ConfigurationError):
         wigner_from_density(np.zeros((4, 4)), GridGeometry(6.0, 33))
+
+
+# amplitude parts across the whole float range: zero, 1e-150..1e150 of either
+# sign, and values whose squares underflow
+_PART = st.tuples(
+    st.one_of(st.just(0.0), st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
+              st.sampled_from([5e-324, 1e-310, 1e-200])),
+    st.sampled_from([1.0, -1.0]),
+).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(amps=st.lists(st.builds(complex, _PART, _PART), min_size=2, max_size=40),
+       points=st.sampled_from([None, 33, 65, 129]))
+def test_number_basis_state_is_finite_or_refused(amps, points):
+    # a SqvacError, or finite moments and a finite grid; any other exception,
+    # and any numpy warning, fails
+    state = FockVector(np.array(amps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            moments = quadrature_moments(state)
+        except SqvacError:
+            return
+        assert np.all(np.isfinite(moments))
+        try:
+            grid = state_grid(state, points)
+        except SqvacError:
+            return
+    assert np.all(np.isfinite(grid.values))
 
 
 # ----------------------------------------------------------- photon outcomes
