@@ -10,9 +10,9 @@ import math
 from sqvac import (
     GaussianWignerSpec,
     identity_residual,
-    norm_ratio,
     rasterize,
     refined_geometry,
+    spec_norm_ratio,
 )
 
 
@@ -24,7 +24,7 @@ def main():
             spec = GaussianWignerSpec.pure_state(sx, th)
             chk = identity_residual(rasterize(spec, refined_geometry(spec)))
             print(f"{sx:8.2f} {th:8.4f} {chk.residual:12.3e} "
-                  f"{chk.ratio_used:10.5f} {norm_ratio(sx):10.5f}")
+                  f"{chk.ratio_used:10.5f} {spec_norm_ratio(spec):10.5f}")
     print()
     print("residuals sit at the grid's discretization floor (~1e-5): the two")
     print("outcomes are the same state, and R_used matches ((sx^2+1)/(sx^2-1))^2.")

@@ -15,9 +15,8 @@ from .fock import (FockVector, OutcomeRatio, annihilate, bogoliubov_annihilate,
                    coherent_state, create, outcome_ratio, quadrature_moments,
                    squeezed_vacuum, suggested_truncation)
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
-                       angular_average_purity, angular_average_value, norm_ratio,
-                       outcome_factors, spec_norm_ratio, squeeze_parameter,
-                       wigner_value)
+                       angular_average_purity, outcome_factors, spec_norm_ratio,
+                       squeeze_parameter, wigner_value)
 from .phasespace import (GridGeometry, IdentityCheck, SampledSpec, WignerGrid, grid_metrics,
                          identity_residual, l1_relative_residual, outcome_integrals,
                          outcome_norm_ratio, photon_outcomes, policy_extent, rasterize,

@@ -89,10 +89,16 @@ def create(state: FockVector) -> FockVector:
     """Apply the creation operator: out[n] = sqrt(n) * in[n-1].
 
     The top input amplitude would leave the basis with weight
-    trunc * |c_top|^2; if that exceeds the truncation budget the operation
-    refuses.
+    trunc * |c_top|^2 / ||psi||^2, the same at any norm; if that exceeds the
+    truncation budget the operation refuses. The zero vector, which has no
+    weight to lose a share of, is refused.
     """
-    lost = state.trunc * abs(state.amps[-1]) ** 2
+    peak = max(np.max(np.abs(state.amps.real)), np.max(np.abs(state.amps.imag)))
+    if peak == 0.0:
+        raise DegenerateInputError("create cannot measure its loss on a zero vector")
+    # the largest real or imaginary part scaled to 1: no square under- or overflows
+    unit = state.amps / peak
+    lost = state.trunc * abs(unit[-1]) ** 2 / float(np.vdot(unit, unit).real)
     _refuse_loss(lost, f"create would lose weight {lost:.3e} past the basis edge; "
                        "enlarge trunc")
     return FockVector(_shift_up(state.amps))

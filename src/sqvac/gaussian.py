@@ -11,9 +11,12 @@ The vacuum is sigma_x = sigma_p = 1 and pure states have sigma_p = 1/sigma_x
 subtracting one photon maps W to f_plus * W or f_minus * W with the quadratic
 factors implemented in ``outcome_factors``; both factors integrate to one
 against W. The continuous angular average of a pure state has the radial form
-exp(-a s) I0(b s) / pi with s = x^2 + p^2, implemented in
-``angular_average_value``, with closed-form purity via the complete elliptic
-integral.
+exp(-a s) I0(b s) / pi with s = x^2 + p^2, evaluated by ``wigner_value``, with
+closed-form purity via the complete elliptic integral.
+
+The spec constructors are the one place that validates input: every width
+passes ``_check_width``, and the closed forms read validated specs. The vacuum,
+whose subtracted outcome vanishes, is refused in one place, ``_refuse_vacuum``.
 """
 
 from dataclasses import dataclass
@@ -21,24 +24,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
-from .special import bessel_i0_scaled, elliptic_k
+from .special import bessel_i0_scaled, elliptic_km1
 
 _UNCERTAINTY_SLACK = 1e-12
 _WEIGHT_TOL = 1e-12
-#: Below this, sigma_x^2 + sigma_p^2 - 2 counts as the vacuum's exact zero.
+#: Below this, the mean photon number <a^dag a> counts as the vacuum's exact zero.
 _VACUUM_GAP = 1e-12
 
 
-def _check_width_range(sigma: float):
-    """Refuse a width whose 4th power or inverse 4th power is not a finite
-    nonzero float (roughly sigma outside [1e-77, 1e77]): the closed forms and
-    the angular average's radial coefficients need sigma^4, and the grid
-    extent scales with the width."""
-    with np.errstate(over="ignore", under="ignore"):
-        powers = np.float64(sigma) ** np.array([4.0, -4.0])
-    if not np.all((powers > 0) & np.isfinite(powers)):
-        raise DomainError(f"width {sigma!r} is outside the range whose 4th power and "
-                          "inverse 4th power are finite nonzero floats")
+def _check_width(sigma: float):
+    """The one width check: refuse a width that is not positive and finite, or
+    whose 4th power or inverse 4th power is not a finite nonzero float (roughly
+    sigma outside [1e-77, 1e77]): the closed forms and the angular average's
+    radial coefficients need sigma^4, and the grid extent scales with the width.
+    Positivity is tested first, so a zero width takes no power."""
+    ok = sigma > 0 and np.isfinite(sigma)
+    if ok:
+        with np.errstate(over="ignore", under="ignore"):
+            powers = np.float64(sigma) ** np.array([4.0, -4.0])
+        ok = np.all((powers > 0) & np.isfinite(powers))
+    if not ok:
+        raise DomainError(f"width {sigma!r} must be positive and finite, with a 4th power "
+                          "and inverse 4th power that are finite nonzero floats")
 
 
 @dataclass(frozen=True)
@@ -51,14 +58,12 @@ class GaussianComponent:
     sigma_p: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.weight, self.theta, self.sigma_x, self.sigma_p])):
-            raise DomainError("component weight, angle and widths must be finite")
+        if not np.all(np.isfinite([self.weight, self.theta])):
+            raise DomainError("component weight and angle must be finite")
         if not self.weight > 0:
             raise DomainError("component weight must be positive")
-        if not (self.sigma_x > 0 and self.sigma_p > 0):
-            raise DomainError("widths must be positive")
-        _check_width_range(self.sigma_x)
-        _check_width_range(self.sigma_p)
+        _check_width(self.sigma_x)
+        _check_width(self.sigma_p)
         if self.sigma_x * self.sigma_p < 1.0 - _UNCERTAINTY_SLACK:
             raise DomainError(
                 f"sigma_x*sigma_p = {self.sigma_x * self.sigma_p:.6g} violates the "
@@ -69,6 +74,7 @@ class GaussianComponent:
 
     @classmethod
     def pure(cls, theta: float, sigma_x: float, weight: float = 1.0):
+        _check_width(sigma_x)
         return cls(weight, theta, sigma_x, 1.0 / sigma_x)
 
     def added_weight(self) -> float:
@@ -76,7 +82,7 @@ class GaussianComponent:
         return (self.sigma_x ** 2 + self.sigma_p ** 2 + 2.0) / 4.0
 
     def subtracted_weight(self) -> float:
-        """Trace of the un-renormalized photon-subtracted outcome (mean photon)."""
+        """Trace of the un-renormalized photon-subtracted outcome: <a^dag a>."""
         return (self.sigma_x ** 2 + self.sigma_p ** 2 - 2.0) / 4.0
 
 
@@ -125,9 +131,7 @@ class AngularAverageSpec:
     sigma_x: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_x) and self.sigma_x > 0):
-            raise DomainError("sigma_x must be positive and finite")
-        _check_width_range(self.sigma_x)
+        _check_width(self.sigma_x)
 
     def radial_coefficients(self) -> tuple[float, float]:
         """(a, b) with W(s) = exp(-a s) I0(b s) / pi, s = x^2 + p^2."""
@@ -142,28 +146,17 @@ class AngularAverageSpec:
 
 def squeeze_parameter(sigma_x: float) -> float:
     """z with sigma_x = exp(-z); satisfies (1-sx^2)/(1+sx^2) = tanh(z)."""
-    if not sigma_x > 0:
-        raise DomainError("sigma_x must be positive")
+    _check_width(sigma_x)
     return -float(np.log(sigma_x))
 
 
-def norm_ratio(sigma_x: float) -> float:
-    """Norm of the added outcome over the subtracted one for a pure state.
-
-    The square of the pointwise wavefunction ratio (sx^2+1)/(sx^2-1), so
-    always above 1; diverges at the vacuum width sigma_x = 1, which is
-    excluded.
-    """
-    if not sigma_x > 0:
-        raise DomainError("sigma_x must be positive")
-    s2 = sigma_x * sigma_x
-    if abs(s2 - 1.0) < _VACUUM_GAP:
+def _refuse_vacuum(mean_photons: float):
+    """The one vacuum refusal: below _VACUUM_GAP photons there is nothing to
+    subtract, so the subtracted outcome and every ratio over it are undefined."""
+    if mean_photons < _VACUUM_GAP:
         raise DegenerateInputError(
-            "norm ratio diverges at sigma_x = 1 (vacuum): subtraction "
-            "annihilates the state"
-        )
-    r = (s2 + 1.0) / (s2 - 1.0)
-    return r * r
+            f"mean photon number {mean_photons:.3g} is the vacuum's (sigma_x = sigma_p = 1): "
+            "subtraction annihilates the state")
 
 
 def _log_density(c: GaussianComponent, x, p, out: np.ndarray) -> np.ndarray:
@@ -196,7 +189,12 @@ def wigner_value(spec, x, p, out=None):
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if isinstance(spec, AngularAverageSpec):
-        value = angular_average_value(spec.sigma_x, x, p)
+        # W(s) = exp(-a s) I0(b s) / pi with s = x^2 + p^2, through the scaled
+        # Bessel function so large b*s does not overflow (the product decays
+        # like exp(-(a-|b|) s))
+        a, b = spec.radial_coefficients()
+        s = x * x + p * p
+        value = np.exp((abs(b) - a) * s) * bessel_i0_scaled(b * s) / np.pi
         if out is None:
             return value
         out[...] = value
@@ -214,70 +212,52 @@ def wigner_value(spec, x, p, out=None):
     return out if out.ndim else out[()]  # a scalar for scalar input
 
 
-def outcome_factors(x, p, sigma_x: float, sigma_p: float):
-    """Quadratic factors (f_plus, f_minus) with W_out = f * W, renormalized.
+def outcome_factors(component: GaussianComponent, x, p):
+    """Quadratic factors (f_plus, f_minus) with W_out = f * W, renormalized,
+    for one component, in its principal axes x' and p' (module docstring):
 
-    f_plus = 2 p^2 (sp^2+1)^2 / (sp^4 D+) - (sp^2 (2 sx^2+1) + sx^2) / (sp^2 sx^2 D+)
-             + 2 x^2 (sx^2+1)^2 / (sx^4 D+),          D+ = sp^2 + sx^2 + 2
-    f_minus has the signs flipped on the 1s and D- = sp^2 + sx^2 - 2.
+    f_plus = (2 p'^2 (1+1/sp^2)^2 - (2 + 1/sx^2 + 1/sp^2) + 2 x'^2 (1+1/sx^2)^2) / D+
+    f_minus has the signs flipped on the 1s, and D+- = sx^2 + sp^2 +- 2.
 
-    Raises DegenerateInputError on the vacuum (D- = 0: nothing to subtract).
+    Each square is split as (1+-1/s^2) ((1+-1/s^2) / D+-), which stays finite
+    at any width the spec accepts. Raises DegenerateInputError on the vacuum
+    (D- = 4 <a^dag a> = 0: nothing to subtract).
     """
-    if not (sigma_x > 0 and sigma_p > 0):
-        raise DomainError("widths must be positive")
-    sx2, sp2 = sigma_x ** 2, sigma_p ** 2
-    dm = sp2 + sx2 - 2.0
-    if dm < _VACUUM_GAP:
-        raise DegenerateInputError(
-            "subtraction factor degenerates at the vacuum widths "
-            "sigma_x = sigma_p = 1"
-        )
+    _refuse_vacuum(component.subtracted_weight())
+    sx2, sp2 = component.sigma_x ** 2, component.sigma_p ** 2
+    ix, ip = 1.0 / sx2, 1.0 / sp2
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    dp_ = sp2 + sx2 + 2.0
-    fplus = (2.0 * p ** 2 * (sp2 + 1.0) ** 2 / (sp2 ** 2 * dp_)
-             - (sp2 * (2.0 * sx2 + 1.0) + sx2) / (sp2 * sx2 * dp_)
-             + 2.0 * x ** 2 * (sx2 + 1.0) ** 2 / (sx2 ** 2 * dp_))
-    fminus = (2.0 * p ** 2 * (sp2 - 1.0) ** 2 / (sp2 ** 2 * dm)
-              + (sp2 * (2.0 * sx2 - 1.0) - sx2) / (sp2 * sx2 * dm)
-              + 2.0 * x ** 2 * (sx2 - 1.0) ** 2 / (sx2 ** 2 * dm))
-    return fplus, fminus
+    ct, st = np.cos(component.theta), np.sin(component.theta)
+    xr, pr = x * ct + p * st, p * ct - x * st
+    factors = []
+    for s in (1.0, -1.0):
+        d = sx2 + sp2 + 2.0 * s
+        qx, qp = 1.0 + s * ix, 1.0 + s * ip
+        factors.append(2.0 * pr * pr * qp * (qp / d) - (2.0 * s + ix + ip) / d
+                       + 2.0 * xr * xr * qx * (qx / d))
+    return tuple(factors)
 
 
 def spec_norm_ratio(spec: GaussianWignerSpec) -> float:
-    """Closed-form ratio of added over subtracted outcome weights for a spec."""
+    """Closed-form ratio of added over subtracted outcome weights for a spec;
+    for a pure state ((sx^2+1)/(sx^2-1))^2, the square of the wavefunction
+    ratio a^dag psi / a psi."""
     num = sum(c.weight * c.added_weight() for c in spec.components)
     den = sum(c.weight * c.subtracted_weight() for c in spec.components)
-    if den < _VACUUM_GAP:
-        raise DegenerateInputError("norm ratio diverges on a photonless spec")
+    _refuse_vacuum(den)
     return num / den
 
 
-def angular_average_value(sigma_x: float, x, p):
-    """Wigner function of the continuous angular average of a pure state.
-
-    W(s) = exp(-a s) I0(b s) / pi with s = x^2 + p^2,
-    a = (sigma_x^4 + 1)/(2 sigma_x^2), b = (sigma_x^4 - 1)/(2 sigma_x^2).
-    Evaluated with the exponentially scaled Bessel function so large b*s does
-    not overflow (the product decays like exp(-(a-|b|) s)).
-    """
-    spec = AngularAverageSpec(sigma_x)
-    a, b = spec.radial_coefficients()
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    s = x * x + p * p
-    return np.exp((abs(b) - a) * s) * bessel_i0_scaled(b * s) / np.pi
-
-
-def angular_average_purity(sigma_x: float) -> float:
+def angular_average_purity(spec: AngularAverageSpec) -> float:
     """Closed-form purity of the angular average.
 
     2 pi * integral W^2 = 4 sigma_x^2 K(m) / (pi (1 + sigma_x^4)) with the
-    elliptic parameter m = ((1 - sigma_x^4) / (1 + sigma_x^4))^2. Equals 1 at
-    sigma_x = 1 and decreases monotonically as the squeezing grows.
+    elliptic parameter m = ((1 - sigma_x^4) / (1 + sigma_x^4))^2. K is read
+    at 1 - m = 4 / (sigma_x^4 + 2 + sigma_x^-4), which keeps its digits where
+    m rounds to 1. Equals 1 at sigma_x = 1 and decreases monotonically as the
+    squeezing grows; sigma_x and 1/sigma_x give the same purity.
     """
-    if not sigma_x > 0:
-        raise DomainError("sigma_x must be positive")
-    s4 = sigma_x ** 4
-    m = ((1.0 - s4) / (1.0 + s4)) ** 2
-    return 4.0 * sigma_x ** 2 * elliptic_k(m) / (np.pi * (1.0 + s4))
+    s4 = spec.sigma_x ** 4
+    return 4.0 * spec.sigma_x ** 2 * elliptic_km1(4.0 / (s4 + 2.0 + 1.0 / s4)) \
+        / (np.pi * (1.0 + s4))

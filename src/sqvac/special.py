@@ -4,6 +4,8 @@
                           (scipy.special.i0e)
 * ``elliptic_k``       -- complete elliptic integral K(m), parameter m = k**2
                           (scipy.special.ellipk, with a domain check)
+* ``elliptic_km1``     -- K(1 - p), accurate as p -> 0 where 1 - p rounds to 1
+                          (scipy.special.ellipkm1)
 * ``hermite_psi_table`` -- orthonormal Hermite functions (harmonic-oscillator
                           eigenfunctions) by stable upward recurrence
 
@@ -54,6 +56,13 @@ def elliptic_k(m):
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise DomainError("elliptic_k requires 0 <= m < 1 (parameter m = k^2)")
     return ellipk(m)
+
+
+def elliptic_km1(p):
+    """K(1 - p), which keeps its digits where m = 1 - p would round to 1."""
+    from scipy.special import ellipkm1
+
+    return ellipkm1(p)
 
 
 def hermite_psi_table(nmax, x):

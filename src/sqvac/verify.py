@@ -30,8 +30,8 @@ from . import io as sqio
 from .fock import (bogoliubov_annihilate, coherent_state, outcome_ratio,
                    squeezed_vacuum, suggested_truncation)
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
-                       angular_average_purity, angular_average_value, norm_ratio,
-                       outcome_factors, spec_norm_ratio)
+                       angular_average_purity, outcome_factors, spec_norm_ratio,
+                       wigner_value)
 from .phasespace import (SampledSpec, grid_metrics, identity_residual, outcome_integrals,
                          photon_outcomes, rasterize, refined_geometry, renormalize,
                          state_grid)
@@ -116,9 +116,9 @@ def _suite_pure_identity() -> list:
     cases = []
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
-            cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}",
-                                     _streamed(GaussianWignerSpec.pure_state(sx, th)),
-                                     norm_ratio(sx))
+            spec = GaussianWignerSpec.pure_state(sx, th)
+            cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}", _streamed(spec),
+                                     spec_norm_ratio(spec))
     return cases
 
 
@@ -126,7 +126,7 @@ def _suite_impure_difference() -> list:
     sx, sp = 4.0, 0.5
     spec = GaussianWignerSpec.single(sx, sp)
     chk = identity_residual(_streamed(spec))
-    f_plus, f_minus = outcome_factors(0.0, 0.0, sx, sp)
+    f_plus, f_minus = outcome_factors(spec.components[0], 0.0, 0.0)
     return [
         _floor("impure-residual-floor", chk.residual, _TOLERANCES["residual_floor"]),
         _floor("impure-outcome-maxdiff-floor", chk.max_gap, _TOLERANCES["maxdiff_floor"]),
@@ -191,7 +191,7 @@ def _suite_angular_average() -> list:
                             spec_norm_ratio(GaussianWignerSpec.pure_state(sx)))
 
     grid_purity = grid_metrics(grid).purity
-    closed = angular_average_purity(sx)
+    closed = angular_average_purity(spec)
     cases.append(_upper("angavg-purity-grid-vs-closed", abs(grid_purity - closed),
                         _TOLERANCES["purity"]))
     # convention probe: evaluating K at modulus instead of parameter must NOT match
@@ -201,7 +201,7 @@ def _suite_angular_average() -> list:
     cases.append(_floor("elliptic-convention-alt-mismatch", abs(alt - grid_purity), 1e-3))
 
     sigmas = 1.0 + 0.1 * np.arange(41)
-    purities = np.array([angular_average_purity(s) for s in sigmas])
+    purities = np.array([angular_average_purity(AngularAverageSpec(s)) for s in sigmas])
     cases.append(_upper("purity-strictly-decreasing", float(np.max(np.diff(purities))),
                         -1e-6))
     cases.append(_upper("purity-at-vacuum", abs(purities[0] - 1.0), 1e-10))
@@ -318,12 +318,12 @@ def figure_data(which: str, out_dir: str, seed: int | None = None) -> list:
             paths.append(path)
     elif which == "fig3":
         radii = 0.05 * np.arange(121)
-        values = angular_average_value(2.2, radii, 0.0)
+        values = wigner_value(AngularAverageSpec(2.2), radii, 0.0)
         paths.append(_save_table(os.path.join(out_dir, "fig3_radial_profile.csv"),
                                  ["columns: radius,log10_wigner (sigma_x=2.2)"] + tail,
                                  (radii, np.log10(values))))
         sigmas = 1.0 + 0.1 * np.arange(41)
-        purities = [angular_average_purity(s) for s in sigmas]
+        purities = [angular_average_purity(AngularAverageSpec(s)) for s in sigmas]
         paths.append(_save_table(os.path.join(out_dir, "fig3_purity.csv"),
                                  ["columns: sigma_x,purity"] + tail,
                                  (sigmas, purities)))

@@ -95,7 +95,7 @@ def test_c03_transform_matches_closed_outcomes():
         grid = state_grid(vec)
         x, p = grid.xs[:, None], grid.ps[None, :]
         w = wigner_value(GaussianWignerSpec.pure_state(2.0), x, p)
-        closed = outcome_factors(x, p, 2.0, 0.5)[pick] * w
+        closed = outcome_factors(GaussianComponent.pure(0.0, 2.0), x, p)[pick] * w
         sup = float(np.max(np.abs(grid.values - closed)))
         if sup > 1e-4:
             failures.append(f"{name}: sup deviation {sup:.3e} > 1e-4")
@@ -145,7 +145,7 @@ def test_c05_mixture_and_angular_average_identity():
 def test_c06_purity_closed_vs_grid():
     failures = []
     sigmas = 1.0 + 0.1 * np.arange(41)
-    closed = np.array([angular_average_purity(s) for s in sigmas])
+    closed = np.array([angular_average_purity(AngularAverageSpec(s)) for s in sigmas])
     worst = 0.0
     for s, c in zip(sigmas, closed):
         geometry = GridGeometry(policy_extent(s), 769)

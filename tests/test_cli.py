@@ -235,6 +235,19 @@ def test_state_refuses_width_outside_float_range(tmp_path, capsys, kind, sigma):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [("--kind", "pure", "--sigma-x", "0"),
+                                  ("--kind", "pure", "--sigma-x", "-0.0"),
+                                  ("--kind", "mixture", "--sigma-x", "0")])
+def test_state_refuses_a_zero_width(tmp_path, capsys, recwarn, argv):
+    # the pure constructor once inverted the width before checking it
+    out_path = tmp_path / "state.json"
+    code, out, err = run(capsys, "state", *argv, "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "positive" in err
+    assert not out_path.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_vacuum_outcome_refused_without_output(tmp_path, capsys):
     state = tmp_path / "vac.json"
     grid_path = tmp_path / "grid.csv"

@@ -117,6 +117,24 @@ def test_create_refuses_by_the_weight_it_loses():
     assert "lose weight 5.000e-10" in str(exc.value)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-200, 1e200j])
+def test_create_measures_its_loss_on_the_normalized_state(scale):
+    # half the weight on |7> of 8 levels: a^dag loses 8 * 0.5 = 4 of the state
+    # at any norm (on the raw amplitudes at norm 1e-6 the loss read 4e-12, and a
+    # norm of 1e-200 squares to zero)
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = amps[7] = math.sqrt(0.5) * scale
+    with pytest.raises(TruncationError) as exc:
+        create(FockVector(amps))
+    assert exc.value.lost_weight == pytest.approx(4.0, rel=1e-12)
+    # nothing on |7>: accepted at the same norm, a^dag|0> = |1>
+    amps[7] = 0.0
+    np.testing.assert_array_equal(create(FockVector(amps)).amps,
+                                  np.roll(amps, 1))
+    with pytest.raises(DegenerateInputError):
+        create(FockVector(np.zeros(8)))
+
+
 @pytest.mark.parametrize("refused,lost", [
     (lambda: squeezed_vacuum(LN2, 32), 1.37e-8),
     (lambda: coherent_state(1.0, 11), 1.00e-8),

@@ -7,12 +7,13 @@ oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqvac import (
@@ -22,9 +23,8 @@ from sqvac import (
     DomainError,
     GaussianComponent,
     GaussianWignerSpec,
+    SqvacError,
     angular_average_purity,
-    angular_average_value,
-    norm_ratio,
     outcome_factors,
     spec_norm_ratio,
     squeeze_parameter,
@@ -87,23 +87,29 @@ def subtracted_outcome_value(spec, x, p):
     return num / den
 
 
+def pure_norm_ratio(sx):
+    """((sx^2+1)/(sx^2-1))^2, the square of the wavefunction ratio a^dag psi / a psi."""
+    return ((sx * sx + 1.0) / (sx * sx - 1.0)) ** 2
+
+
 # ------------------------------------------------------------ scalar ratios
 
 def test_amplitude_ratio_values():
-    # a^dag psi / a psi is the constant (sx^2+1)/(sx^2-1); norm_ratio is its square
+    # a^dag psi / a psi is the constant (sx^2+1)/(sx^2-1); the norm ratio is its square
     for sx, amp in ((2.0, 5.0 / 3.0), (0.5, -5.0 / 3.0)):
         added, subtracted = ladder_amplitudes(np.array([-1.3, 0.4, 2.1]), sx)
         assert np.allclose(added / subtracted, amp, rtol=1e-7)
-        assert norm_ratio(sx) == pytest.approx(amp * amp, rel=1e-15)
+        assert spec_norm_ratio(GaussianWignerSpec.pure_state(sx)) == pytest.approx(
+            amp * amp, rel=1e-15)
     with pytest.raises(DomainError):
-        norm_ratio(-2.0)
+        GaussianWignerSpec.pure_state(-2.0)
 
 
 def test_amplitude_ratio_unit_width_degenerate():
     # the vacuum: a psi vanishes, so the ratio diverges
     assert np.max(np.abs(ladder_amplitudes(np.linspace(-3, 3, 7), 1.0)[1])) < 1e-7
-    with pytest.raises(DegenerateInputError):
-        norm_ratio(1.0)
+    with pytest.raises(DegenerateInputError, match="sigma_x = sigma_p = 1"):
+        spec_norm_ratio(GaussianWignerSpec.pure_state(1.0))
 
 
 def test_squeeze_parameter():
@@ -163,6 +169,19 @@ def test_width_outside_float_range_refused(sigma):
         GaussianWignerSpec.single(sigma, 2.0)  # checked before the uncertainty floor
     with pytest.raises(DomainError, match="4th power"):
         AngularAverageSpec(sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.0, -1.0])
+def test_width_not_positive_refused_before_any_power(sigma):
+    # the pure constructor inverts the width: 0 must not reach 1/sigma_x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (GaussianWignerSpec.pure_state, lambda s: GaussianComponent.pure(0.0, s),
+                      lambda s: GaussianWignerSpec.two_angle_mixture(0.5, 0.0, 1.0, s),
+                      lambda s: GaussianWignerSpec.single(s, 2.0), AngularAverageSpec,
+                      squeeze_parameter):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                build(sigma)
 
 
 def test_wide_and_narrow_widths_accepted():
@@ -279,42 +298,45 @@ def test_quadratic_form_matches_rotated_form(theta, spec_of):
 # ---------------------------------------------------------- outcome factors
 
 def test_outcome_factors_pure_origin():
-    fp, fm = outcome_factors(0.0, 0.0, 2.0, 0.5)
+    fp, fm = outcome_factors(GaussianComponent.pure(0.0, 2.0), 0.0, 0.0)
     assert fp == pytest.approx(-1.0, rel=1e-14)
     assert fm == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_outcome_factors_impure_origin():
-    fp, fm = outcome_factors(0.0, 0.0, 4.0, 0.5)
+    fp, fm = outcome_factors(GaussianComponent(1.0, 0.0, 4.0, 0.5), 0.0, 0.0)
     assert fp == pytest.approx(-0.3321917808219178, rel=1e-13)
     assert fm == pytest.approx(-0.14473684210526316, rel=1e-13)
 
 
 def test_outcome_factors_vacuum_degenerate():
     with pytest.raises(DegenerateInputError):
-        outcome_factors(0.0, 0.0, 1.0, 1.0)
+        outcome_factors(GaussianComponent(1.0, 0.0, 1.0, 1.0), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("sx,sp,extent", [(2.0, 0.5, 14.0), (4.0, 0.5, 26.0)])
 def test_outcome_factors_normalize_against_wigner(sx, sp, extent):
     # integral of f_plusminus * W over the plane is exactly 1
     xs, x, p = grid_2d(extent, 801)
-    w = wigner_value(GaussianWignerSpec.single(sx, sp), x, p)
-    fp, fm = outcome_factors(x, p, sx, sp)
+    spec = GaussianWignerSpec.single(sx, sp)
+    w = wigner_value(spec, x, p)
+    fp, fm = outcome_factors(spec.components[0], x, p)
     assert integrate_2d(fp * w, xs) == pytest.approx(1.0, abs=1e-9)
     assert integrate_2d(fm * w, xs) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_outcome_values_match_factor_route():
-    # single-component path must agree with outcome_factors * wigner_value
-    spec = GaussianWignerSpec.single(4.0, 0.5)
+    # single-component path must agree with outcome_factors * wigner_value; the
+    # rotated input checks that the factors are read in the principal axes
     xs, x, p = grid_2d(10.0, 41)
-    w = wigner_value(spec, x, p)
-    fp, fm = outcome_factors(x, p, 4.0, 0.5)
-    np.testing.assert_allclose(added_outcome_value(spec, x, p), fp * w,
-                               rtol=1e-12, atol=1e-16)
-    np.testing.assert_allclose(subtracted_outcome_value(spec, x, p), fm * w,
-                               rtol=1e-12, atol=1e-16)
+    for theta in (0.0, 0.7):
+        spec = GaussianWignerSpec.single(4.0, 0.5, theta)
+        w = wigner_value(spec, x, p)
+        fp, fm = outcome_factors(spec.components[0], x, p)
+        np.testing.assert_allclose(added_outcome_value(spec, x, p), fp * w,
+                                   rtol=1e-12, atol=1e-16)
+        np.testing.assert_allclose(subtracted_outcome_value(spec, x, p), fm * w,
+                                   rtol=1e-12, atol=1e-16)
 
 
 def test_outcome_values_integrate_to_one():
@@ -358,7 +380,7 @@ def test_impure_outcomes_differ():
 def test_spec_norm_ratio_pure_matches_scalar():
     for sx in (0.5, 2.0, 3.0):
         assert spec_norm_ratio(GaussianWignerSpec.pure_state(sx)) == pytest.approx(
-            norm_ratio(sx), rel=1e-13
+            pure_norm_ratio(sx), rel=1e-13
         )
 
 
@@ -373,6 +395,24 @@ def test_spec_norm_ratio_vacuum_degenerate():
         spec_norm_ratio(GaussianWignerSpec.pure_state(1.0))
 
 
+@pytest.mark.parametrize("gap,refused", [(6.3e-5, False), (6.3e-7, True)],
+                         ids=["accepted", "refused"])
+def test_vacuum_gap_is_pinned(gap, refused):
+    # <a^dag a> = (sx^2 - 1)^2 / (4 sx^2): about 1e-9 at sx^2 = 1 + 6.3e-5, accepted
+    # at the 1e-12 gap, and 1e-13 at 1 + 6.3e-7, refused; a gap moved to 1e-6
+    # refuses the first and one moved to 1e-15 accepts the second
+    spec = GaussianWignerSpec.pure_state(math.sqrt(1.0 + gap))
+    mean_photons = spec.components[0].subtracted_weight()
+    assert mean_photons == pytest.approx(gap * gap / (4.0 * (1.0 + gap)), rel=1e-2, abs=0.0)
+    for closed_form in (lambda: spec_norm_ratio(spec),
+                        lambda: outcome_factors(spec.components[0], 0.0, 0.0)):
+        if refused:
+            with pytest.raises(DegenerateInputError, match="sigma_x = sigma_p = 1"):
+                closed_form()
+        else:
+            assert np.all(np.isfinite(closed_form()))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sx=st.one_of(
@@ -382,14 +422,14 @@ def test_spec_norm_ratio_vacuum_degenerate():
 )
 def test_spec_norm_ratio_tracks_norm_ratio(sx):
     assert spec_norm_ratio(GaussianWignerSpec.pure_state(sx)) == pytest.approx(
-        norm_ratio(sx), rel=1e-11
+        pure_norm_ratio(sx), rel=1e-11
     )
 
 
 # --------------------------------------------------------- angular average
 
 def test_angular_average_origin():
-    assert angular_average_value(2.2, 0.0, 0.0) == pytest.approx(
+    assert wigner_value(AngularAverageSpec(2.2), 0.0, 0.0) == pytest.approx(
         1.0 / math.pi, rel=1e-14
     )
 
@@ -406,20 +446,35 @@ def test_angular_average_matches_brute_force():
                     for t in thetas
                 ]
             )
-            assert angular_average_value(sx, x, p) == pytest.approx(acc, rel=1e-12)
+            assert wigner_value(AngularAverageSpec(sx), x, p) == pytest.approx(acc, rel=1e-12)
 
 
 def test_angular_average_far_tail_is_safe():
     # radius 30: the bare Bessel factor alone would overflow float64
-    val = angular_average_value(2.2, 30.0, 0.0)
+    val = wigner_value(AngularAverageSpec(2.2), 30.0, 0.0)
     assert 0.0 < val < 1e-70
 
 
 def test_angular_average_purity_values():
-    assert angular_average_purity(1.0) == pytest.approx(1.0, abs=1e-14)
-    assert angular_average_purity(1.5) == pytest.approx(0.8567907363065936, rel=1e-13)
-    assert angular_average_purity(2.2) == pytest.approx(0.5973884954432070, rel=1e-13)
-    assert angular_average_purity(5.0) == pytest.approx(0.19923780683180788, rel=1e-13)
+    assert angular_average_purity(AngularAverageSpec(1.0)) == pytest.approx(1.0, abs=1e-14)
+    for sx, purity in ((1.5, 0.8567907363065936), (2.2, 0.5973884954432070),
+                       (5.0, 0.19923780683180788)):
+        assert angular_average_purity(AngularAverageSpec(sx)) == pytest.approx(
+            purity, rel=1e-13, abs=0.0)
+
+
+def test_angular_average_purity_keeps_its_digits_at_strong_squeezing():
+    # 1 - m rounds away at sigma_x = 1e4; K(m) ~ L + (p/4)(L - 1) with p = 1 - m,
+    # L = ln(4/sqrt(p)), and sigma_x and 1/sigma_x average to the same state
+    wide, narrow = (angular_average_purity(AngularAverageSpec(s)) for s in (1e4, 1e-4))
+    assert wide == pytest.approx(narrow, rel=1e-14, abs=0.0)
+    for sx in (1e4, 1e-4):
+        s4 = sx ** 4
+        p = 4.0 / (s4 + 2.0 + 1.0 / s4)
+        big_l = math.log(4.0 / math.sqrt(p))
+        expect = 4.0 * sx * sx * (big_l + p / 4.0 * (big_l - 1.0)) / (math.pi * (1.0 + s4))
+        assert angular_average_purity(AngularAverageSpec(sx)) == pytest.approx(
+            expect, rel=1e-12, abs=0.0)
 
 
 def test_angular_average_purity_against_quadrature():
@@ -431,12 +486,71 @@ def test_angular_average_purity_against_quadrature():
         0.0,
         np.inf,
     )
-    assert angular_average_purity(sx) == pytest.approx(val, rel=1e-10)
+    assert angular_average_purity(AngularAverageSpec(sx)) == pytest.approx(val, rel=1e-10)
 
 
 def test_wigner_value_dispatches_angular_spec():
+    # exp(-a s) I0(b s) / pi with the unscaled Bessel function, s = x^2 + p^2
     spec = AngularAverageSpec(2.2)
+    a, b = spec.radial_coefficients()
     xs, x, p = grid_2d(3.0, 11)
-    np.testing.assert_array_equal(
-        wigner_value(spec, x, p), angular_average_value(2.2, x, p)
-    )
+    s = x * x + p * p
+    want = np.exp(-a * s) * scipy.special.i0(b * s) / np.pi
+    np.testing.assert_allclose(wigner_value(spec, x, p), want, rtol=1e-13, atol=1e-300)
+    out = np.empty(s.shape)
+    assert wigner_value(spec, x, p, out=out) is out
+    np.testing.assert_array_equal(out, wigner_value(spec, x, p))
+
+
+# ------------------------------------------------------ finite or refused
+
+_BAD_WIDTHS = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1.0])
+_WIDTHS = st.one_of(_BAD_WIDTHS,
+                    st.floats(min_value=math.log(1e-320), max_value=math.log(1e308))
+                    .map(math.exp))
+_ANGLES = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@st.composite
+def _specs(draw):
+    """A constructor call, unmade: pure, impure, two-angle or angular-average."""
+    kind = draw(st.sampled_from(["pure", "impure", "two-angle", "angular-average"]))
+    sx, sp, th1, th2 = draw(_WIDTHS), draw(_WIDTHS), draw(_ANGLES), draw(_ANGLES)
+    return {"pure": lambda: GaussianWignerSpec.pure_state(sx, th1),
+            "impure": lambda: GaussianWignerSpec.single(sx, sp, th1),
+            "two-angle": lambda: GaussianWignerSpec.two_angle_mixture(0.3, th1, th2, sx),
+            "angular-average": lambda: AngularAverageSpec(sx)}[kind]
+
+
+def _finite_or_refused(fn):
+    try:
+        values = fn()
+    except SqvacError:
+        return
+    assert np.all(np.isfinite(values)), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(build=_specs())
+# widths whose 4th power (or its inverse) is within a factor 2 of the float
+# range's edge, where a squared width times a squared coordinate overflows
+@example(build=lambda: GaussianWignerSpec.pure_state(1.1e77, 0.5))
+@example(build=lambda: GaussianWignerSpec.pure_state(9e-78))
+def test_gaussian_spec_is_finite_or_refused(build):
+    # any width or angle: the constructor refuses, or every closed form gives
+    # finite values or a SqvacError; a numpy warning or another exception fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            spec = build()
+        except SqvacError:
+            return
+        for x, p in ((0.0, 0.0), (1.0, -1.0)):
+            _finite_or_refused(lambda: wigner_value(spec, x, p))
+        if isinstance(spec, AngularAverageSpec):
+            _finite_or_refused(lambda: angular_average_purity(spec))
+            return
+        _finite_or_refused(lambda: spec_norm_ratio(spec))
+        for c in spec.components:
+            for x, p in ((0.0, 0.0), (1.0, -1.0)):
+                _finite_or_refused(lambda: outcome_factors(c, x, p))

@@ -385,7 +385,7 @@ def test_outcome_integrals_are_ladder_norms():
 def test_renormalized_outcomes_match_closed_forms():
     grid = rasterize(PURE2, refined_geometry(PURE2))
     wp, wm = (renormalize(outcome) for outcome in photon_outcomes(grid))
-    fp, fm = outcome_factors(grid.xs[:, None], grid.ps[None, :], 2.0, 0.5)
+    fp, fm = outcome_factors(PURE2.components[0], grid.xs[:, None], grid.ps[None, :])
     assert np.max(np.abs(wp.values - fp * grid.values)) < 5e-5
     assert np.max(np.abs(wm.values - fm * grid.values)) < 5e-5
 

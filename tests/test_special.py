@@ -12,6 +12,7 @@ from sqvac.special import (
     HERMITE_DEGREE_CAP,
     bessel_i0_scaled,
     elliptic_k,
+    elliptic_km1,
     hermite_psi_table,
 )
 
@@ -79,6 +80,11 @@ def test_elliptic_k_array_input():
 def test_elliptic_k_rejects_out_of_domain(m):
     with pytest.raises(DomainError):
         elliptic_k(m)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.01])
+def test_elliptic_km1_is_k_at_the_complement(p):
+    assert elliptic_km1(p) == pytest.approx(elliptic_k(1.0 - p), rel=1e-14)
 
 
 # -------------------------------------------------------- hermite_psi_table
