@@ -38,7 +38,7 @@ def main():
     print(f"{'sigma_x':>8} {'closed':>10} {'grid':>10}")
     for sx in (1.0, 1.5, 2.2, 3.0, 5.0):
         spec = AngularAverageSpec(sx)
-        grid_purity = grid_metrics(rasterize(spec, refined_geometry(spec))).purity
+        grid_purity = grid_metrics(rasterize(spec, refined_geometry(spec)))
         print(f"{sx:8.1f} {angular_average_purity(spec):10.6f} {grid_purity:10.6f}")
     print("purity drops with squeezing; only sigma_x = 1 (the vacuum) is pure.")
 

@@ -185,20 +185,24 @@ def _log_density(c: GaussianComponent, x, p, out: np.ndarray) -> np.ndarray:
 
 def wigner_value(spec, x, p, out=None):
     """Wigner function of a GaussianWignerSpec or AngularAverageSpec, broadcast;
-    written into ``out`` when it is given (and returned)."""
+    written into ``out`` when it is given (and returned). Raises
+    ConfigurationError for any other spec."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if isinstance(spec, AngularAverageSpec):
         # W(s) = exp(-a s) I0(b s) / pi with s = x^2 + p^2, through the scaled
-        # Bessel function so large b*s does not overflow (the product decays
-        # like exp(-(a-|b|) s))
-        a, b = spec.radial_coefficients()
+        # Bessel function so large b*s does not overflow: the product decays
+        # like exp(-(a-|b|) s), and a - |b| = min(sigma_x, 1/sigma_x)^2 is
+        # formed exactly, not as a difference that cancels for strong squeezing
+        b = spec.radial_coefficients()[1]
         s = x * x + p * p
-        value = np.exp((abs(b) - a) * s) * bessel_i0_scaled(b * s) / np.pi
+        value = np.exp(-spec.widths()[0] ** 2 * s) * bessel_i0_scaled(b * s) / np.pi
         if out is None:
             return value
         out[...] = value
         return out
+    if not isinstance(spec, GaussianWignerSpec):
+        raise ConfigurationError(f"wigner_value cannot handle {type(spec).__name__}")
     # exp in place; later components are added into the first one's buffer
     shape = np.broadcast_shapes(x.shape, p.shape)
     first, *rest = spec.components

@@ -10,7 +10,7 @@ block or a process with one CPU) and writes them in order through
 ``atomic_write``, so a file is never held in memory as one string and its
 bytes do not depend on the worker count. ``load_grid`` parses the values as
 floats and the coordinate columns as text, checked against the rows
-``save_grid`` writes, a few hundred kB of the file at a time.
+``save_grid`` writes, _READ_ROWS lines of the file at a time.
 """
 
 import contextlib
@@ -20,8 +20,8 @@ import os
 import stat
 import sys
 import uuid
+import warnings
 from functools import partial
-from io import StringIO
 
 import numpy as np
 
@@ -127,9 +127,9 @@ def load_state(path):
 # values per row block written: a 257^2 grid is one block, so it is written
 # without a process pool
 _BLOCK_VALUES = 131_072
-# characters parsed at a time while reading a grid: a piece and its table
-# stay in cache, and no table of all rows is held
-_READ_CHARS = 1 << 18
+# lines parsed at a time while reading a grid: a piece and its table stay in
+# cache, and no table of all rows is held
+_READ_ROWS = 4096
 # a row as read: x and p as text ("%.17g" never needs more than 24
 # characters, so a longer field cannot match), the value as a float
 _ROW_FIELDS = [("x", "S25"), ("p", "S25"), ("value", "f8")]
@@ -148,9 +148,9 @@ def save_grid(path, grid: WignerGrid, comments=()):
     """
     head = [_header(grid.geometry)] + [f"# {c}\n" for c in comments]
     # x.join(parts) gives "x,p_0,%.17g\nx,p_1,%.17g\n...": the row template.
-    rows = ([""] + [f",{p:.17g},%.17g\n" for p in grid.ps.tolist()],
-            grid.xs.tolist(), grid.values)
-    blocks = list(_row_blocks(grid.points, max(1, _BLOCK_VALUES // grid.points)))
+    axis, n = grid.geometry.axis().tolist(), grid.geometry.points
+    rows = ([""] + [f",{p:.17g},%.17g\n" for p in axis], axis, grid.values)
+    blocks = list(_row_blocks(n, max(1, _BLOCK_VALUES // n)))
     workers = min(phasespace._worker_count(), len(blocks)) if hasattr(os, "fork") else 1
     if workers == 1:
         atomic_write(path, itertools.chain(head, map(partial(_format_rows, rows), blocks)))
@@ -193,9 +193,9 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
     """Read a grid CSV written by ``save_grid``.
 
     The header must be the layout of ``GridGeometry(-x0, nx)``, p the same
-    as x. The rows are parsed in pieces of about _READ_CHARS characters:
-    values as floats, the x and p columns as text, which must be exactly
-    what ``save_grid`` writes for that geometry. So a coordinate with the
+    as x. The rows are parsed in pieces of _READ_ROWS lines: values as
+    floats, the x and p columns as text, which must be exactly what
+    ``save_grid`` writes for that geometry. So a coordinate with the
     right value in other digits is refused, and so is a header naming more
     rows than a regular file's size could hold, or a byte anywhere in the
     file that is not UTF-8 text.
@@ -241,10 +241,14 @@ def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
     coords = _coordinate_text(geometry.axis())
     flat = values.reshape(-1)
     done = 0
-    for text in _line_chunks(fh, line):
+    lines = itertools.chain((line,), fh)  # the first data line was read with the comments
+    while piece := list(itertools.islice(lines, _READ_ROWS)):
         try:
-            table = np.loadtxt(StringIO(text), delimiter=",", comments=None,
-                               dtype=_ROW_FIELDS, ndmin=1)
+            # blank lines are skipped; a piece of nothing else makes numpy warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(piece, delimiter=",", comments=None, dtype=_ROW_FIELDS,
+                                   ndmin=1)
         except ValueError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
         stop = done + table.size
@@ -261,22 +265,6 @@ def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
         return WignerGrid(geometry, values), comments
     except ConfigurationError as exc:  # a non-finite value
         raise ConfigurationError(f"{path}: {exc}") from None
-
-
-def _line_chunks(fh, first: str):
-    """``first`` and then the rest of fh, in pieces of about _READ_CHARS
-    characters that end at a line end."""
-    rest = first
-    while chunk := fh.read(_READ_CHARS):
-        text = rest + chunk
-        # no line end: part of a line far longer than any grid row. Passing
-        # it on whole keeps the copying linear; the parser refuses the rest
-        # of that line, which has too few columns
-        cut = text.rfind("\n") + 1 or len(text)
-        rest = text[cut:]
-        yield text[:cut]
-    if rest:
-        yield rest
 
 
 def _coordinate_text(axis: np.ndarray) -> np.ndarray:

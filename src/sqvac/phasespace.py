@@ -15,7 +15,7 @@ by the identity check.
 
 Derivatives are 4th-order central stencils with 4th-order one-sided rows at the
 edges; integrals are tensor-product Simpson rules, which is why point counts
-must be odd.
+must be odd. ``_simpson`` forms every grid sum and refuses one that overflows.
 
 A and S are linear in W and its stencils, so wherever every value a stencil
 reads is 0.0 both outcomes are exactly 0.0. A squeezed W underflows to 0.0
@@ -39,11 +39,18 @@ it reuses from block to block.
 
 Every grid is a square ``GridGeometry`` (extent, points) plus its values.
 The geometry owns the layout: x and p share one axis, -extent + k*step, and
-one Simpson weight vector. ``state_grid`` sizes the geometry from a state's
-widest width; serialization writes the geometry, so a saved and reloaded grid
-is bit-identical to the original, derived axis included. An odd point count
-puts the centre node, index points // 2, within one ulp of the extent of the
-origin, so origin values are read there with no interpolation.
+one Simpson weight vector, and a grid states none of it again, so code reads
+``grid.geometry`` and makes a grid of new values on the same layout as
+``WignerGrid(grid.geometry, values)``. ``state_grid`` sizes the geometry from
+a state's widest width; serialization writes the geometry, so a saved and
+reloaded grid is bit-identical to the original, derived axis included. An
+odd point count puts the centre node, index points // 2, within one ulp of
+the extent of the origin, so origin values are read there with no
+interpolation.
+
+A gaussian spec is sampled in one place, ``SampledSpec._sample``: ``rasterize``
+samples its raster blocks through it and the outcome passes their windows, so
+held and sampled grids agree by construction.
 """
 
 import os
@@ -184,10 +191,11 @@ def refined_geometry(spec) -> GridGeometry:
 
 
 class WignerGrid:
-    """Real samples values[i, j] = W(xs[i], ps[j]) on a square geometry;
-    xs and ps name the one axis the geometry derives. The values are finite
-    and read-only: a C-contiguous float array passed in is kept, not copied,
-    and made read-only, so the grid can keep its first pass."""
+    """Real samples values[i, j] = W(x_i, p_j) on a square geometry, x and p
+    both on ``geometry.axis()``; the geometry is the grid's only layout. The
+    values are finite and read-only: a C-contiguous float array passed in is
+    kept, not copied, and made read-only, so the grid can keep its first
+    pass."""
 
     def __init__(self, geometry: GridGeometry, values: np.ndarray):
         # contiguous storage: BLAS sums a strided view (a column of a table,
@@ -202,19 +210,6 @@ class WignerGrid:
         values.flags.writeable = False
         self.geometry = geometry
         self.values = values
-        self.xs = self.ps = geometry.axis()
-
-    @property
-    def step(self) -> float:
-        return self.geometry.step
-
-    @property
-    def points(self) -> int:
-        return self.geometry.points
-
-    def with_values(self, values: np.ndarray) -> "WignerGrid":
-        """Same geometry, new samples."""
-        return WignerGrid(self.geometry, values)
 
     def _window(self, rows: slice, cols: slice, buffers: "_Buffers") -> np.ndarray:
         """W on rows x cols as a view; ``buffers`` serve sources that sample."""
@@ -231,8 +226,13 @@ class WignerGrid:
 
 def _simpson(values: np.ndarray, wx: np.ndarray, wp: np.ndarray) -> float:
     """wx^T values wp, reduced by einsum rather than BLAS: its sums keep one
-    order whatever the BLAS thread count."""
-    return float(wx @ np.einsum("ij,j->i", values, wp))
+    order whatever the BLAS thread count. Raises GeometryError when the sum
+    overflows, the one refusal of a non-finite grid integral."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(wx @ np.einsum("ij,j->i", values, wp))
+    if not np.isfinite(total):
+        raise GeometryError(f"a grid integral overflows to {total!r}: its values are too large")
+    return total
 
 
 def _row_blocks(n: int, rows: int = _BLOCK_ROWS):
@@ -285,24 +285,20 @@ class _Buffers(threading.local):
         return buf[:size].reshape(shape)
 
 
-def _require_spec(spec, user: str):
-    if not isinstance(spec, (GaussianWignerSpec, AngularAverageSpec)):
-        raise ConfigurationError(f"{user} cannot handle {type(spec).__name__}")
-
-
 def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
-    """Sample a gaussian mixture or angular-average spec onto ``geometry``;
+    """Sample a gaussian mixture or angular-average spec onto ``geometry``,
+    each raster block straight into the grid through ``SampledSpec._sample``;
     only ``state_grid`` checks that the grid resolves it."""
-    _require_spec(spec, "rasterize")
-    axis = geometry.axis()
+    source = SampledSpec(spec, geometry)
+    n = geometry.points
     # evaluate in row blocks: identical values, cache-sized temporaries
-    values = np.empty((axis.size, axis.size))
+    values = np.empty((n, n))
 
     def fill(block):
         i0, i1 = block
-        values[i0:i1] = wigner_value(spec, axis[i0:i1, None], axis[None, :])
+        source._sample(slice(i0, i1), slice(0, n), values[i0:i1])
 
-    _map_blocks(fill, _row_blocks(axis.size, _raster_rows(axis.size)))
+    _map_blocks(fill, _row_blocks(n, _raster_rows(n)))
     return WignerGrid(geometry, values)
 
 
@@ -314,9 +310,11 @@ def _raster_rows(n: int) -> int:
 class SampledSpec:
     """A gaussian mixture or angular-average spec read as a grid on
     ``geometry`` that is never held: the identity check samples W with
-    ``wigner_value`` only in the windows it reads. ``wigner_value`` is
-    elementwise, so each window holds the floats ``rasterize(spec, geometry)``
-    holds there, and every result equals the held grid's bit for bit.
+    ``wigner_value`` only in the windows it reads. ``_sample`` is the one
+    place a spec is sampled on a geometry, for these windows and for every
+    raster block of ``rasterize``, and ``wigner_value`` is elementwise, so
+    each window holds the floats ``rasterize(spec, geometry)`` holds there,
+    and every result equals the held grid's bit for bit.
 
     Its first pass runs once, on first use, and is kept, as a held grid's is.
     """
@@ -325,13 +323,18 @@ class SampledSpec:
     geometry: GridGeometry
 
     def __post_init__(self):
-        _require_spec(self.spec, "SampledSpec")
+        if not isinstance(self.spec, (GaussianWignerSpec, AngularAverageSpec)):
+            raise ConfigurationError(f"SampledSpec cannot handle {type(self.spec).__name__}")
+
+    def _sample(self, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
+        """W on rows x cols of the geometry, written into ``out``."""
+        axis = self.geometry.axis()
+        return wigner_value(self.spec, axis[rows, None], axis[None, cols], out=out)
 
     def _window(self, rows: slice, cols: slice, buffers: _Buffers) -> np.ndarray:
         """W on rows x cols, sampled into the thread's "window" buffer."""
-        axis = self.geometry.axis()
         out = buffers.take("window", (rows.stop - rows.start, cols.stop - cols.start))
-        return wigner_value(self.spec, axis[rows, None], axis[None, cols], out=out)
+        return self._sample(rows, cols, out)
 
     @cached_property
     def _kept_pass(self) -> "_FirstPass":
@@ -405,11 +408,12 @@ def state_grid(state, points: int | None = None) -> WignerGrid:
         build = rasterize
     else:
         raise ConfigurationError(f"state_grid cannot handle {type(state).__name__}")
-    default_points = 257 if extent <= 18.0 else 513
-    grid = build(state, GridGeometry(extent, default_points if points is None else points))
+    if points is None:
+        points = 257 if extent <= 18.0 else 513
+    grid = build(state, GridGeometry(extent, points))
     drift = abs(grid.integral() - 1.0)
     if not drift <= NORMALIZATION_DRIFT:
-        raise GeometryError(f"normalization drift {drift:.3e} on the {grid.points}-point grid: "
+        raise GeometryError(f"normalization drift {drift:.3e} on the {points}-point grid: "
                             "it does not resolve the state; refine it with --points")
     return grid
 
@@ -594,7 +598,7 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
         subtracted[rows, cols] = block_subtracted
 
     _outcome_tiles(grid, scan, fill)
-    return (grid.with_values(added), grid.with_values(subtracted))
+    return WignerGrid(grid.geometry, added), WignerGrid(grid.geometry, subtracted)
 
 
 def _refuse_vanishing(integral: float, quantity: str, undefined: str):
@@ -611,7 +615,7 @@ def renormalize(grid: WignerGrid) -> WignerGrid:
     """Scale a grid to unit integral; refuses on a vanishing integral."""
     total = grid.integral()
     _refuse_vanishing(total, "the grid integral", "the renormalized grid")
-    return grid.with_values(grid.values / total)
+    return WignerGrid(grid.geometry, grid.values / total)
 
 
 class IdentityCheck(NamedTuple):
@@ -732,15 +736,10 @@ def identity_residual(source, ratio: float | None = None) -> IdentityCheck:
     return IdentityCheck(residual, float(ratio), ia, isub, origin, peak / abs(ia))
 
 
-class GridReport(NamedTuple):
-    purity: float
-    origin_value: float
-
-
-def grid_metrics(grid: WignerGrid) -> GridReport:
-    """Purity 2 pi integral W^2 and the origin value: W at the centre node,
-    which lies within one ulp of the extent of the origin."""
+def grid_metrics(grid: WignerGrid) -> float:
+    """The purity 2 pi integral W^2 of a held grid; its origin value is
+    ``grid.values[m, m]`` at the centre node m = points // 2."""
     w = grid.geometry.weights()
-    purity = 2.0 * np.pi * _simpson(grid.values * grid.values, w, w)
-    m = grid.points // 2
-    return GridReport(purity, float(grid.values[m, m]))
+    with np.errstate(over="ignore"):  # _simpson refuses the inf an overflow leaves
+        squares = grid.values * grid.values
+    return 2.0 * np.pi * _simpson(squares, w, w)

@@ -32,19 +32,20 @@ from .fock import (bogoliubov_annihilate, coherent_state, outcome_ratio,
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
                        angular_average_purity, outcome_factors, spec_norm_ratio,
                        wigner_value)
-from .phasespace import (SampledSpec, grid_metrics, identity_residual, outcome_integrals,
-                         photon_outcomes, rasterize, refined_geometry, renormalize,
-                         state_grid)
+from .phasespace import (SampledSpec, WignerGrid, grid_metrics, identity_residual,
+                         outcome_integrals, photon_outcomes, rasterize, refined_geometry,
+                         renormalize, state_grid)
 from .special import elliptic_k
 
 _NEG_INV_PI = -1.0 / math.pi
 
 # the bounds every suite checks against; no option or argument changes them
 _TOLERANCES = {
-    "annihilation": 1e-6, "coherent_floor": 0.1, "commutator": 1e-4, "fock_ratio": 1e-6,
-    "fock_residual": 1e-6, "maxdiff_floor": 0.01, "mixture_floor": 0.01, "origin": 1e-3,
-    "purity": 1e-4, "ratio": 1e-3, "residual": 1e-4, "residual_floor": 0.05,
-    "second_round_floor": 0.01,
+    "annihilation": 1e-6, "coherent_floor": 0.1, "commutator": 1e-4, "elliptic_alt_floor": 1e-3,
+    "factor_gap_floor": 0.1, "fock_ratio": 1e-6, "fock_residual": 1e-6, "maxdiff_floor": 0.01,
+    "mixture_floor": 0.01, "origin": 1e-3, "pairing_floor": 0.1, "purity": 1e-4,
+    "purity_drop": 1e-6, "ratio": 1e-3, "residual": 1e-4, "residual_floor": 0.05,
+    "second_round_floor": 0.01, "vacuum_purity": 1e-10,
 }
 
 
@@ -132,7 +133,7 @@ def _suite_impure_difference() -> list:
         _floor("impure-outcome-maxdiff-floor", chk.max_gap, _TOLERANCES["maxdiff_floor"]),
         _upper("impure-ratio-err", abs(chk.ratio_used - spec_norm_ratio(spec)),
                _TOLERANCES["ratio"]),
-        _floor("impure-origin-factor-gap", abs(f_plus - f_minus), 0.1),
+        _floor("impure-origin-factor-gap", abs(f_plus - f_minus), _TOLERANCES["factor_gap_floor"]),
     ]
 
 
@@ -190,7 +191,7 @@ def _suite_angular_average() -> list:
     cases = _outcome_checks("angavg", grid,
                             spec_norm_ratio(GaussianWignerSpec.pure_state(sx)))
 
-    grid_purity = grid_metrics(grid).purity
+    grid_purity = grid_metrics(grid)
     closed = angular_average_purity(spec)
     cases.append(_upper("angavg-purity-grid-vs-closed", abs(grid_purity - closed),
                         _TOLERANCES["purity"]))
@@ -198,13 +199,15 @@ def _suite_angular_average() -> list:
     s4 = sx ** 4
     m = ((1.0 - s4) / (1.0 + s4)) ** 2
     alt = 4.0 * sx ** 2 * elliptic_k(math.sqrt(m)) / (math.pi * (1.0 + s4))
-    cases.append(_floor("elliptic-convention-alt-mismatch", abs(alt - grid_purity), 1e-3))
+    cases.append(_floor("elliptic-convention-alt-mismatch", abs(alt - grid_purity),
+                        _TOLERANCES["elliptic_alt_floor"]))
 
     sigmas = 1.0 + 0.1 * np.arange(41)
     purities = np.array([angular_average_purity(AngularAverageSpec(s)) for s in sigmas])
+    # each step of 0.1 in sigma_x must lower the purity by at least purity_drop
     cases.append(_upper("purity-strictly-decreasing", float(np.max(np.diff(purities))),
-                        -1e-6))
-    cases.append(_upper("purity-at-vacuum", abs(purities[0] - 1.0), 1e-10))
+                        -_TOLERANCES["purity_drop"]))
+    cases.append(_upper("purity-at-vacuum", abs(purities[0] - 1.0), _TOLERANCES["vacuum_purity"]))
     return cases
 
 
@@ -219,7 +222,8 @@ def _suite_bogoliubov() -> list:
     z = math.log(2.0)
     state = squeezed_vacuum(z, suggested_truncation(z))
     cases.append(_floor("opposite-pairing-probe",
-                        bogoliubov_annihilate(z, state).norm() / state.norm(), 0.1))
+                        bogoliubov_annihilate(z, state).norm() / state.norm(),
+                        _TOLERANCES["pairing_floor"]))
     return cases
 
 
@@ -296,7 +300,7 @@ def figure_data(which: str, out_dir: str, seed: int | None = None) -> list:
         grid = state_grid(GaussianWignerSpec.single(4.0, 0.5))
         added, subtracted = photon_outcomes(grid)
         w_plus, w_minus = renormalize(added), renormalize(subtracted)
-        diff = w_plus.with_values(w_plus.values - w_minus.values)
+        diff = WignerGrid(grid.geometry, w_plus.values - w_minus.values)
         for name, g, note in (("fig1_added.csv", w_plus, "renormalized added outcome"),
                               ("fig1_subtracted.csv", w_minus,
                                "renormalized subtracted outcome"),

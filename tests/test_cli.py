@@ -76,7 +76,8 @@ def test_add_and_sub_outcomes(tmp_path, capsys):
         assert parsed_lines(out)["R_used"] == pytest.approx(25.0 / 9.0, abs=1e-6)
         outcome, _ = load_grid(out_path)
         assert outcome.integral() == pytest.approx(1.0, abs=1e-12)
-        center = outcome.values[outcome.points // 2, outcome.points // 2]
+        m = outcome.geometry.points // 2
+        center = outcome.values[m, m]
         assert center == pytest.approx(-1.0 / math.pi, abs=1e-3)
 
 
@@ -113,7 +114,8 @@ def test_fock_state_pipeline(tmp_path, capsys):
                "-o", str(grid_path))[0] == 0
     grid, comments = load_grid(grid_path)
     assert comments == ["cmd: wigner"]
-    center = grid.values[grid.points // 2, grid.points // 2]
+    m = grid.geometry.points // 2
+    center = grid.values[m, m]
     assert center == pytest.approx(1.0 / math.pi, abs=1e-6)
     code, out, _ = run(capsys, "add", "--grid", str(grid_path), "-o", str(add_path))
     assert code == 0
@@ -131,7 +133,7 @@ def test_wigner_geometry_flags(tmp_path, capsys):
     run(capsys, "state", "--kind", "pure", "--sigma-x", "2", "-o", str(state))
     run(capsys, "wigner", "--state", str(state), "--points", "513", "-o", str(grid_path))
     grid, _ = load_grid(grid_path)
-    assert grid.xs[0] == -12.0 and grid.points == 513
+    assert grid.geometry.axis()[0] == -12.0 and grid.geometry.points == 513
 
 
 def test_seed_recorded_in_header(tmp_path, capsys):
@@ -222,7 +224,7 @@ def test_refined_grid_resolves_a_wide_state(tmp_path, capsys):
     code, out, _ = run(capsys, "wigner", "--state", str(state), "--points", "1025",
                        "-o", str(grid_path))
     assert code == 0 and out.strip() == str(grid_path)
-    assert load_grid(grid_path)[0].points == 1025
+    assert load_grid(grid_path)[0].geometry.points == 1025
 
 
 @pytest.mark.parametrize("kind", ["pure", "angular-average"])

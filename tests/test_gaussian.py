@@ -28,6 +28,7 @@ from sqvac import (
     outcome_factors,
     spec_norm_ratio,
     squeeze_parameter,
+    squeezed_vacuum,
     wigner_value,
 )
 
@@ -455,6 +456,18 @@ def test_angular_average_far_tail_is_safe():
     assert 0.0 < val < 1e-70
 
 
+@pytest.mark.parametrize("sx", [1e5, 1e-5])
+def test_angular_average_decay_exponent_is_exact(sx):
+    # a - |b| = min(sx, 1/sx)^2 = 1e-10: formed as the difference of a and
+    # |b|, both 5e9, it cancels to 0.0 and leaves W 20 times too large at s = 3e10
+    spec = AngularAverageSpec(sx)
+    b = spec.radial_coefficients()[1]
+    s = np.array([0.0, 1.0, 1e9, 1e10, 3e10])
+    want = np.exp(-1e-10 * s) * scipy.special.i0e(b * s) / np.pi
+    got = wigner_value(spec, np.sqrt(s), 0.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_angular_average_purity_values():
     assert angular_average_purity(AngularAverageSpec(1.0)) == pytest.approx(1.0, abs=1e-14)
     for sx, purity in ((1.5, 0.8567907363065936), (2.2, 0.5973884954432070),
@@ -500,6 +513,13 @@ def test_wigner_value_dispatches_angular_spec():
     out = np.empty(s.shape)
     assert wigner_value(spec, x, p, out=out) is out
     np.testing.assert_array_equal(out, wigner_value(spec, x, p))
+
+
+def test_wigner_value_refuses_a_non_spec():
+    for state in (squeezed_vacuum(0.5), GaussianComponent.pure(0.0, 2.0), 2.0):
+        with pytest.raises(ConfigurationError,
+                           match=f"wigner_value cannot handle {type(state).__name__}"):
+            wigner_value(state, 0.0, 0.0)
 
 
 # ------------------------------------------------------ finite or refused

@@ -55,6 +55,12 @@ IMPURE = GaussianWignerSpec.single(4.0, 0.5)
 SKEW = GaussianWignerSpec.single(2.0, 0.7, theta=0.4)
 
 
+def axes(grid):
+    """x as a column and p as a row, both on the grid geometry's one axis."""
+    axis = grid.geometry.axis()
+    return axis[:, None], axis[None, :]
+
+
 # ----------------------------------------------------------------- geometry
 
 def test_geometry_validation():
@@ -145,7 +151,7 @@ def test_grid_refuses_non_finite_values():
     values = grid.values.copy()
     values[0, 5] = np.nan
     with pytest.raises(ConfigurationError, match="non-finite"):
-        grid.with_values(values)
+        WignerGrid(grid.geometry, values)
     for bad in (np.inf, -np.inf):
         with pytest.raises(ConfigurationError, match="non-finite"):
             WignerGrid(GridGeometry(1.0, 33), np.full((33, 33), bad))
@@ -175,8 +181,9 @@ def test_grid_keeps_its_first_pass(monkeypatch):
 def test_grid_axis_and_weights_come_from_the_geometry():
     geometry = GridGeometry(1.7, 35)
     grid = WignerGrid(geometry, np.ones((35, 35)))
-    assert grid.xs is grid.ps and np.array_equal(grid.xs, geometry.axis())
-    assert (grid.step, grid.points) == (geometry.step, geometry.points)
+    # the geometry is the grid's one layout: it keeps no axis, step or count of its own
+    assert grid.geometry is geometry
+    assert not any(hasattr(grid, name) for name in ("xs", "ps", "step", "points", "with_values"))
     w = geometry.weights()
     assert np.array_equal(w[:4] / (geometry.step / 3.0), [1.0, 4.0, 2.0, 4.0])
     assert w[-1] == w[0] and w.sum() == pytest.approx(3.4, rel=1e-14)
@@ -187,11 +194,15 @@ def test_grid_integral_of_constant():
     assert grid.integral() == pytest.approx(4.0, rel=1e-14)
 
 
-def test_with_values_keeps_layout():
-    grid = state_grid(PURE2)
-    doubled = grid.with_values(2.0 * grid.values)
-    assert doubled.geometry == grid.geometry
-    assert doubled.integral() == pytest.approx(2.0 * grid.integral(), rel=1e-14)
+def test_grid_integrals_refuse_overflow():
+    # 1e306 over a 24 x 24 square: every integral overflows, and is refused
+    # rather than renormalized into zeros or reported as an infinite purity
+    grid = WignerGrid(GridGeometry(12.0, 257), np.full((257, 257), 1e306))
+    for refused in (WignerGrid.integral, renormalize, grid_metrics):
+        with pytest.raises(GeometryError, match="overflows to inf"):
+            refused(grid)
+    with pytest.raises(GeometryError, match="overflows"):
+        _simpson(np.full((3, 3), 1e308), np.ones(3), np.ones(3))
 
 
 def test_boundary_max_scans_all_edges():
@@ -216,13 +227,14 @@ def test_boundary_max_scans_all_edges():
 # ---------------------------------------------------------------- rasterize
 
 def test_rasterize_orientation():
-    # values[i, j] must be W(xs[i], ps[j]) -- checked off-axis on a rotated,
+    # values[i, j] must be W(x_i, p_j) -- checked off-axis on a rotated,
     # anisotropic state where a transpose would be loud
     spec = GaussianWignerSpec.single(4.0, 0.5, theta=0.4)
     grid = state_grid(spec)
+    axis = grid.geometry.axis()
     for i, j in [(40, 300), (128, 60), (200, 256)]:
         assert grid.values[i, j] == pytest.approx(
-            float(wigner_value(spec, grid.xs[i], grid.ps[j])), rel=1e-13
+            float(wigner_value(spec, axis[i], axis[j])), rel=1e-13
         )
 
 
@@ -235,10 +247,10 @@ def test_rasterize_rejects_unknown_spec():
 
 def test_rasterize_default_geometry_normalized():
     grid = state_grid(PURE2)
-    m = grid_metrics(grid)
+    m = grid.geometry.points // 2
     assert grid.integral() == pytest.approx(1.0, abs=1e-9)
-    assert m.purity == pytest.approx(1.0, abs=1e-8)
-    assert m.origin_value == pytest.approx(1.0 / math.pi, rel=1e-12)
+    assert grid_metrics(grid) == pytest.approx(1.0, abs=1e-8)
+    assert grid.values[m, m] == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
 # ---------------------------------------------------- number-basis transform
@@ -263,7 +275,8 @@ def laguerre_wigner(rho, x, p):
 def test_transform_single_photon():
     vec = FockVector(np.eye(8)[1])
     grid = state_grid(vec)
-    s = grid.xs[:, None] ** 2 + grid.ps[None, :] ** 2
+    x, p = axes(grid)
+    s = x ** 2 + p ** 2
     closed = (2.0 * s - 1.0) * np.exp(-s) / math.pi
     assert np.max(np.abs(grid.values - closed)) < 1e-8
 
@@ -278,7 +291,7 @@ def test_transform_single_photon():
     for state in states:
         psi = state.normalized().amps
         grid = state_grid(state)
-        oracle = laguerre_wigner(np.outer(psi, psi.conj()), grid.xs[:, None], grid.ps[None, :])
+        oracle = laguerre_wigner(np.outer(psi, psi.conj()), *axes(grid))
         assert np.max(np.abs(grid.values - oracle)) < 1e-10
     assert np.max(np.abs(oracle - oracle[:, ::-1])) > 0.1
 
@@ -286,7 +299,7 @@ def test_transform_single_photon():
 def test_transform_squeezed_matches_closed_form():
     z = -math.log(2.0)  # sigma_x = 2
     grid = state_grid(squeezed_vacuum(z, 68))
-    closed = wigner_value(PURE2, grid.xs[:, None], grid.ps[None, :])
+    closed = wigner_value(PURE2, *axes(grid))
     assert np.max(np.abs(grid.values - closed)) < 1e-7
 
     # z = 1: the default grid's p edge is clean (alternating y weights would
@@ -313,9 +326,8 @@ def test_transform_rotated_squeezed_matches_rotated_spec():
 
 def test_transform_coherent_is_shifted_vacuum():
     grid = state_grid(coherent_state(1.0, 40))
-    closed = np.exp(
-        -((grid.xs[:, None] - math.sqrt(2.0)) ** 2) - grid.ps[None, :] ** 2
-    ) / math.pi
+    x, p = axes(grid)
+    closed = np.exp(-((x - math.sqrt(2.0)) ** 2) - p ** 2) / math.pi
     assert np.max(np.abs(grid.values - closed)) < 1e-7
 
 
@@ -385,7 +397,7 @@ def test_outcome_integrals_are_ladder_norms():
 def test_renormalized_outcomes_match_closed_forms():
     grid = rasterize(PURE2, refined_geometry(PURE2))
     wp, wm = (renormalize(outcome) for outcome in photon_outcomes(grid))
-    fp, fm = outcome_factors(PURE2.components[0], grid.xs[:, None], grid.ps[None, :])
+    fp, fm = outcome_factors(PURE2.components[0], *axes(grid))
     assert np.max(np.abs(wp.values - fp * grid.values)) < 5e-5
     assert np.max(np.abs(wm.values - fm * grid.values)) < 5e-5
 
@@ -453,7 +465,7 @@ def test_vanishing_integral_messages_name_quantity_and_exclusion(refused, quanti
     zero = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
     # integral W = 1e-8: under DEGENERATE_INTEGRAL, yet no round-off zero
     pure = state_grid(PURE2)
-    tiny = pure.with_values(pure.values * 1e-8)
+    tiny = WignerGrid(pure.geometry, pure.values * 1e-8)
     for grid in (zero, tiny):
         with pytest.raises(DegenerateInputError) as info:
             refused(grid)
@@ -488,8 +500,8 @@ def test_stencils_scale_vector_edge_rows():
 def full_array_outcomes(grid):
     """The whole-grid stencil assembly that predates the row-block kernel:
     the oracle the blocked outcomes must reproduce bit for bit."""
-    W, xs, ps = grid.values, grid.xs, grid.ps
-    h = grid.step
+    W, xs, ps = grid.values, grid.geometry.axis(), grid.geometry.axis()
+    h = grid.geometry.step
     laplacian = (_d2(W, h, 0) + _d2(W, h, 1)) * 0.125
     drift = _d1(W, h, 0) * xs[:, None] + _d1(W, h, 1) * ps[None, :]
     radial = (0.5 * xs * xs)[:, None] + (0.5 * (ps * ps - 1.0))[None, :]
@@ -533,7 +545,7 @@ def test_identity_residual_matches_full_array_oracle(n, sx, sp, theta):
     grid = grid_of(GaussianWignerSpec.single(sx, sp, theta), n)
     added, subtracted = full_array_outcomes(grid)
     want_residual = full_array_l1(grid, added, subtracted, 1.25)
-    added, subtracted = grid.with_values(added), grid.with_values(subtracted)
+    added, subtracted = WignerGrid(grid.geometry, added), WignerGrid(grid.geometry, subtracted)
     ia, isub = added.integral(), subtracted.integral()
     ratio = ia / isub
     chk = identity_residual(grid)
@@ -568,7 +580,7 @@ def _serial_residual(grid, ratio):
     added, subtracted = full_array_outcomes(grid)
     w = grid.geometry.weights()
     num = den = 0.0
-    for i0, i1 in _row_blocks(grid.points):
+    for i0, i1 in _row_blocks(grid.geometry.points):
         rows = slice(i0, i1)
         num += _simpson(np.abs(added[rows] - ratio * subtracted[rows]), w[rows], w)
         den += _simpson(np.abs(added[rows]), w[rows], w)
@@ -693,7 +705,7 @@ def test_grid_sums_do_not_depend_on_blas_thread_count():
             "for spec in (GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4, 2.2),\n"
             "             GaussianWignerSpec.single(4.0, 0.5)):\n"
             "    grid = rasterize(spec, refined_geometry(spec))\n"
-            "    print([float(v).hex() for v in grid_metrics(grid)], grid.integral().hex())")
+            "    print(grid_metrics(grid).hex(), grid.integral().hex())")
     src = os.path.dirname(os.path.dirname(sqvac.__file__))
     outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=dict(os.environ, PYTHONPATH=src,
@@ -706,7 +718,8 @@ def test_grid_sums_do_not_depend_on_blas_thread_count():
 
 def _simpson_integrals(grid):
     added, subtracted = full_array_outcomes(grid)
-    return grid.with_values(added).integral(), grid.with_values(subtracted).integral()
+    return (WignerGrid(grid.geometry, added).integral(),
+            WignerGrid(grid.geometry, subtracted).integral())
 
 
 @settings(max_examples=25, deadline=None)
@@ -735,7 +748,7 @@ def test_outcome_integrals_of_transformed_coherent_state():
 def test_strided_values_give_bitwise_results():
     # io.load_grid builds its grid from a column view of the parsed table
     grid = state_grid(SKEW)
-    table = np.zeros((grid.points ** 2, 3))
+    table = np.zeros((grid.values.size, 3))
     table[:, 2] = grid.values.ravel()
     view = table[:, 2].reshape(grid.values.shape)
     assert not view.flags.c_contiguous

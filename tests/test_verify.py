@@ -89,6 +89,26 @@ def test_tolerance_overrides_bind(monkeypatch):
     assert all(c.label.endswith("-ratio-err") for c in report.failures)
 
 
+def test_tolerance_table_is_pinned():
+    # the whole table, and every bound a report carries comes from it: a
+    # ceiling as is, a floor negated; only error expectations bound at 0.0
+    assert verify._TOLERANCES == {
+        "annihilation": 1e-6, "coherent_floor": 0.1, "commutator": 1e-4,
+        "elliptic_alt_floor": 1e-3, "factor_gap_floor": 0.1, "fock_ratio": 1e-6,
+        "fock_residual": 1e-6, "maxdiff_floor": 0.01, "mixture_floor": 0.01, "origin": 1e-3,
+        "pairing_floor": 0.1, "purity": 1e-4, "purity_drop": 1e-6, "ratio": 1e-3,
+        "residual": 1e-4, "residual_floor": 0.05, "second_round_floor": 0.01,
+        "vacuum_purity": 1e-10,
+    }
+    table = set(verify._TOLERANCES.values())
+    for name in SUITE_NAMES:
+        for case in run_suite(name).cases:
+            if case.label.endswith("-error"):
+                assert case.bound == 0.0, case
+            else:
+                assert abs(case.bound) in table, case
+
+
 def test_grid_tolerances_leave_fock_bounds_alone(monkeypatch):
     # the grid suites' ratio and residual bounds are 1e-3 and 1e-4; loosening
     # them must not loosen the number-basis bounds of 1e-6
@@ -128,7 +148,8 @@ def test_fig1_deterministic(tmp_path):
 def test_fig2_outcome_origins(tmp_path):
     for path in figure_data("fig2", str(tmp_path)):
         grid, _ = load_grid(path)
-        origin = grid.values[grid.points // 2, grid.points // 2]
+        m = grid.geometry.points // 2
+        origin = grid.values[m, m]
         assert abs(origin - (-1.0 / math.pi)) < 1e-3
 
 
