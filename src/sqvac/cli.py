@@ -137,7 +137,7 @@ def _cmd_outcome(args) -> int:
 
 def _cmd_residual(args) -> int:
     grid, _ = sqio.load_grid(args.grid)
-    check = identity_residual(grid, args.ratio)
+    check = identity_residual(grid)
     print(f"residual={check.residual:.17g}")
     print(f"R_used={check.ratio_used:.17g}")
     print(f"added_integral={check.added_integral:.17g}")
@@ -212,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("residual", help="identity residual of a grid")
     pr.add_argument("--grid", required=True)
-    pr.add_argument("--ratio", type=float,
-                    help="norm ratio to use instead of integral(A)/integral(S)")
     pr.set_defaults(func=_cmd_residual)
 
     pf = sub.add_parser("figure", help="emit data files for a reference figure")

@@ -61,13 +61,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ConfigurationError, DegenerateInputError, DomainError, GeometryError
+from .errors import ConfigurationError, DegenerateInputError, GeometryError
 from .fock import FockVector, quadrature_moments
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, wigner_value
 from .special import hermite_psi_table
 
 _MIN_POINTS = 33
-_MAX_POINTS = 8193  # an 8193^2 W is 537 MB; the finest suite grid has 6145 points
+_MAX_POINTS = 8193  # an 8193^2 W is 537 MB; the finest suite grid has 3073 points
 #: Absolute decay required of inputs on the grid boundary before differencing.
 BOUNDARY_DECAY = 1e-12
 #: Below this integral, renormalization refuses (vacuum after subtraction).
@@ -620,21 +620,23 @@ def renormalize(grid: WignerGrid) -> WignerGrid:
 
 class IdentityCheck(NamedTuple):
     residual: float
-    ratio_used: float
+    ratio_used: float  # integral(A) / integral(S), from outcome_norm_ratio
     added_integral: float
     subtracted_integral: float
     # A / integral(A) at the centre node, within one ulp of the extent of the origin
     added_origin: float
-    max_gap: float  # max |A - R S| / |int A|; at the default R, max |A/int A - S/int S|
+    max_gap: float  # max |A/int A - S/int S|
 
 
 def outcome_norm_ratio(added_integral: float, subtracted_integral: float) -> float:
     """integral(A) / integral(S), the norm ratio of the two outcomes.
 
     Raises DegenerateInputError when integral(S) vanishes (vacuum input:
-    subtraction yields nothing, the sigma_x = 1 exclusion).
+    subtraction yields nothing, the sigma_x = 1 exclusion), or when
+    integral(A) does, which no state gives: integral(A) = <n> + 1 >= 1.
     """
     _refuse_vanishing(subtracted_integral, "the subtracted integral", "the norm ratio")
+    _refuse_vanishing(added_integral, "the added integral", "the norm ratio")
     return added_integral / subtracted_integral
 
 
@@ -701,12 +703,12 @@ def l1_relative_residual(source, ratio: float) -> tuple[float, float]:
     return num / den, peak
 
 
-def identity_residual(source, ratio: float | None = None) -> IdentityCheck:
+def identity_residual(source) -> IdentityCheck:
     """How far the added and subtracted outcomes of a WignerGrid or
     SampledSpec are from proportionality.
 
-    Scales S by ``ratio`` (by default the integral ratio integral(A)/integral(S),
-    from ``outcome_norm_ratio``) and returns the L1-relative residual
+    Scales S by the norm ratio R = integral(A)/integral(S) from
+    ``outcome_norm_ratio`` and returns the L1-relative residual
     integral |A - R S| / integral |A|, the outcome integrals, the origin value
     of A / integral(A) and ``max_gap``. The integrals come from
     ``outcome_integrals``, the residual and ``max_gap`` from one
@@ -714,22 +716,11 @@ def identity_residual(source, ratio: float | None = None) -> IdentityCheck:
     at the centre node, within one ulp of the extent of the origin. Both
     passes read the one first pass kept on the source. A SampledSpec is
     sampled in that pass and then only in the windows the tiles read, with
-    the held grid's results bit for bit.
-
-    An explicit ``ratio`` must lie in [1, 1 + 1/DEGENERATE_INTEGRAL]: the
-    norm ratio of any grid that ``outcome_norm_ratio`` accepts is
-    1 + integral(W)/integral(S) with integral(S) >= DEGENERATE_INTEGRAL.
-    Raises DomainError for a non-finite ratio or one outside that range.
+    the held grid's results bit for bit. Raises DegenerateInputError when
+    either outcome integral vanishes.
     """
-    if ratio is not None:
-        if not np.isfinite(ratio):
-            raise DomainError(f"ratio {ratio!r} is not finite")
-        top = 1.0 + 1.0 / DEGENERATE_INTEGRAL
-        if not 1.0 <= ratio <= top:
-            raise DomainError(f"ratio {ratio!r} lies outside the norm-ratio range [1, {top:g}]")
     ia, isub = outcome_integrals(source)
-    if ratio is None:
-        ratio = outcome_norm_ratio(ia, isub)
+    ratio = outcome_norm_ratio(ia, isub)
     residual, peak = l1_relative_residual(source, ratio)
     m = source.geometry.points // 2
     origin = float(_outcome_tile(source, m, m + 1, slice(m, m + 1), _Buffers())[0][0, 0] / ia)

@@ -45,7 +45,7 @@ from sqvac import (
     wigner_value,
 )
 from sqvac import phasespace
-from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY, DEGENERATE_INTEGRAL,
+from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY,
                               _d1, _d2, _map_blocks, _row_blocks, _simpson,
                               _worker_count)
 
@@ -410,12 +410,6 @@ def test_identity_residual_pure_state():
     assert chk.subtracted_integral == pytest.approx(0.5625, abs=1e-6)
 
 
-def test_identity_residual_explicit_ratio():
-    chk = identity_residual(rasterize(PURE2, refined_geometry(PURE2)), ratio=25.0 / 9.0)
-    assert chk.ratio_used == 25.0 / 9.0
-    assert chk.residual < 1e-4
-
-
 def test_impure_state_breaks_identity():
     grid = rasterize(IMPURE, refined_geometry(IMPURE))
     chk = identity_residual(grid)
@@ -433,12 +427,6 @@ def test_vacuum_input_degenerate():
         identity_residual(grid)
     with pytest.raises(DegenerateInputError):
         renormalize(photon_outcomes(grid)[1])
-    # an explicit ratio skips the guard: S vanishes, so |A - S| = |A|
-    chk = identity_residual(grid, ratio=1.0)
-    assert chk.ratio_used == 1.0
-    assert abs(chk.subtracted_integral) < DEGENERATE_INTEGRAL
-    assert chk.added_integral == pytest.approx(1.0, abs=1e-9)  # <a a^dag> on |0>
-    assert chk.residual == pytest.approx(1.0, abs=1e-4)
 
 
 def test_renormalize_zero_grid_degenerate():
@@ -447,11 +435,12 @@ def test_renormalize_zero_grid_degenerate():
         renormalize(grid)
 
 
-def test_vanishing_added_outcome_degenerate():
-    # with an explicit ratio nothing guards S, so integral |A| = 0 must refuse
+def test_vanishing_added_outcome_degenerate(zero_added_grid):
+    # integral(S) is 0.5625, so only the added integral's refusal stops the
+    # norm ratio R = 2.9e-15 and an origin value of 1.5e11
+    with pytest.raises(DegenerateInputError, match="the added integral"):
+        identity_residual(zero_added_grid)
     zero = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
-    with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
-        identity_residual(zero, ratio=1.0)
     with pytest.raises(DegenerateInputError, match="integral \\|A\\|"):
         l1_relative_residual(zero, 1.0)
 
@@ -459,8 +448,9 @@ def test_vanishing_added_outcome_degenerate():
 @pytest.mark.parametrize("refused,quantity", [
     (renormalize, "grid integral"),
     (lambda zero: outcome_norm_ratio(1.0, zero.integral()), "subtracted integral"),
+    (lambda zero: outcome_norm_ratio(zero.integral(), 1.0), "added integral"),
     (lambda zero: l1_relative_residual(zero, 1.0), "integral |A|"),
-], ids=["renormalize", "norm-ratio", "l1-residual"])
+], ids=["renormalize", "norm-ratio", "norm-ratio-added", "l1-residual"])
 def test_vanishing_integral_messages_name_quantity_and_exclusion(refused, quantity):
     zero = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
     # integral W = 1e-8: under DEGENERATE_INTEGRAL, yet no round-off zero
@@ -665,10 +655,10 @@ def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
     want_added, want_subtracted = full_array_outcomes(grid)
     assert np.array_equal(added.values, want_added)
     assert np.array_equal(subtracted.values, want_subtracted)
-    chk = identity_residual(grid, 1.25)
-    assert _rel(chk.residual, _serial_residual(grid, 1.25)) < 1e-15
+    chk = identity_residual(grid)
+    assert _rel(chk.residual, _serial_residual(grid, chk.ratio_used)) < 1e-15
     # a max needs no summing order: the skipped columns are exact zeros
-    peak = np.max(np.abs(want_added - 1.25 * want_subtracted))
+    peak = np.max(np.abs(want_added - chk.ratio_used * want_subtracted))
     assert chk.max_gap == peak / abs(chk.added_integral)
 
 
@@ -676,11 +666,11 @@ def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
 def test_identity_residual_is_the_l1_pass(monkeypatch, workers):
     grid = CLIPPED_CASES["sx4-th0.7854"]()
     _set_workers(monkeypatch, 1)
-    serial = identity_residual(grid, 1.25)
+    serial = identity_residual(grid)
     _set_workers(monkeypatch, workers)
-    chk = identity_residual(grid, 1.25)
+    chk = identity_residual(grid)
     # one L1 pass: identity_residual reports l1_relative_residual's bits
-    residual, peak = l1_relative_residual(grid, 1.25)
+    residual, peak = l1_relative_residual(grid, chk.ratio_used)
     assert (residual, peak / abs(chk.added_integral)) == (chk.residual, chk.max_gap)
     # the largest gap, like the block-ordered sums, is the same on any worker count
     assert chk == serial
@@ -791,10 +781,9 @@ def test_sampled_spec_agrees_with_the_held_grid(n, spec):
         with mock.patch.object(phasespace, "_worker_count", lambda: workers):
             # fresh sources per worker count: each keeps its own first pass
             for source in (rasterize(spec, geometry), SampledSpec(spec, geometry)):
-                runs.append((outcome_integrals(source), identity_residual(source),
-                             identity_residual(source, 1.25)))
-    # one first pass for both sources: every result is equal, at the default
-    # ratio too, whose residual reads the integrals
+                runs.append((outcome_integrals(source), identity_residual(source)))
+    # one first pass for both sources: every result is equal, the residual
+    # too, whose ratio reads the integrals
     assert all(run == runs[0] for run in runs)
 
 
