@@ -22,7 +22,7 @@ from . import io as sqio
 from .errors import ConfigurationError, DegenerateInputError, SqvacError, TruncationError
 from .fock import coherent_state, squeezed_vacuum, suggested_truncation
 from .gaussian import AngularAverageSpec, GaussianWignerSpec, squeeze_parameter
-from .phasespace import (identity_residual, outcome_integrals, outcome_norm_ratio,
+from .phasespace import (_fork_map, identity_residual, outcome_integrals, outcome_norm_ratio,
                          photon_outcomes, renormalize, state_grid)
 from .special import check_basis_size
 from .verify import SUITE_NAMES, figure_data, run_suite
@@ -157,14 +157,14 @@ def _cmd_verify(args) -> int:
     out_dir = args.out if args.out else _default_dir()
     os.makedirs(out_dir, exist_ok=True)
     any_failed = False
-    for name in names:
-        report = run_suite(name)
-        sqio.save_report(os.path.join(out_dir, f"verify_{name}.json"), report.to_obj())
+    # each suite on a forked worker, its report saved and printed in order
+    for report in _fork_map(run_suite, names):
+        sqio.save_report(os.path.join(out_dir, f"verify_{report.suite}.json"), report.to_obj())
         if report.passed:
-            print(f"{name}: PASS ({len(report.cases)} cases)")
+            print(f"{report.suite}: PASS ({len(report.cases)} cases)")
         else:
             any_failed = True
-            print(f"{name}: FAIL ({len(report.failures)}/{len(report.cases)} cases)")
+            print(f"{report.suite}: FAIL ({len(report.failures)}/{len(report.cases)} cases)")
             for case in report.failures:
                 print(f"  {case.label}: measured={case.measured:.6g} "
                       f"bound={case.bound:.6g}")

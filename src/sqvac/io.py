@@ -5,12 +5,13 @@ digits, and the header is the layout of the grid's square geometry, from
 which the axis is rebuilt as -extent + k*step, the expression that made it.
 
 Grid CSVs move in row blocks of about _BLOCK_VALUES values. ``save_grid``
-formats the blocks on a per-call process pool (inline for a grid of one
-block or a process with one CPU) and writes them in order through
-``atomic_write``, so a file is never held in memory as one string and its
-bytes do not depend on the worker count. ``load_grid`` parses the values as
-floats and the coordinate columns as text, checked against the rows
-``save_grid`` writes, _READ_ROWS lines of the file at a time.
+formats the blocks through ``phasespace._fork_map``, on forked worker
+processes (inline for a grid of one block or a process with one CPU), and
+writes them in order through ``atomic_write``, so a file is never held in
+memory as one string and its bytes do not depend on the worker count.
+``load_grid`` parses the values as floats and the coordinate columns as
+text, checked against the rows ``save_grid`` writes, _READ_ROWS lines of the
+file at a time.
 """
 
 import contextlib
@@ -28,8 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, GeometryError
 from .fock import FockVector
 from .gaussian import AngularAverageSpec, GaussianComponent, GaussianWignerSpec
-from . import phasespace
-from .phasespace import GridGeometry, WignerGrid, _row_blocks
+from .phasespace import GridGeometry, WignerGrid, _fork_map, _row_blocks
 
 GRID_MAGIC = "wigner-grid-v1"
 _COMPONENT_KEYS = ("weight", "theta", "sigma_x", "sigma_p")
@@ -125,7 +125,7 @@ def load_state(path):
 # --- grid CSV ---
 
 # values per row block written: a 257^2 grid is one block, so it is written
-# without a process pool
+# inline
 _BLOCK_VALUES = 131_072
 # lines parsed at a time while reading a grid: a piece and its table stay in
 # cache, and no table of all rows is held
@@ -133,37 +133,24 @@ _READ_ROWS = 4096
 # a row as read: x and p as text ("%.17g" never needs more than 24
 # characters, so a longer field cannot match), the value as a float
 _ROW_FIELDS = [("x", "S25"), ("p", "S25"), ("value", "f8")]
-# the grid a pool worker formats, set once per worker by _keep_rows
-_worker_rows = None
 
 
 def save_grid(path, grid: WignerGrid, comments=()):
     """CSV rows x,p,value after a layout header; extra comments one per line.
 
     Every float is written with "%.17g", so files keep the v1 format byte for
-    byte. Row blocks of about _BLOCK_VALUES values are formatted on a process
-    pool that lives for this call only, one forked process per CPU (at most
-    four), and written in block order; a grid of one block, or a process with
-    one CPU or no fork, formats its blocks inline.
+    byte. Row blocks of about _BLOCK_VALUES values are formatted by
+    ``phasespace._fork_map``, one forked process per CPU (at most four), and
+    written in block order; a grid of one block, or a process with one CPU or
+    no fork, formats its blocks inline.
     """
     head = [_header(grid.geometry)] + [f"# {c}\n" for c in comments]
     # x.join(parts) gives "x,p_0,%.17g\nx,p_1,%.17g\n...": the row template.
     axis, n = grid.geometry.axis().tolist(), grid.geometry.points
     rows = ([""] + [f",{p:.17g},%.17g\n" for p in axis], axis, grid.values)
     blocks = list(_row_blocks(n, max(1, _BLOCK_VALUES // n)))
-    workers = min(phasespace._worker_count(), len(blocks)) if hasattr(os, "fork") else 1
-    if workers == 1:
-        atomic_write(path, itertools.chain(head, map(partial(_format_rows, rows), blocks)))
-        return
-    # "%.17g" holds the GIL, so threads would not overlap; the workers are
-    # forked so they inherit the grid instead of unpickling it. pool.map
-    # yields blocks in order, so only the blocks not yet written are held.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                             initializer=_keep_rows, initargs=(rows,)) as pool:
-        atomic_write(path, itertools.chain(head, pool.map(_format_kept_rows, blocks)))
+    # "%.17g" holds the GIL, so threads would not overlap: blocks go to processes
+    atomic_write(path, itertools.chain(head, _fork_map(partial(_format_rows, rows), blocks)))
 
 
 def _header(geometry: GridGeometry) -> str:
@@ -178,15 +165,6 @@ def _format_rows(rows, block) -> str:
     i0, i1 = block
     return "".join(f"{x:.17g}".join(parts) % tuple(row)
                    for x, row in zip(xs[i0:i1], values[i0:i1].tolist()))
-
-
-def _keep_rows(rows):
-    global _worker_rows
-    _worker_rows = rows
-
-
-def _format_kept_rows(block) -> str:
-    return _format_rows(_worker_rows, block)
 
 
 def load_grid(path) -> tuple[WignerGrid, list[str]]:

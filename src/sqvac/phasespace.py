@@ -15,7 +15,9 @@ by the identity check.
 
 Derivatives are 4th-order central stencils with 4th-order one-sided rows at the
 edges; integrals are tensor-product Simpson rules, which is why point counts
-must be odd. ``_simpson`` forms every grid sum and refuses one that overflows.
+must be odd. ``_simpson`` forms every grid sum but the purity, whose row sums
+``grid_metrics`` forms block by block; both end in ``_weigh_rows``, which
+refuses a sum that overflows.
 
 A and S are linear in W and its stencils, so wherever every value a stencil
 reads is 0.0 both outcomes are exactly 0.0. A squeezed W underflows to 0.0
@@ -80,7 +82,8 @@ _BLOCK_ROWS = 64
 _RASTER_POINTS = 65_536
 # points per row-support mask: the first pass's workers hold small masks, not block-sized ones
 _MASK_POINTS = 16_384
-# at most this many threads share a row-block pass (or processes, io.save_grid)
+# at most this many threads share a row-block pass, or forked processes a
+# _fork_map pool (io.save_grid's row blocks, verify --suite all's suites)
 _MAX_WORKERS = 4
 
 # 4th-order stencils; edge rows use one-sided forms of the same order.
@@ -226,10 +229,16 @@ class WignerGrid:
 
 def _simpson(values: np.ndarray, wx: np.ndarray, wp: np.ndarray) -> float:
     """wx^T values wp, reduced by einsum rather than BLAS: its sums keep one
-    order whatever the BLAS thread count. Raises GeometryError when the sum
-    overflows, the one refusal of a non-finite grid integral."""
+    order whatever the BLAS thread count."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(wx @ np.einsum("ij,j->i", values, wp))
+        return _weigh_rows(wx, np.einsum("ij,j->i", values, wp))
+
+
+def _weigh_rows(wx: np.ndarray, row_sums: np.ndarray) -> float:
+    """wx . row_sums, the last step of every grid sum. Raises GeometryError
+    when it overflows, the one refusal of a non-finite grid integral."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(wx @ row_sums)
     if not np.isfinite(total):
         raise GeometryError(f"a grid integral overflows to {total!r}: its values are too large")
     return total
@@ -247,6 +256,50 @@ def _worker_count() -> int:
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, _MAX_WORKERS)
+
+
+# the callable the workers of a _fork_map pool apply, set once per worker by
+# _keep_task from the one the worker inherited by fork
+_worker_task = None
+
+
+def _fork_map(fn, tasks):
+    """fn(task) for each task, yielded in task order, computed on a process
+    pool that lives for this call only: one forked process per CPU, at most
+    _MAX_WORKERS and no more than there are tasks.
+
+    The workers are forked, so they inherit fn and everything it refers to;
+    only the tasks and their results are pickled. Tasks are handed out in
+    order and results come back in order, so only the results not yet taken
+    are held, and a worker's exception is raised here in its task's place,
+    after every earlier result; the tasks not yet started are cancelled and
+    the workers are gone before it is. A caller that stops early closes or
+    drops the generator, which shuts the pool down the same way. One task,
+    one CPU or a platform without fork runs the tasks inline, each when its
+    result is asked for.
+    """
+    workers = min(_worker_count(), len(tasks)) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_keep_task, initargs=(fn,))
+    try:
+        yield from pool.map(_run_kept_task, tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _keep_task(fn):
+    global _worker_task
+    _worker_task = fn
+
+
+def _run_kept_task(task):
+    return _worker_task(task)
 
 
 def _map_blocks(fn, blocks) -> list:
@@ -601,14 +654,14 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     return WignerGrid(grid.geometry, added), WignerGrid(grid.geometry, subtracted)
 
 
-def _refuse_vanishing(integral: float, quantity: str, undefined: str):
+def _refuse_vanishing(integral: float, quantity: str, undefined: str, cause: str = ""):
     """The one refusal of a vanishing integral: DegenerateInputError when
-    |integral| < DEGENERATE_INTEGRAL, naming the quantity and what it leaves
-    undefined."""
+    |integral| < DEGENERATE_INTEGRAL, naming the quantity, what it leaves
+    undefined and, where one input is known to give it, that cause."""
     if abs(integral) < DEGENERATE_INTEGRAL:
         raise DegenerateInputError(
-            f"{quantity} = {integral:.3e} vanishes, so {undefined} is undefined: "
-            "vacuum-like input (the sigma_x = 1 exclusion)")
+            f"{quantity} = {integral:.3e} vanishes, so {undefined} is undefined"
+            + (f": {cause}" if cause else ""))
 
 
 def renormalize(grid: WignerGrid) -> WignerGrid:
@@ -635,7 +688,8 @@ def outcome_norm_ratio(added_integral: float, subtracted_integral: float) -> flo
     subtraction yields nothing, the sigma_x = 1 exclusion), or when
     integral(A) does, which no state gives: integral(A) = <n> + 1 >= 1.
     """
-    _refuse_vanishing(subtracted_integral, "the subtracted integral", "the norm ratio")
+    _refuse_vanishing(subtracted_integral, "the subtracted integral", "the norm ratio",
+                      "vacuum-like input (the sigma_x = 1 exclusion)")
     _refuse_vanishing(added_integral, "the added integral", "the norm ratio")
     return added_integral / subtracted_integral
 
@@ -729,8 +783,16 @@ def identity_residual(source) -> IdentityCheck:
 
 def grid_metrics(grid: WignerGrid) -> float:
     """The purity 2 pi integral W^2 of a held grid; its origin value is
-    ``grid.values[m, m]`` at the centre node m = points // 2."""
-    w = grid.geometry.weights()
-    with np.errstate(over="ignore"):  # _simpson refuses the inf an overflow leaves
-        squares = grid.values * grid.values
-    return 2.0 * np.pi * _simpson(squares, w, w)
+    ``grid.values[m, m]`` at the centre node m = points // 2.
+
+    W is squared one raster block at a time, into one reused block, so no
+    second grid is held, and each row is summed by the einsum ``_simpson``
+    runs over a whole grid, so the purity keeps its bits.
+    """
+    w, n = grid.geometry.weights(), grid.geometry.points
+    squares, row_sums = np.empty((_raster_rows(n), n)), np.empty(n)
+    with np.errstate(over="ignore"):  # _weigh_rows refuses the inf an overflow leaves
+        for i0, i1 in _row_blocks(n, _raster_rows(n)):
+            block = np.multiply(grid.values[i0:i1], grid.values[i0:i1], out=squares[:i1 - i0])
+            row_sums[i0:i1] = np.einsum("ij,j->i", block, w)
+    return 2.0 * np.pi * _weigh_rows(w, row_sums)

@@ -17,6 +17,12 @@ W, since it reads the purity from that same grid, and ``commutator`` and
 ``negative-cases`` hold default-size grids. No suite holds a whole outcome
 grid except to reuse one (``negative-cases``' second round);
 ``figure_data`` holds the outcome grids it writes.
+
+Suites share no state, so ``sqvac verify --suite all`` runs them through
+``phasespace._fork_map``, one suite per task on forked worker processes,
+handed out in ``SUITE_NAMES`` order (``pure-identity``, the heaviest, first);
+its reports are saved and printed in that order, and are the bytes an inline
+run gives.
 """
 
 import math

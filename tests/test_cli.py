@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -22,8 +23,9 @@ from sqvac import (
     renormalize,
     state_grid,
 )
-from sqvac import phasespace, verify
+from sqvac import cli, phasespace, verify
 from sqvac.cli import main
+from sqvac.errors import DegenerateInputError
 from sqvac.io import load_grid, load_state, save_grid, save_state
 
 
@@ -655,6 +657,70 @@ def test_verify_reports_failures(tmp_path, capsys, monkeypatch):
     assert "FAIL" in out and "measured=" in out
     report = json.loads((tmp_path / "verify_fock-ratio.json").read_text())
     assert [c["pass"] for c in report["cases"]] == [False, True] * 3
+
+
+def test_pooled_verify_all_matches_inline(tmp_path, capsys, monkeypatch):
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(phasespace, "_worker_count", lambda: workers)
+        if workers == 2:
+            parent = os.getpid()
+
+            def in_worker(name):
+                assert os.getpid() != parent, "a suite ran in the parent"
+                return verify.run_suite(name)
+
+            monkeypatch.setattr(cli, "run_suite", in_worker)
+        out_dir = tmp_path / f"workers{workers}"
+        code, out, err = run(capsys, "verify", "--suite", "all", "-o", str(out_dir))
+        assert code == 0 and err == ""
+        assert multiprocessing.active_children() == []
+        reports = {name: (out_dir / f"verify_{name}.json").read_bytes()
+                   for name in verify.SUITE_NAMES}
+        assert sorted(os.listdir(out_dir)) == sorted(f"verify_{n}.json" for n in reports)
+        outputs.append((out, reports))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].splitlines()[0] == "pure-identity: PASS (24 cases)"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_degenerate_suite_stops_verify_after_the_earlier_reports(tmp_path, capsys, monkeypatch,
+                                                                 workers):
+    # the fifth suite raises, in a forked worker when there are two; the
+    # reports of the four before it are written and none after it
+    parent = os.getpid()
+    planted = verify.SUITE_NAMES[4]
+
+    def suite(name):
+        def cases():
+            if name == planted:
+                where = "the parent" if os.getpid() == parent else "a worker"
+                raise DegenerateInputError(f"planted in {where}")
+            return [verify.CaseResult(f"{name}-case", 0.0, 1.0)]
+        return cases
+
+    monkeypatch.setattr(verify, "_SUITES", {name: suite(name) for name in verify.SUITE_NAMES})
+    monkeypatch.setattr(phasespace, "_worker_count", lambda: workers)
+    code, out, err = run(capsys, "verify", "--suite", "all", "-o", str(tmp_path))
+    assert code == 1
+    assert err == f"error: planted in {'a worker' if workers == 2 else 'the parent'}\n"
+    earlier = verify.SUITE_NAMES[:4]
+    assert out.splitlines() == [f"{name}: PASS (1 cases)" for name in earlier]
+    assert sorted(os.listdir(tmp_path)) == sorted(f"verify_{name}.json" for name in earlier)
+    assert multiprocessing.active_children() == []
+
+
+def test_single_suite_imports_no_process_pool(tmp_path):
+    # one suite runs inline, so the pool's modules are never imported
+    import sqvac
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    code = ("import sys; from sqvac.cli import main; "
+            "assert main(['verify', '--suite', 'fock-ratio', '-o', sys.argv[1]]) == 0; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.splitlines() == ["fock-ratio: PASS (6 cases)", "[]"]
 
 
 # ------------------------------------------------------------- environment

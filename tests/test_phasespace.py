@@ -253,6 +253,15 @@ def test_rasterize_default_geometry_normalized():
     assert grid.values[m, m] == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
+def test_blocked_purity_is_the_whole_grid_sum():
+    # 1025 rows are 16 raster blocks of 63 and one of 17; squaring block by
+    # block leaves every row's einsum sum, so the purity keeps its bits
+    grid = rasterize(AngularAverageSpec(2.2), GridGeometry(13.2, 1025))
+    w = grid.geometry.weights()
+    assert phasespace._raster_rows(1025) == 63
+    assert grid_metrics(grid) == 2.0 * math.pi * _simpson(grid.values * grid.values, w, w)
+
+
 # ---------------------------------------------------- number-basis transform
 
 def laguerre_wigner(rho, x, p):
@@ -445,13 +454,15 @@ def test_vanishing_added_outcome_degenerate(zero_added_grid):
         l1_relative_residual(zero, 1.0)
 
 
-@pytest.mark.parametrize("refused,quantity", [
-    (renormalize, "grid integral"),
-    (lambda zero: outcome_norm_ratio(1.0, zero.integral()), "subtracted integral"),
-    (lambda zero: outcome_norm_ratio(zero.integral(), 1.0), "added integral"),
-    (lambda zero: l1_relative_residual(zero, 1.0), "integral |A|"),
+@pytest.mark.parametrize("refused,quantity,vacuum", [
+    (renormalize, "grid integral", False),
+    (lambda zero: outcome_norm_ratio(1.0, zero.integral()), "subtracted integral", True),
+    # integral(A) = <n> + 1 >= 1 and integral |A| >= integral(A): no state,
+    # the vacuum included, makes either vanish
+    (lambda zero: outcome_norm_ratio(zero.integral(), 1.0), "added integral", False),
+    (lambda zero: l1_relative_residual(zero, 1.0), "integral |A|", False),
 ], ids=["renormalize", "norm-ratio", "norm-ratio-added", "l1-residual"])
-def test_vanishing_integral_messages_name_quantity_and_exclusion(refused, quantity):
+def test_vanishing_integral_messages_name_quantity_and_exclusion(refused, quantity, vacuum):
     zero = WignerGrid(GridGeometry(1.0, 33), np.zeros((33, 33)))
     # integral W = 1e-8: under DEGENERATE_INTEGRAL, yet no round-off zero
     pure = state_grid(PURE2)
@@ -459,7 +470,10 @@ def test_vanishing_integral_messages_name_quantity_and_exclusion(refused, quanti
     for grid in (zero, tiny):
         with pytest.raises(DegenerateInputError) as info:
             refused(grid)
-        assert quantity in str(info.value) and "sigma_x = 1" in str(info.value)
+        assert quantity in str(info.value)
+        # only the subtracted integral names the vacuum as the cause
+        assert ("sigma_x = 1" in str(info.value)) == vacuum
+        assert ("vacuum" in str(info.value)) == vacuum
 
 
 def test_doubling_resolution_shrinks_residual():
