@@ -36,8 +36,9 @@ vectors only (r = W wp, c = wx W, the boundary maximum and each row's first
 and last nonzero column). The outcome integrals come from r and c, and each
 tile's columns from the nonzero ranges of the rows it reads, so the identity
 check of a SampledSpec never holds W and equals the held grid's bit for bit.
-Each worker of a pass writes its windows and tile temporaries into buffers
-it reuses from block to block.
+Every pass runs its blocks in block order in the calling thread and writes
+its windows and tile temporaries into one set of buffers reused from block
+to block.
 
 Every grid is a square ``GridGeometry`` (extent, points) plus its values.
 The geometry owns the layout: x and p share one axis, -extent + k*step, and
@@ -56,7 +57,6 @@ held and sampled grids agree by construction.
 """
 
 import os
-import threading
 
 import numpy as np
 from dataclasses import dataclass
@@ -80,10 +80,10 @@ NORMALIZATION_DRIFT = 1e-4
 _BLOCK_ROWS = 64
 # points per rasterize block: its temporaries stay in cache
 _RASTER_POINTS = 65_536
-# points per row-support mask: the first pass's workers hold small masks, not block-sized ones
+# points per row-support mask: the first pass holds small masks, not block-sized ones
 _MASK_POINTS = 16_384
-# at most this many threads share a row-block pass, or forked processes a
-# _fork_map pool (io.save_grid's row blocks, verify --suite all's suites)
+# at most this many forked processes share a _fork_map pool (io.save_grid's
+# row blocks, verify --suite all's suites), the one parallel layer
 _MAX_WORKERS = 4
 
 # 4th-order stencils; edge rows use one-sided forms of the same order.
@@ -302,24 +302,10 @@ def _run_kept_task(task):
     return _worker_task(task)
 
 
-def _map_blocks(fn, blocks) -> list:
-    """[fn(block) for block in blocks], run on a thread pool that lives for
-    this call only.
-
-    numpy releases the GIL inside ufuncs and BLAS, so blocks overlap. Results
-    come back in block order, so a reduction over them adds in the same order
-    whatever the worker count.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(_worker_count()) as pool:
-        return list(pool.map(fn, blocks))
-
-
-class _Buffers(threading.local):
-    """Flat float buffers of the calling thread, one per name, each made on
-    first use with room for ``capacity`` values (the largest block of the
-    pass) and reused by every block the thread runs in that pass.
+class _Buffers:
+    """Flat float buffers of one pass, one per name, each made on first use
+    with room for ``capacity`` values (the largest block of the pass) and
+    reused by every block of that pass.
 
     ``take`` carves a C-contiguous array of the asked shape from the front of
     one: einsum sums a strided view in a different order, so a reduction over
@@ -346,12 +332,8 @@ def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
     n = geometry.points
     # evaluate in row blocks: identical values, cache-sized temporaries
     values = np.empty((n, n))
-
-    def fill(block):
-        i0, i1 = block
+    for i0, i1 in _row_blocks(n, _raster_rows(n)):
         source._sample(slice(i0, i1), slice(0, n), values[i0:i1])
-
-    _map_blocks(fill, _row_blocks(n, _raster_rows(n)))
     return WignerGrid(geometry, values)
 
 
@@ -385,7 +367,7 @@ class SampledSpec:
         return wigner_value(self.spec, axis[rows, None], axis[None, cols], out=out)
 
     def _window(self, rows: slice, cols: slice, buffers: _Buffers) -> np.ndarray:
-        """W on rows x cols, sampled into the thread's "window" buffer."""
+        """W on rows x cols, sampled into the pass's "window" buffer."""
         out = buffers.take("window", (rows.stop - rows.start, cols.stop - cols.start))
         return self._sample(rows, cols, out)
 
@@ -490,40 +472,27 @@ def _row_support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(source) -> _FirstPass:
-    """The one first pass over the W of a WignerGrid or SampledSpec: a pooled
-    pass over row blocks, each read through ``source._window`` and dropped.
+    """The one first pass over the W of a WignerGrid or SampledSpec: row
+    blocks in block order, each read through ``source._window`` and dropped.
 
     Each row of r takes its terms in the order einsum gives a whole grid's;
     c adds the blocks' partial column sums in block order, as the L1 pass
-    adds its sums. A partial is added once those before it are, by whichever
-    worker ends that run of blocks, so no worker waits and only the partials
-    of blocks that ended early are held.
+    adds its sums.
     """
     n, w = source.geometry.points, source.geometry.weights()
     r, c = np.empty(n), np.zeros(n)
     first, last = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    blocks = list(_row_blocks(n, _raster_rows(n)))
     buffers = _Buffers(_raster_rows(n) * n)
-    lock, pending, added = threading.Lock(), {}, 0  # partials not yet in c; blocks in c
-
-    def scan_block(k):
-        nonlocal c, added
-        i0, i1 = blocks[k]
+    edges = []  # each block's largest |W| on the grid's edges
+    for i0, i1 in _row_blocks(n, _raster_rows(n)):
         W = source._window(slice(i0, i1), slice(0, n), buffers)
         r[i0:i1] = np.einsum("ij,j->i", W, w)
         for j0, j1 in _row_blocks(i1 - i0, max(1, _MASK_POINTS // n)):
             first[i0 + j0:i0 + j1], last[i0 + j0:i0 + j1] = _row_support(W[j0:j1])
-        partial = np.einsum("i,ij->j", w[i0:i1], W)
-        with lock:
-            pending[k] = partial
-            while added in pending:
-                c += pending.pop(added)
-                added += 1
+        c += np.einsum("i,ij->j", w[i0:i1], W)
         ends = [W[0]] * (i0 == 0) + [W[-1]] * (i1 == n)
-        return max(float(np.max(np.abs(e))) for e in [W[:, 0], W[:, -1], *ends])
-
-    boundary = max(_map_blocks(scan_block, range(len(blocks))))
-    return _FirstPass(r, c, boundary, first, last)
+        edges.append(max(float(np.max(np.abs(e))) for e in [W[:, 0], W[:, -1], *ends]))
+    return _FirstPass(r, c, max(edges), first, last)
 
 
 def _first_pass(source) -> _FirstPass:
@@ -556,8 +525,9 @@ def _outcome_tile(source, i0: int, i1: int, cols: slice, buffers: _Buffers
 
     The stencils run on the window of W over the halo of both ranges; only
     the inner tile is kept. A sampled window and every temporary live in the
-    thread's ``buffers`` ("window", "acc", "drift", "other"), so a worker
-    allocates them once per pass; the window is free again on return.
+    pass's ``buffers`` ("window", "acc", "drift", "other"), so a pass
+    allocates them once; the window is free again on return. An outcome
+    that overflows is left inf or nan, for the caller to refuse.
     """
     n, h = source.geometry.points, source.geometry.step
     lo, hi = _halo(i0, i1, n)
@@ -567,24 +537,25 @@ def _outcome_tile(source, i0: int, i1: int, cols: slice, buffers: _Buffers
     axis = source.geometry.axis()
     xs, ps = axis[lo:hi], axis[left:right]
     acc, drift, other = (buffers.take(name, shape) for name in ("acc", "drift", "other"))
-    # Laplacian / 8
-    _d2(F, h, 0, out=acc, scratch=drift)
-    acc += _d2(F, h, 1, out=drift, scratch=other)
-    acc *= 0.125
-    # drift term x Wx + p Wp
-    _d1(F, h, 0, out=drift)
-    drift *= xs[:, None]
-    _d1(F, h, 1, out=other)
-    other *= ps[None, :]
-    drift += other
-    # drift / 2 goes to the free buffer: drift itself is still needed for S
-    acc -= np.multiply(drift, 0.5, out=other)
-    # (x^2 + p^2 - 1)/2 * W
-    radial = np.add((0.5 * xs * xs)[:, None], (0.5 * (ps * ps - 1.0))[None, :], out=other)
-    radial *= F
-    acc += radial
-    subtracted = np.add(acc, F, out=other)
-    subtracted += drift
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Laplacian / 8
+        _d2(F, h, 0, out=acc, scratch=drift)
+        acc += _d2(F, h, 1, out=drift, scratch=other)
+        acc *= 0.125
+        # drift term x Wx + p Wp
+        _d1(F, h, 0, out=drift)
+        drift *= xs[:, None]
+        _d1(F, h, 1, out=other)
+        other *= ps[None, :]
+        drift += other
+        # drift / 2 goes to the free buffer: drift itself is still needed for S
+        acc -= np.multiply(drift, 0.5, out=other)
+        # (x^2 + p^2 - 1)/2 * W
+        radial = np.add((0.5 * xs * xs)[:, None], (0.5 * (ps * ps - 1.0))[None, :], out=other)
+        radial *= F
+        acc += radial
+        subtracted = np.add(acc, F, out=other)
+        subtracted += drift
     inner = slice(i0 - lo, i1 - lo), slice(cols.start - left, cols.stop - left)
     return acc[inner], subtracted[inner]
 
@@ -609,8 +580,8 @@ def _outcome_tiles(source, scan: _FirstPass, fn) -> list:
     order, where A and S are the block's outcomes over the column slice cols
     only (``_tile_columns``; outside it both are exactly zero) and spare is a
     C-contiguous buffer of their shape that fn may overwrite. Blocks where W
-    vanishes on every row they read are skipped. The blocks run on a per-call
-    thread pool, each worker with its own buffers.
+    vanishes on every row they read are skipped; the rest share one set of
+    buffers.
     """
     n = source.geometry.points
     tiles, largest = [], 0
@@ -622,31 +593,34 @@ def _outcome_tiles(source, scan: _FirstPass, fn) -> list:
             left, right = _halo(cols.start, cols.stop, n)
             largest = max(largest, (hi - lo) * (right - left))
     buffers = _Buffers(largest)
-
-    def tile(block):
-        i0, i1, cols = block
+    results = []
+    for i0, i1, cols in tiles:
         added, subtracted = _outcome_tile(source, i0, i1, cols, buffers)
-        return fn(slice(i0, i1), cols, added, subtracted, buffers.take("window", added.shape))
-
-    return _map_blocks(tile, tiles)
+        results.append(fn(slice(i0, i1), cols, added, subtracted,
+                          buffers.take("window", added.shape)))
+    return results
 
 
 def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     """Un-renormalized added and subtracted outcome grids, sharing derivatives.
 
-    Filled in row blocks on a per-call thread pool, each block only over the
-    columns where W is nonzero near it (the rest stays +0.0), so besides the
-    two results only tile-sized buffers are live, one set per worker: on
-    fig2's 931^2 grids, the largest ``figure_data`` passes it (6.9 MB of
-    input; the suites pass at most the 769^2 grid of ``negative-cases``), it
-    allocates 18.4 MB at its peak, 13.9 MB of it the results, and takes
-    0.03-0.04 s on two Xeon cores.
+    Filled in row blocks, each only over the columns where W is nonzero near
+    it (the rest stays +0.0), so besides the two results only tile-sized
+    buffers are live: on fig2's 931^2 grids, the largest ``figure_data``
+    passes it (6.9 MB of input; the suites pass at most the 769^2 grid of
+    ``negative-cases``), it allocates 18.4 MB at its peak, 13.9 MB of it the
+    results. Raises GeometryError when an outcome value is not finite.
     """
     scan = _first_pass(grid)
     added = np.zeros(grid.values.shape)
     subtracted = np.zeros(grid.values.shape)
 
     def fill(rows, cols, block_added, block_subtracted, spare):
+        # min and max propagate nan, and neither forms a tile-sized temporary
+        if not all(np.isfinite(block.min()) and np.isfinite(block.max())
+                   for block in (block_added, block_subtracted)):
+            raise GeometryError("the added and subtracted outcomes are not finite: the "
+                                "grid's x^2 + p^2 or its values overflow")
         added[rows, cols] = block_added
         subtracted[rows, cols] = block_subtracted
 
@@ -665,9 +639,16 @@ def _refuse_vanishing(integral: float, quantity: str, undefined: str, cause: str
 
 
 def renormalize(grid: WignerGrid) -> WignerGrid:
-    """Scale a grid to unit integral; refuses on a vanishing integral."""
+    """Scale a grid to unit integral; refuses on a vanishing integral, and
+    with GeometryError when the scaled values overflow."""
     total = grid.integral()
     _refuse_vanishing(total, "the grid integral", "the renormalized grid")
+    # the largest |value| / |total| is the largest scaled value, and a float
+    # division overflows to inf without a warning
+    peak = float(max(-grid.values.min(), grid.values.max()))
+    if not np.isfinite(peak / total):
+        raise GeometryError(f"renormalizing overflows: values up to {peak:.3e} over the "
+                            f"grid integral {total:.3e}")
     return WignerGrid(grid.geometry, grid.values / total)
 
 
@@ -735,8 +716,7 @@ def l1_relative_residual(source, ratio: float) -> tuple[float, float]:
 
     One pass over row blocks, each over the columns where W is nonzero near
     it, so no full-size outcome grid is ever held. The block sums are added
-    in block order and a max has no order, so neither value depends on the
-    worker count. Raises DegenerateInputError when integral |A| vanishes.
+    in block order. Raises DegenerateInputError when integral |A| vanishes.
     """
     scan = _first_pass(source)
     w = source.geometry.weights()
@@ -777,8 +757,13 @@ def identity_residual(source) -> IdentityCheck:
     ratio = outcome_norm_ratio(ia, isub)
     residual, peak = l1_relative_residual(source, ratio)
     m = source.geometry.points // 2
-    origin = float(_outcome_tile(source, m, m + 1, slice(m, m + 1), _Buffers())[0][0, 0] / ia)
-    return IdentityCheck(residual, float(ratio), ia, isub, origin, peak / abs(ia))
+    # float divisions: an overflow leaves inf, which is refused below
+    origin = float(_outcome_tile(source, m, m + 1, slice(m, m + 1), _Buffers())[0][0, 0]) / ia
+    max_gap = peak / abs(ia)
+    if not (np.isfinite(origin) and np.isfinite(max_gap)):
+        raise GeometryError(f"A / integral(A) overflows: the added integral {ia:.3e} is too "
+                            "small for the added outcome's values")
+    return IdentityCheck(residual, float(ratio), ia, isub, origin, max_gap)
 
 
 def grid_metrics(grid: WignerGrid) -> float:
@@ -795,4 +780,8 @@ def grid_metrics(grid: WignerGrid) -> float:
         for i0, i1 in _row_blocks(n, _raster_rows(n)):
             block = np.multiply(grid.values[i0:i1], grid.values[i0:i1], out=squares[:i1 - i0])
             row_sums[i0:i1] = np.einsum("ij,j->i", block, w)
-    return 2.0 * np.pi * _weigh_rows(w, row_sums)
+    # a finite integral can still overflow when scaled by 2 pi
+    purity = 2.0 * np.pi * _weigh_rows(w, row_sums)
+    if not np.isfinite(purity):
+        raise GeometryError(f"the purity overflows to {purity!r}: the grid's values are too large")
+    return purity

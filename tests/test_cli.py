@@ -194,6 +194,24 @@ def test_overflowing_outcome_integrals_refused_without_output(tmp_path, capsys, 
     assert [str(w.message) for w in recwarn] == []
 
 
+def test_overflowing_outcomes_refused_with_one_error_line(tmp_path):
+    # one large node on a fine step: W is finite, its stencils overflow
+    import sqvac
+    values = np.zeros((33, 33))
+    values[16, 16] = 1e303
+    grid_path, out_path = tmp_path / "grid.csv", tmp_path / "add.csv"
+    save_grid(grid_path, WignerGrid(GridGeometry(0.016, 33), values))
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    for argv in (["add", "-o", str(out_path)], ["residual"]):
+        proc = subprocess.run([sys.executable, "-m", "sqvac.cli", *argv, "--grid", str(grid_path)],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2 and proc.stdout == ""
+        # a numpy warning would reach stderr ahead of the error line
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "non-finite values" not in proc.stderr
+        assert not out_path.exists()
+
+
 def test_extreme_width_rasterizes_without_warnings(tmp_path, capsys, recwarn):
     # sigma_p = 1e-77: p^2 / sigma_p^2 overflows to inf away from p = 0, where
     # the density underflows to 0 anyway; no 513-point grid resolves the
@@ -721,6 +739,19 @@ def test_single_suite_imports_no_process_pool(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.splitlines() == ["fock-ratio: PASS (6 cases)", "[]"]
+
+
+def test_grid_suite_imports_no_thread_pool(tmp_path):
+    # angular-average rasterizes, runs the identity check and squares W for
+    # the purity, each pass in the calling thread
+    import sqvac
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    code = ("import sys; from sqvac.cli import main; "
+            "assert main(['verify', '--suite', 'angular-average', '-o', sys.argv[1]]) == 0; "
+            "print('concurrent.futures.thread' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # ------------------------------------------------------------- environment

@@ -4,14 +4,12 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
@@ -46,7 +44,7 @@ from sqvac import (
 )
 from sqvac import phasespace
 from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY,
-                              _d1, _d2, _map_blocks, _row_blocks, _simpson,
+                              _d1, _d2, _row_blocks, _simpson,
                               _worker_count)
 
 PURE2 = GaussianWignerSpec.pure_state(2.0)
@@ -385,6 +383,60 @@ def test_number_basis_state_is_finite_or_refused(amps, points):
     assert np.all(np.isfinite(grid.values))
 
 
+# held grids: values of every magnitude, from subnormal to the largest float,
+# of random sign, on a zero boundary; extents up to where x^2 + p^2 overflows
+_HELD_SCALES = st.sampled_from([0.0, 1e-310, 1.0, 1e150, 1e300, 1.7e308])
+
+
+@st.composite
+def _held_grids(draw):
+    n = draw(st.sampled_from([33, 65]))
+    extent = draw(st.one_of(st.sampled_from([0.016, 6.0]),
+                            st.floats(-160.0, 160.0).map(lambda e: 10.0 ** e)))
+    scales = draw(st.lists(_HELD_SCALES, min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inner = (n - 2, n - 2)
+    values = np.zeros((n, n))
+    values[1:-1, 1:-1] = (rng.choice(scales, inner) * rng.choice([-1.0, 1.0], inner)
+                          * rng.random(inner))
+    return WignerGrid(GridGeometry(extent, n), values)
+
+
+def _centre_spike(extent, n, value):
+    values = np.zeros((n, n))
+    values[n // 2, n // 2] = value
+    return WignerGrid(GridGeometry(extent, n), values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_held_grids())
+# one large node on a fine step: only the stencils overflow, not W
+@example(grid=_centre_spike(0.016, 33, 1e303))
+# a step near 1e-154: A at the origin is finite, A / integral(A) is not
+@example(grid=_centre_spike(1.2e-153, 33, 1e-4))
+# an integral of 4e-5 under a node of 1e306: renormalizing overflows
+@example(grid=_centre_spike(1.6e-154, 33, 1e306))
+# a finite integral of W^2 whose purity, 2 pi times it, overflows
+@example(grid=WignerGrid(GridGeometry(1.0, 33), np.pad(np.full((31, 31), 5e153), 1)))
+def test_held_grid_is_finite_or_refused(grid):
+    # every grid command returns finite values or raises a SqvacError; any
+    # other exception, and any numpy warning, fails
+    def finite_or_refused(fn):
+        try:
+            values = fn()
+        except SqvacError:
+            return
+        assert np.all(np.isfinite(values)), values
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        finite_or_refused(lambda: [outcome.values for outcome in photon_outcomes(grid)])
+        finite_or_refused(lambda: outcome_integrals(grid))
+        finite_or_refused(lambda: tuple(identity_residual(grid)))
+        finite_or_refused(lambda: renormalize(grid).values)
+        finite_or_refused(lambda: grid_metrics(grid))
+
+
 # ----------------------------------------------------------- photon outcomes
 
 def test_outcomes_need_decayed_boundary():
@@ -576,11 +628,11 @@ def test_identity_residual_holds_no_full_size_grid():
     assert peak < 1.0 * grid.values.nbytes
 
 
-# ------------------------------------------------------------- worker pool
+# -------------------------------------------------------- row-block passes
 
 def _serial_residual(grid, ratio):
     """The in-order serial L1 pass over whole rows of the full-array outcomes:
-    the oracle of the pooled pass, which skips the columns where W is zero."""
+    the oracle of the blocked pass, which skips the columns where W is zero."""
     added, subtracted = full_array_outcomes(grid)
     w = grid.geometry.weights()
     num = den = 0.0
@@ -597,30 +649,16 @@ def _set_workers(monkeypatch, workers):
     assert _worker_count() == workers
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
-    _set_workers(monkeypatch, workers)
-
-    def early_blocks_slowest(k):
-        time.sleep(0.01 * (4 - k))  # with two or more workers, block 1 finishes first
-        return k
-
-    assert _map_blocks(early_blocks_slowest, range(4)) == [0, 1, 2, 3]
+def test_row_block_passes_match_whole_grid_oracles():
     # several blocks in every pass: 5 in rasterize, 9 in the outcome passes
     geometry = GridGeometry(policy_extent(SKEW.widths()[1]), 513)
     axis = geometry.axis()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
-    try:
-        grid = rasterize(SKEW, geometry)
-        added, subtracted = photon_outcomes(grid)
-        chk = identity_residual(grid)
-        streamed = identity_residual(SampledSpec(SKEW, geometry))
-    finally:
-        sys.setswitchinterval(interval)
-    assert streamed == chk
-    # the first pass adds its blocks' column sums in block order, whichever
-    # worker finishes first; a lost or reordered addition changes c
+    grid = rasterize(SKEW, geometry)
+    added, subtracted = photon_outcomes(grid)
+    chk = identity_residual(grid)
+    assert identity_residual(SampledSpec(SKEW, geometry)) == chk
+    # the first pass adds its blocks' column sums in block order; a lost or
+    # reordered addition changes c
     w, c = geometry.weights(), np.zeros(geometry.points)
     for i0, i1 in _row_blocks(geometry.points, phasespace._raster_rows(geometry.points)):
         c += np.einsum("i,ij->j", w[i0:i1], grid.values[i0:i1])
@@ -630,9 +668,6 @@ def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
     assert np.array_equal(added.values, want_added)
     assert np.array_equal(subtracted.values, want_subtracted)
     assert _rel(chk.residual, _serial_residual(grid, chk.ratio_used)) < 1e-15
-    # the pooled sums are added in block order: one worker gives the same bits
-    _set_workers(monkeypatch, 1)
-    assert identity_residual(grid) == chk
 
 
 def support_grid(n, rows, cols):
@@ -790,15 +825,12 @@ def _spec_strategy():
 @given(n=st.integers(16, 150).map(lambda k: 2 * k + 1), spec=_spec_strategy())
 def test_sampled_spec_agrees_with_the_held_grid(n, spec):
     geometry = GridGeometry(policy_extent(spec.widths()[1]), n)
-    runs = []
-    for workers in (1, 4):
-        with mock.patch.object(phasespace, "_worker_count", lambda: workers):
-            # fresh sources per worker count: each keeps its own first pass
-            for source in (rasterize(spec, geometry), SampledSpec(spec, geometry)):
-                runs.append((outcome_integrals(source), identity_residual(source)))
+    held, sampled = (
+        (outcome_integrals(source), identity_residual(source))
+        for source in (rasterize(spec, geometry), SampledSpec(spec, geometry)))
     # one first pass for both sources: every result is equal, the residual
     # too, whose ratio reads the integrals
-    assert all(run == runs[0] for run in runs)
+    assert held == sampled
 
 
 def test_sampled_angular_average_agrees_with_the_held_grid():
@@ -808,12 +840,10 @@ def test_sampled_angular_average_agrees_with_the_held_grid():
         identity_residual(rasterize(spec, geometry))
 
 
-def test_streamed_identity_check_holds_no_grid(monkeypatch):
+def test_streamed_identity_check_holds_no_grid():
     geometry = refined_geometry(IMPURE)
     assert geometry.points == 1537
     w_bytes = 8 * geometry.points ** 2
-    # each worker keeps its own tile buffers
-    _set_workers(monkeypatch, 2)
     tracemalloc.start()
     try:
         identity_residual(SampledSpec(IMPURE, geometry))
@@ -821,7 +851,7 @@ def test_streamed_identity_check_holds_no_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     # a held W alone is w_bytes; the streamed check keeps axis-length vectors
-    # and two workers' tile-sized buffers
+    # and one set of tile-sized buffers
     assert peak < 0.25 * w_bytes
 
 
