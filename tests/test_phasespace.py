@@ -649,7 +649,8 @@ def _set_workers(monkeypatch, workers):
     assert _worker_count() == workers
 
 
-def test_row_block_passes_match_whole_grid_oracles():
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
     # several blocks in every pass: 5 in rasterize, 9 in the outcome passes
     geometry = GridGeometry(policy_extent(SKEW.widths()[1]), 513)
     axis = geometry.axis()
@@ -668,6 +669,20 @@ def test_row_block_passes_match_whole_grid_oracles():
     assert np.array_equal(added.values, want_added)
     assert np.array_equal(subtracted.values, want_subtracted)
     assert _rel(chk.residual, _serial_residual(grid, chk.ratio_used)) < 1e-15
+
+    # the same passes on a _fork_map pool of `workers` processes, as verify
+    # --suite all runs them: every worker gives the bits of the calling process
+    def passes(_):
+        held = rasterize(SKEW, geometry)
+        return (held.values, *(o.values for o in photon_outcomes(held)),
+                identity_residual(held), identity_residual(SampledSpec(SKEW, geometry)))
+
+    _set_workers(monkeypatch, workers)
+    for values, a, s, held_chk, streamed_chk in phasespace._fork_map(passes, range(workers)):
+        assert np.array_equal(values, grid.values)
+        assert np.array_equal(a, added.values)
+        assert np.array_equal(s, subtracted.values)
+        assert held_chk == streamed_chk == chk
 
 
 def support_grid(n, rows, cols):
