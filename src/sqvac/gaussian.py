@@ -196,7 +196,10 @@ def wigner_value(spec, x, p, out=None):
         # formed exactly, not as a difference that cancels for strong squeezing
         b = spec.radial_coefficients()[1]
         s = x * x + p * p
-        value = np.exp(-spec.widths()[0] ** 2 * s) * bessel_i0_scaled(b * s) / np.pi
+        # only b s can overflow, past |b s| = 1.8e308, where i0e is below
+        # 3.1e-155, under one ulp of W's peak 1/pi: i0e(+-inf) = 0 is W there
+        with np.errstate(over="ignore"):
+            value = np.exp(-spec.widths()[0] ** 2 * s) * bessel_i0_scaled(b * s) / np.pi
         if out is None:
             return value
         out[...] = value

@@ -6,9 +6,11 @@ which the axis is rebuilt as -extent + k*step, the expression that made it.
 
 Grid CSVs move in row blocks of about _BLOCK_VALUES values. ``save_grid``
 formats the blocks through ``phasespace._fork_map``, on forked worker
-processes (inline for a grid of one block or a process with one CPU), and
-writes them in order through ``atomic_write``, so a file is never held in
-memory as one string and its bytes do not depend on the worker count.
+processes (inline for a grid of one block, a process with one CPU, or a
+save made inside a ``_fork_map`` worker, such as one of ``figure_data``'s
+per-file workers), and writes them in order through ``atomic_write``, so a
+file is never held in memory as one string and its bytes do not depend on
+the worker count.
 ``load_grid`` parses the values as floats and the coordinate columns as
 text, checked against the rows ``save_grid`` writes, _READ_ROWS lines of the
 file at a time.
@@ -141,8 +143,9 @@ def save_grid(path, grid: WignerGrid, comments=()):
     Every float is written with "%.17g", so files keep the v1 format byte for
     byte. Row blocks of about _BLOCK_VALUES values are formatted by
     ``phasespace._fork_map``, one forked process per CPU (at most four), and
-    written in block order; a grid of one block, or a process with one CPU or
-    no fork, formats its blocks inline.
+    written in block order; a grid of one block, a process with one CPU or
+    no fork, or a save made inside a ``_fork_map`` worker formats its blocks
+    inline.
     """
     head = [_header(grid.geometry)] + [f"# {c}\n" for c in comments]
     # x.join(parts) gives "x,p_0,%.17g\nx,p_1,%.17g\n...": the row template.

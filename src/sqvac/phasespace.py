@@ -82,8 +82,9 @@ _BLOCK_ROWS = 64
 _RASTER_POINTS = 65_536
 # points per row-support mask: the first pass holds small masks, not block-sized ones
 _MASK_POINTS = 16_384
-# at most this many forked processes share a _fork_map pool (io.save_grid's
-# row blocks, verify --suite all's suites), the one parallel layer
+# at most this many forked processes share a _fork_map pool (verify --suite
+# all's suites, figure_data's files, a lone save_grid's row blocks), the one
+# parallel layer: a _fork_map call inside a worker runs inline
 _MAX_WORKERS = 4
 
 # 4th-order stencils; edge rows use one-sided forms of the same order.
@@ -275,10 +276,13 @@ def _fork_map(fn, tasks):
     after every earlier result; the tasks not yet started are cancelled and
     the workers are gone before it is. A caller that stops early closes or
     drops the generator, which shuts the pool down the same way. One task,
-    one CPU or a platform without fork runs the tasks inline, each when its
-    result is asked for.
+    one CPU, a platform without fork or a call made inside a worker of
+    another pool runs the tasks inline, each when its result is asked for,
+    so pools never nest.
     """
-    workers = min(_worker_count(), len(tasks)) if hasattr(os, "fork") else 1
+    # _worker_task is set only in a worker
+    workers = (min(_worker_count(), len(tasks))
+               if hasattr(os, "fork") and _worker_task is None else 1)
     if workers <= 1:
         yield from map(fn, tasks)
         return
@@ -619,13 +623,18 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
         # min and max propagate nan, and neither forms a tile-sized temporary
         if not all(np.isfinite(block.min()) and np.isfinite(block.max())
                    for block in (block_added, block_subtracted)):
-            raise GeometryError("the added and subtracted outcomes are not finite: the "
-                                "grid's x^2 + p^2 or its values overflow")
+            raise _outcomes_overflow()
         added[rows, cols] = block_added
         subtracted[rows, cols] = block_subtracted
 
     _outcome_tiles(grid, scan, fill)
     return WignerGrid(grid.geometry, added), WignerGrid(grid.geometry, subtracted)
+
+
+def _outcomes_overflow() -> GeometryError:
+    """The one refusal of outcome values that are not finite."""
+    return GeometryError("the added and subtracted outcomes are not finite: the grid's "
+                         "x^2 + p^2 or its values overflow")
 
 
 def _refuse_vanishing(integral: float, quantity: str, undefined: str, cause: str = ""):
@@ -716,17 +725,25 @@ def l1_relative_residual(source, ratio: float) -> tuple[float, float]:
 
     One pass over row blocks, each over the columns where W is nonzero near
     it, so no full-size outcome grid is ever held. The block sums are added
-    in block order. Raises DegenerateInputError when integral |A| vanishes.
+    in block order. Raises DegenerateInputError when integral |A| vanishes,
+    and GeometryError, as ``photon_outcomes`` does, when an outcome value is
+    not finite.
     """
     scan = _first_pass(source)
     w = source.geometry.weights()
 
     def sums(rows, cols, added, subtracted, spare):
-        den = _simpson(np.abs(added, out=spare), w[rows], w[cols])
-        diff = np.multiply(subtracted, ratio, out=spare)
-        np.subtract(added, diff, out=diff)
-        np.abs(diff, out=diff)
-        return _simpson(diff, w[rows], w[cols]), den, float(diff.max())
+        # an inf or nan outcome leaves the largest gap inf or nan (inf - inf
+        # is nan), so it is refused before any sum over it is formed
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.multiply(subtracted, ratio, out=spare)
+            np.subtract(added, diff, out=diff)
+            np.abs(diff, out=diff)
+        peak = float(diff.max())
+        if not np.isfinite(peak):
+            raise _outcomes_overflow()
+        num = _simpson(diff, w[rows], w[cols])
+        return num, _simpson(np.abs(added, out=spare), w[rows], w[cols]), peak
 
     num = den = peak = 0.0
     for block_num, block_den, block_peak in _outcome_tiles(source, scan, sums):

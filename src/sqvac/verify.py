@@ -22,7 +22,9 @@ Suites share no state, so ``sqvac verify --suite all`` runs them through
 ``phasespace._fork_map``, one suite per task on forked worker processes,
 handed out in ``SUITE_NAMES`` order (``pure-identity``, the heaviest, first);
 its reports are saved and printed in that order, and are the bytes an inline
-run gives.
+run gives. ``figure_data`` uses the same pool, one grid file per task, and
+each worker writes its file with ``io.save_grid``, which then formats inline:
+a pool never forks a second one.
 """
 
 import math
@@ -38,7 +40,7 @@ from .fock import (bogoliubov_annihilate, coherent_state, outcome_ratio,
 from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec,
                        angular_average_purity, outcome_factors, spec_norm_ratio,
                        wigner_value)
-from .phasespace import (SampledSpec, WignerGrid, grid_metrics, identity_residual,
+from .phasespace import (SampledSpec, WignerGrid, _fork_map, grid_metrics, identity_residual,
                          outcome_integrals, photon_outcomes, rasterize, refined_geometry,
                          renormalize, state_grid)
 from .special import elliptic_k
@@ -297,46 +299,55 @@ def figure_data(which: str, out_dir: str, seed: int | None = None) -> list:
     fig3: radial log10 profile of the angular average and the closed-form
     purity table over sigma_x in [1, 5].
 
+    Each fig1 and fig2 grid file is one ``phasespace._fork_map`` task, named
+    by its file name, on forked worker processes: fig2's workers each build,
+    transform and write their own grid, and fig1's write the three grids the
+    caller formed once, which they inherit by fork. Only paths come back, in
+    file order, and the files are the bytes an inline run writes.
+
     ``seed`` is only recorded in the output headers.
     """
     os.makedirs(out_dir, exist_ok=True)
     tail = [] if seed is None else [f"seed {seed}"]
-    paths = []
     if which == "fig1":
         grid = state_grid(GaussianWignerSpec.single(4.0, 0.5))
         added, subtracted = photon_outcomes(grid)
         w_plus, w_minus = renormalize(added), renormalize(subtracted)
         diff = WignerGrid(grid.geometry, w_plus.values - w_minus.values)
-        for name, g, note in (("fig1_added.csv", w_plus, "renormalized added outcome"),
-                              ("fig1_subtracted.csv", w_minus,
-                               "renormalized subtracted outcome"),
-                              ("fig1_difference.csv", diff, "added minus subtracted")):
-            path = os.path.join(out_dir, name)
-            sqio.save_grid(path, g, [f"input sigma_x=4 sigma_p=0.5; {note}"] + tail)
-            paths.append(path)
+        note = "input sigma_x=4 sigma_p=0.5; "
+        # file name -> (the grid, made when asked for; its header comment)
+        files = {"fig1_added.csv": (lambda: w_plus, note + "renormalized added outcome"),
+                 "fig1_subtracted.csv": (lambda: w_minus,
+                                         note + "renormalized subtracted outcome"),
+                 "fig1_difference.csv": (lambda: diff, note + "added minus subtracted")}
     elif which == "fig2":
+        def added_outcome(spec):
+            return lambda: renormalize(photon_outcomes(rasterize(spec, refined_geometry(spec)))[0])
+
         mix = GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4.0, 2.2)
         av = AngularAverageSpec(2.2)
-        for name, spec, note in (
-                ("fig2_two_angle_outcome.csv", mix,
-                 "two-angle mixture P=0.5 theta=0,pi/4 sigma_x=2.2"),
-                ("fig2_angular_average_outcome.csv", av, "angular average sigma_x=2.2")):
-            grid = rasterize(spec, refined_geometry(spec))
-            outcome = renormalize(photon_outcomes(grid)[0])
-            path = os.path.join(out_dir, name)
-            sqio.save_grid(path, outcome, [f"{note}; renormalized added outcome"] + tail)
-            paths.append(path)
+        note = "; renormalized added outcome"
+        files = {"fig2_two_angle_outcome.csv":
+                 (added_outcome(mix), "two-angle mixture P=0.5 theta=0,pi/4 sigma_x=2.2" + note),
+                 "fig2_angular_average_outcome.csv":
+                 (added_outcome(av), "angular average sigma_x=2.2" + note)}
     elif which == "fig3":
         radii = 0.05 * np.arange(121)
         values = wigner_value(AngularAverageSpec(2.2), radii, 0.0)
-        paths.append(_save_table(os.path.join(out_dir, "fig3_radial_profile.csv"),
-                                 ["columns: radius,log10_wigner (sigma_x=2.2)"] + tail,
-                                 (radii, np.log10(values))))
         sigmas = 1.0 + 0.1 * np.arange(41)
         purities = [angular_average_purity(AngularAverageSpec(s)) for s in sigmas]
-        paths.append(_save_table(os.path.join(out_dir, "fig3_purity.csv"),
-                                 ["columns: sigma_x,purity"] + tail,
-                                 (sigmas, purities)))
+        return [_save_table(os.path.join(out_dir, "fig3_radial_profile.csv"),
+                            ["columns: radius,log10_wigner (sigma_x=2.2)"] + tail,
+                            (radii, np.log10(values))),
+                _save_table(os.path.join(out_dir, "fig3_purity.csv"),
+                            ["columns: sigma_x,purity"] + tail, (sigmas, purities))]
     else:
         raise ConfigurationError(f"unknown figure {which!r}; choose fig1, fig2 or fig3")
-    return paths
+
+    def write(name):
+        make, comment = files[name]
+        path = os.path.join(out_dir, name)
+        sqio.save_grid(path, make(), [comment] + tail)
+        return path
+
+    return list(_fork_map(write, list(files)))

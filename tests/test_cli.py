@@ -206,9 +206,10 @@ def test_overflowing_outcomes_refused_with_one_error_line(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "sqvac.cli", *argv, "--grid", str(grid_path)],
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 2 and proc.stdout == ""
-        # a numpy warning would reach stderr ahead of the error line
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "non-finite values" not in proc.stderr
+        # a numpy warning would reach stderr ahead of the error line; residual
+        # names the outcomes as add does, not the integral |A| they overflow
+        assert proc.stderr == ("error: the added and subtracted outcomes are not finite: the "
+                               "grid's x^2 + p^2 or its values overflow\n")
         assert not out_path.exists()
 
 
@@ -223,6 +224,22 @@ def test_extreme_width_rasterizes_without_warnings(tmp_path, capsys, recwarn):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not grid_path.exists()
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("sigma", ["1e+77", "1e-77"])
+def test_extreme_angular_average_refused_without_warnings(tmp_path, sigma):
+    # b s overflows at the grid's far corners, where i0e is 0 to double
+    # precision; no 513-point grid resolves the state, so it is refused
+    import sqvac
+    state, grid_path = tmp_path / "angavg.json", tmp_path / "angavg.csv"
+    state.write_text(f'{{"format": "angavg-v1", "sigma_x": {sigma}}}')
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sqvac.cli", "wigner",
+                           "--state", str(state), "-o", str(grid_path)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: normalization drift") and proc.stderr.count("\n") == 1
+    assert not grid_path.exists()
 
 
 @pytest.mark.parametrize("sigma", ["50", "1e-8"])

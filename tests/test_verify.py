@@ -2,6 +2,8 @@
 
 import filecmp
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,8 @@ from sqvac import (
     refined_geometry,
     run_suite,
 )
-from sqvac import verify
+from sqvac import io as sqio
+from sqvac import phasespace, verify
 from sqvac.io import load_grid, save_report
 from sqvac.verify import SUITE_NAMES
 
@@ -143,6 +146,48 @@ def test_fig1_deterministic(tmp_path):
     a = figure_data("fig1", str(tmp_path / "a"))
     b = figure_data("fig1", str(tmp_path / "b"))
     assert filecmp.cmp(a[2], b[2], shallow=False)
+
+
+def test_fig1_files_are_the_same_bytes_on_per_file_workers(tmp_path, monkeypatch):
+    files = []
+    for workers in (1, 2):
+        monkeypatch.setattr(phasespace, "_worker_count", lambda: workers)
+        if workers == 2:
+            parent, save_grid = os.getpid(), sqio.save_grid
+
+            def in_worker(*args, **kwargs):
+                assert os.getpid() != parent, "a figure file was written in the parent"
+                return save_grid(*args, **kwargs)
+
+            monkeypatch.setattr(sqio, "save_grid", in_worker)
+        out_dir = tmp_path / f"workers{workers}"
+        paths = figure_data("fig1", str(out_dir), seed=5)
+        assert multiprocessing.active_children() == []
+        names = ["fig1_added.csv", "fig1_subtracted.csv", "fig1_difference.csv"]
+        assert paths == [str(out_dir / name) for name in names]
+        assert sorted(os.listdir(out_dir)) == sorted(names)
+        files.append([(out_dir / name).read_bytes() for name in names])
+    assert files[0] == files[1]
+
+
+def test_figure_worker_error_reaches_caller_and_keeps_target(tmp_path, monkeypatch):
+    # raises only in a forked worker, so an inline write would not raise
+    parent, format_rows = os.getpid(), sqio._format_rows
+
+    def fail_in_worker(rows, block):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        return format_rows(rows, block)
+
+    monkeypatch.setattr(sqio, "_format_rows", fail_in_worker)
+    monkeypatch.setattr(phasespace, "_worker_count", lambda: 2)
+    target = tmp_path / "fig1_subtracted.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="worker failed"):
+        figure_data("fig1", str(tmp_path))
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["fig1_subtracted.csv"]
+    assert target.read_text() == "old\n"
 
 
 def test_fig2_outcome_origins(tmp_path):
