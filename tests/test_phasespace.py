@@ -726,28 +726,49 @@ CLIPPED_CASES = {
 }
 
 
+@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("case", CLIPPED_CASES)
-def test_clipped_tiles_match_whole_grid_oracle(case):
+def test_clipped_tiles_match_whole_grid_oracle(monkeypatch, case, workers):
     grid = CLIPPED_CASES[case]()
     assert np.mean(grid.values == 0.0) > 0.25
-    added, subtracted = photon_outcomes(grid)
+
+    # the tiled passes and the oracle as _fork_map tasks, as a figure worker
+    # forms its outcomes: inline on one worker, on forked processes on more
+    def outcomes(task):
+        if task == "tiled":
+            return tuple(o.values for o in photon_outcomes(grid))
+        if task == "oracle":
+            return full_array_outcomes(grid)
+        return identity_residual(grid)
+
+    _set_workers(monkeypatch, workers)
+    (added, subtracted), (want_added, want_subtracted), chk = phasespace._fork_map(
+        outcomes, ("tiled", "oracle", "residual"))
     # the sx4 grids hold subnormal outcomes, which must match too
-    want_added, want_subtracted = full_array_outcomes(grid)
-    assert np.array_equal(added.values, want_added)
-    assert np.array_equal(subtracted.values, want_subtracted)
-    chk = identity_residual(grid)
+    assert np.array_equal(added, want_added)
+    assert np.array_equal(subtracted, want_subtracted)
     assert _rel(chk.residual, _serial_residual(grid, chk.ratio_used)) < 1e-15
     # a max needs no summing order: the skipped columns are exact zeros
     peak = np.max(np.abs(want_added - chk.ratio_used * want_subtracted))
     assert chk.max_gap == peak / abs(chk.added_integral)
 
 
-def test_identity_residual_is_the_l1_pass():
+@pytest.mark.parametrize("workers", [1, 4])
+def test_identity_residual_is_the_l1_pass(monkeypatch, workers):
     grid = CLIPPED_CASES["sx4-th0.7854"]()
-    chk = identity_residual(grid)
-    # one L1 pass: identity_residual reports l1_relative_residual's bits
-    residual, peak = l1_relative_residual(grid, chk.ratio_used)
-    assert (residual, peak / abs(chk.added_integral)) == (chk.residual, chk.max_gap)
+    serial = identity_residual(grid)
+
+    def passes(_):
+        chk = identity_residual(grid)
+        return chk, l1_relative_residual(grid, chk.ratio_used)
+
+    # the same passes on a _fork_map pool of `workers` processes
+    _set_workers(monkeypatch, workers)
+    for chk, (residual, peak) in phasespace._fork_map(passes, range(workers)):
+        # one L1 pass: identity_residual reports l1_relative_residual's bits
+        assert (residual, peak / abs(chk.added_integral)) == (chk.residual, chk.max_gap)
+        # the largest gap, like the block-ordered sums, is the same in any process
+        assert chk == serial
 
 
 def test_worker_count_is_capped(monkeypatch):
