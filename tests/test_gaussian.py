@@ -8,12 +8,13 @@ oracles.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqvac import (
@@ -23,14 +24,17 @@ from sqvac import (
     DomainError,
     GaussianComponent,
     GaussianWignerSpec,
+    GridGeometry,
     SqvacError,
     angular_average_purity,
     outcome_factors,
+    policy_extent,
     spec_norm_ratio,
     squeeze_parameter,
     squeezed_vacuum,
     wigner_value,
 )
+from sqvac import gaussian
 
 
 def grid_2d(extent, n):
@@ -574,3 +578,51 @@ def test_gaussian_spec_is_finite_or_refused(build):
         for c in spec.components:
             for x, p in ((0.0, 0.0), (1.0, -1.0)):
                 _finite_or_refused(lambda: outcome_factors(c, x, p))
+
+
+# ------------------------------------------------------- the exp underflow skip
+
+def test_exp_is_zero_below_the_underflow_cut():
+    # every exponent wigner_value skips, a < _EXP_UNDERFLOW, has exp(a) = +0.0
+    below = np.exp(np.nextafter(gaussian._EXP_UNDERFLOW, -np.inf))
+    assert below == 0.0 and not np.signbit(below)
+
+
+def _plain_exp(a):
+    return np.exp(a, out=a)
+
+
+_SPEC_WIDTHS = st.floats(min_value=math.log(5e-78), max_value=math.log(2e77)).map(math.exp)
+
+
+@st.composite
+def _valid_specs(draw):
+    """A pure, impure, two-angle or angular-average spec, with widths up to
+    both 4th-power edges of the accepted range."""
+    kind = draw(st.sampled_from(["pure", "impure", "two-angle", "angular-average"]))
+    sx, sp, th1, th2 = draw(_SPEC_WIDTHS), draw(_SPEC_WIDTHS), draw(_ANGLES), draw(_ANGLES)
+    build = {"pure": lambda: GaussianWignerSpec.pure_state(sx, th1),
+             "impure": lambda: GaussianWignerSpec.single(sx, sp, th1),
+             "two-angle": lambda: GaussianWignerSpec.two_angle_mixture(0.3, th1, th2, sx),
+             "angular-average": lambda: AngularAverageSpec(sx)}[kind]
+    try:
+        return build()
+    except DomainError:  # a width past an edge, or below the uncertainty floor
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_valid_specs(), scale=st.floats(0.02, 2.0),
+       points=st.integers(16, 64).map(lambda k: 2 * k + 1))
+# the vacuum at unit step: x = 27 gives the exponent -729 - ln pi, where
+# exp is subnormal, not zero
+@example(spec=GaussianWignerSpec.pure_state(1.0), scale=5.0, points=61)
+def test_wigner_value_matches_plain_exp_bit_for_bit(spec, scale, points):
+    axis = GridGeometry(scale * policy_extent(spec.widths()[1]), points).axis()
+    x, p = axis[:, None], axis[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # both runs do the same arithmetic
+        got = wigner_value(spec, x, p)
+        with mock.patch.object(gaussian, "_exp", _plain_exp):
+            want = wigner_value(spec, x, p)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
