@@ -30,8 +30,7 @@ _UNCERTAINTY_SLACK = 1e-12
 _WEIGHT_TOL = 1e-12
 #: Below this, the mean photon number <a^dag a> counts as the vacuum's exact zero.
 _VACUUM_GAP = 1e-12
-# exp rounds to +0.0 below ln 2^-1075 ~ -745.13; past it exp is 13-16 times
-# slower than on normal results, and a wide grid underflows on most points
+# exp rounds to +0.0 below ln 2^-1075 ~ -745.13, 13-16 times slower than elsewhere
 _EXP_UNDERFLOW = -746.0
 
 
@@ -188,8 +187,7 @@ def _log_density(c: GaussianComponent, x, p, out: np.ndarray) -> np.ndarray:
 
 def _exp(a: np.ndarray) -> np.ndarray:
     """exp(a) in place, +0.0 without calling exp wherever a < _EXP_UNDERFLOW,
-    which is exp's own result there; a nan is not below it and goes through
-    exp, so it stays nan."""
+    exp's own result there; a nan is not below it, so it stays nan."""
     low = a < _EXP_UNDERFLOW
     np.exp(a, out=a, where=~low)
     np.copyto(a, 0.0, where=low)

@@ -13,32 +13,33 @@ W + x Wx + p Wp). Both outputs are un-renormalized: their integrals are the
 outcome weights <a a^dag> and <a^dag a>, and their ratio is the norm ratio used
 by the identity check.
 
-Derivatives are 4th-order central stencils with 4th-order one-sided rows at the
-edges; integrals are tensor-product Simpson rules, which is why point counts
-must be odd. ``_simpson`` forms every grid sum but the purity, whose row sums
-``grid_metrics`` forms block by block; both end in ``_weigh_rows``, which
-refuses a sum that overflows.
+Derivatives are 4th-order central stencils (Fornberg, Math. Comp. 51, 699
+(1988)) on W zero-extended by two points past each edge: the outcome passes
+refuse a grid whose boundary values exceed BOUNDARY_DECAY before any stencil
+runs, so the zeros stand for values already under 1e-12, and no edge needs a
+one-sided stencil. Integrals are tensor-product Simpson rules, which is why
+point counts must be odd. ``_simpson`` forms every grid sum but the purity,
+whose row sums ``grid_metrics`` forms block by block; both end in
+``_weigh_rows``, which refuses a sum that overflows.
 
 A and S are linear in W and its stencils, so wherever every value a stencil
 reads is 0.0 both outcomes are exactly 0.0. A squeezed W underflows to 0.0
 over most of a wide grid (72% of the 3073^2 sigma_x = 4 grid), so the outcome
 passes compute each row block only over the columns within stencil reach of
-a nonzero W. Skipping the rest changes no outcome value; an L1 sum over the
-shorter rows may differ in its last bit, since einsum groups its terms by
-row length. One helper, ``_outcome_tiles``, runs those clipped blocks for
-both ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
+a nonzero W; an L1 sum over the shorter rows may differ in its last bit, as
+einsum groups its terms by row length. ``_outcome_tiles`` runs those blocks
+for ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
 
-The outcome passes read W from a row source through its ``_window``: a held
-``WignerGrid`` gives views, and a ``SampledSpec``, a gaussian spec on a
-geometry, samples W only in the windows a pass reads. One first pass,
-``_scan``, serves both and is kept on the source; it keeps axis-length
-vectors only (r = W wp, c = wx W, the boundary maximum and each row's first
-and last nonzero column). The outcome integrals come from r and c, and each
-tile's columns from the nonzero ranges of the rows it reads, so the identity
-check of a SampledSpec never holds W and equals the held grid's bit for bit.
-Every pass runs its blocks in block order in the calling thread and writes
-its windows and tile temporaries into one set of buffers reused from block
-to block.
+The passes read W from a row source: a held ``WignerGrid``, or a
+``SampledSpec``, a gaussian spec on a geometry, sampled only in the windows a
+pass reads. One first pass, ``_scan``, is kept on the source; it keeps
+axis-length vectors only (r = W wp, c = wx W, the boundary maximum and each
+row's first and last nonzero column). The outcome integrals come from r and
+c, and each tile's columns from the nonzero ranges of the rows it reads, so
+the identity check of a SampledSpec never holds W and equals the held grid's
+bit for bit. Every pass runs its blocks in block order in the calling thread
+and writes its windows and tile temporaries into one set of buffers reused
+from block to block.
 
 Every grid is a square ``GridGeometry`` (extent, points) plus its values.
 The geometry owns the layout: x and p share one axis, -extent + k*step, and
@@ -78,67 +79,49 @@ DEGENERATE_INTEGRAL = 1e-6
 NORMALIZATION_DRIFT = 1e-4
 # rows per outcome block: block temporaries stay a few MB on 3073-point rows
 _BLOCK_ROWS = 64
-# points per rasterize block: its temporaries stay in cache
+# points per rasterize or first-pass block: its temporaries, and the
+# first pass's 64 KB row-support mask, stay in cache
 _RASTER_POINTS = 65_536
-# points per row-support mask: the first pass holds small masks, not block-sized ones
-_MASK_POINTS = 16_384
 # at most this many forked processes share a _fork_map pool (verify --suite
 # all's suites, figure_data's files, a lone save_grid's row blocks), the one
 # parallel layer: a _fork_map call inside a worker runs inline
 _MAX_WORKERS = 4
 
-# 4th-order stencils; edge rows use one-sided forms of the same order.
-_D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-
 
 def _d1(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    # Assembled in place: on fine grids each full-size temporary costs more in
-    # page faults than the arithmetic itself.  `out` must not alias F.
-    G = np.moveaxis(F, axis, 0)
-    if out is None:
-        out = np.empty_like(F)
-    O = np.moveaxis(out, axis, 0)
-    t = O[2:-2]
-    np.subtract(G[3:-1], G[1:-3], out=t)
-    t *= 8.0
-    t += G[:-4]
-    t -= G[4:]
-    t *= 1.0 / (12.0 * h)
-    O[0] = sum(wj * G[j] for j, wj in enumerate(_D1_EDGE0))
-    O[1] = sum(wj * G[j] for j, wj in enumerate(_D1_EDGE1))
-    O[-1] = -sum(wj * G[-1 - j] for j, wj in enumerate(_D1_EDGE0))
-    O[-2] = -sum(wj * G[-1 - j] for j, wj in enumerate(_D1_EDGE1))
-    O[:2] *= 1.0 / h
-    O[-2:] *= 1.0 / h
+    """4th-order central first derivative along ``axis``, 4 shorter there than
+    F, which carries 2 extra points on each side. Assembled in place, into an
+    ``out`` that must not alias F: on fine grids each full-size temporary
+    costs more in page faults than the arithmetic itself."""
+    G, O, out = _stencil_axes(F, axis, out)
+    np.subtract(G[3:-1], G[1:-3], out=O)
+    O *= 8.0
+    O += G[:-4]
+    O -= G[4:]
+    O *= 1.0 / (12.0 * h)
     return out
 
 
 def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None,
         scratch: np.ndarray | None = None) -> np.ndarray:
-    # `scratch`, shaped like F and aliasing neither F nor out, takes the one
-    # F-sized product, which is otherwise a fresh temporary
-    G = np.moveaxis(F, axis, 0)
-    if out is None:
-        out = np.empty_like(F)
-    O = np.moveaxis(out, axis, 0)
-    t = O[2:-2]
-    np.add(G[1:-3], G[3:-1], out=t)
-    t *= 16.0
-    t -= G[:-4]
-    t -= G[4:]
-    centre = None if scratch is None else np.moveaxis(scratch, axis, 0)[2:-2]
-    t -= np.multiply(G[2:-2], 30.0, out=centre)
-    t *= 1.0 / (12.0 * h * h)
-    O[0] = sum(wj * G[j] for j, wj in enumerate(_D2_EDGE0))
-    O[1] = sum(wj * G[j] for j, wj in enumerate(_D2_EDGE1))
-    O[-1] = sum(wj * G[-1 - j] for j, wj in enumerate(_D2_EDGE0))
-    O[-2] = sum(wj * G[-1 - j] for j, wj in enumerate(_D2_EDGE1))
-    O[:2] *= 1.0 / (h * h)
-    O[-2:] *= 1.0 / (h * h)
+    """4th-order central second derivative, laid out as ``_d1``'s; ``scratch``,
+    shaped like the result and aliasing neither F nor out, saves a temporary."""
+    G, O, out = _stencil_axes(F, axis, out)
+    np.add(G[1:-3], G[3:-1], out=O)
+    O *= 16.0
+    O -= G[:-4]
+    O -= G[4:]
+    O -= np.multiply(G[2:-2], 30.0,
+                     out=None if scratch is None else np.moveaxis(scratch, axis, 0))
+    O *= 1.0 / (12.0 * h * h)
     return out
+
+
+def _stencil_axes(F: np.ndarray, axis: int, out: np.ndarray | None):
+    """F and out with the differenced axis first, and out, made when not given."""
+    if out is None:
+        out = np.empty(F.shape[:axis] + (F.shape[axis] - 4,) + F.shape[axis + 1:])
+    return np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0), out
 
 
 @dataclass(frozen=True)
@@ -186,7 +169,8 @@ def refined_geometry(spec) -> GridGeometry:
     """Finite-difference-grade geometry: step = (narrowest width)/16.
 
     The 4th-order stencil error scales like (step/width)^4; sixteen points per
-    width keeps identity residuals near 1e-5, an order under the 1e-4 gate.
+    width keeps the suites' identity residuals from 1.6e-6 to 1.4e-5, at
+    least seven times under the 1e-4 gate.
     """
     narrowest, widest = spec.widths()
     extent = policy_extent(widest)
@@ -218,6 +202,13 @@ class WignerGrid:
     def _window(self, rows: slice, cols: slice, buffers: "_Buffers") -> np.ndarray:
         """W on rows x cols as a view; ``buffers`` serve sources that sample."""
         return self.values[rows, cols]
+
+    def _sample(self, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
+        """W on rows x cols copied into ``out``, left as it was past the grid."""
+        r0, c0 = max(rows.start, 0), max(cols.start, 0)
+        part = self.values[r0:rows.stop, c0:cols.stop]
+        out[r0 - rows.start:, c0 - cols.start:][:part.shape[0], :part.shape[1]] = part
+        return out
 
     @cached_property
     def _kept_pass(self) -> "_FirstPass":
@@ -366,9 +357,11 @@ class SampledSpec:
             raise ConfigurationError(f"SampledSpec cannot handle {type(self.spec).__name__}")
 
     def _sample(self, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
-        """W on rows x cols of the geometry, written into ``out``."""
-        axis = self.geometry.axis()
-        return wigner_value(self.spec, axis[rows, None], axis[None, cols], out=out)
+        """W on rows x cols of the geometry, written into ``out``; the ranges
+        may run past the grid, on the same axis -extent + k * step."""
+        g = self.geometry
+        x, p = (-g.extent + np.arange(r.start, r.stop) * g.step for r in (rows, cols))
+        return wigner_value(self.spec, x[:, None], p[None, :], out=out)
 
     def _window(self, rows: slice, cols: slice, buffers: _Buffers) -> np.ndarray:
         """W on rows x cols, sampled into the pass's "window" buffer."""
@@ -491,8 +484,7 @@ def _scan(source) -> _FirstPass:
     for i0, i1 in _row_blocks(n, _raster_rows(n)):
         W = source._window(slice(i0, i1), slice(0, n), buffers)
         r[i0:i1] = np.einsum("ij,j->i", W, w)
-        for j0, j1 in _row_blocks(i1 - i0, max(1, _MASK_POINTS // n)):
-            first[i0 + j0:i0 + j1], last[i0 + j0:i0 + j1] = _row_support(W[j0:j1])
+        first[i0:i1], last[i0:i1] = _row_support(W)
         c += np.einsum("i,ij->j", w[i0:i1], W)
         ends = [W[0]] * (i0 == 0) + [W[-1]] * (i1 == n)
         edges.append(max(float(np.max(np.abs(e))) for e in [W[:, 0], W[:, -1], *ends]))
@@ -511,72 +503,71 @@ def _first_pass(source) -> _FirstPass:
     return scan
 
 
-def _halo(i0: int, i1: int, n: int) -> tuple[int, int]:
-    """Index range lo:hi the stencils read for outputs i0:i1 on an axis of n
-    points: 2 on each side, clipped at the edges and widened to at least 6 so
-    the one-sided edge stencils still apply. Every kept output lies at least 2
-    from a cut that is not a grid edge, so it sees the same stencil as in a
-    full-array assembly."""
-    hi = min(n, i1 + 2)
-    lo = max(0, min(i0 - 2, hi - 6))
-    return lo, min(n, max(hi, lo + 6))
+def _zero_extended(source, rows: slice, cols: slice, buffers: _Buffers) -> np.ndarray:
+    """The stencils' input for outputs rows x cols: W on both ranges widened
+    by 2, 0.0 past the grid (zero extension), in the "window" buffer. A
+    SampledSpec samples it whole, C-contiguous as ``rasterize``'s blocks are,
+    and its off-grid values are then overwritten."""
+    n = source.geometry.points
+    F = buffers.take("window", (rows.stop - rows.start + 4, cols.stop - cols.start + 4))
+    source._sample(slice(rows.start - 2, rows.stop + 2), slice(cols.start - 2, cols.stop + 2), F)
+    F[:max(0, 2 - rows.start)] = 0.0
+    F[F.shape[0] - max(0, rows.stop + 2 - n):] = 0.0
+    F[:, :max(0, 2 - cols.start)] = 0.0
+    F[:, F.shape[1] - max(0, cols.stop + 2 - n):] = 0.0
+    return F
 
 
 def _outcome_tile(source, i0: int, i1: int, cols: slice, buffers: _Buffers
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Rows i0:i1 and columns cols of the added and subtracted outcomes,
-    bit-identical to a full-array assembly.
+    bit-identical to a full-array assembly on W padded with two zeros.
 
-    The stencils run on the window of W over the halo of both ranges; only
-    the inner tile is kept. A sampled window and every temporary live in the
-    pass's ``buffers`` ("window", "acc", "drift", "other"), so a pass
-    allocates them once; the window is free again on return. An outcome
+    The stencils run on ``_zero_extended``'s window. It and every temporary
+    live in the pass's ``buffers`` ("window", "acc", "drift", "other"), so a
+    pass allocates them once; the window is free again on return. An outcome
     that overflows is left inf or nan, for the caller to refuse.
     """
-    n, h = source.geometry.points, source.geometry.step
-    lo, hi = _halo(i0, i1, n)
-    left, right = _halo(cols.start, cols.stop, n)
-    shape = (hi - lo, right - left)
-    F = source._window(slice(lo, hi), slice(left, right), buffers)
+    h = source.geometry.step
+    F = _zero_extended(source, slice(i0, i1), cols, buffers)
+    W = F[2:-2, 2:-2]
     axis = source.geometry.axis()
-    xs, ps = axis[lo:hi], axis[left:right]
-    acc, drift, other = (buffers.take(name, shape) for name in ("acc", "drift", "other"))
+    xs, ps = axis[i0:i1], axis[cols]
+    acc, drift, other = (buffers.take(name, W.shape) for name in ("acc", "drift", "other"))
     with np.errstate(over="ignore", invalid="ignore"):
         # Laplacian / 8
-        _d2(F, h, 0, out=acc, scratch=drift)
-        acc += _d2(F, h, 1, out=drift, scratch=other)
+        _d2(F[:, 2:-2], h, 0, out=acc, scratch=drift)
+        acc += _d2(F[2:-2], h, 1, out=drift, scratch=other)
         acc *= 0.125
         # drift term x Wx + p Wp
-        _d1(F, h, 0, out=drift)
+        _d1(F[:, 2:-2], h, 0, out=drift)
         drift *= xs[:, None]
-        _d1(F, h, 1, out=other)
+        _d1(F[2:-2], h, 1, out=other)
         other *= ps[None, :]
         drift += other
         # drift / 2 goes to the free buffer: drift itself is still needed for S
         acc -= np.multiply(drift, 0.5, out=other)
         # (x^2 + p^2 - 1)/2 * W
         radial = np.add((0.5 * xs * xs)[:, None], (0.5 * (ps * ps - 1.0))[None, :], out=other)
-        radial *= F
+        radial *= W
         acc += radial
-        subtracted = np.add(acc, F, out=other)
+        subtracted = np.add(acc, W, out=other)
         subtracted += drift
-    inner = slice(i0 - lo, i1 - lo), slice(cols.start - left, cols.stop - left)
-    return acc[inner], subtracted[inner]
+    return acc, subtracted
 
 
-def _tile_columns(scan: _FirstPass, lo: int, hi: int, n: int) -> slice | None:
-    """The column slice outside which both outcomes are exactly zero on a row
-    block whose stencils read rows lo:hi, or None when W is zero on all of
-    them: the one support rule.
-
-    Every stencil input outside it is 0.0. A central stencil reaches 2
-    columns; the one-sided ones of the two edge columns read 6, so support
-    within 6 columns of an edge extends the slice to that edge.
+def _tile_columns(scan: _FirstPass, i0: int, i1: int) -> slice | None:
+    """The column slice outside which both outcomes are exactly zero on rows
+    i0:i1, or None when W is zero on every row their stencils read, i0 - 2
+    to i1 + 2: the one support rule. A stencil reaches 2 columns, so the
+    slice is the rows' nonzero columns widened by 2 and clipped to the grid;
+    past the grid W is 0.0 by zero extension.
     """
-    j0, j1 = int(scan.first[lo:hi].min()), int(scan.last[lo:hi].max())
+    read = slice(max(i0 - 2, 0), i1 + 2)
+    j0, j1 = int(scan.first[read].min()), int(scan.last[read].max())
     if j1 < 0:
         return None
-    return slice(j0 - 2 if j0 >= 6 else 0, j1 + 3 if j1 < n - 6 else n)
+    return slice(max(j0 - 2, 0), min(j1 + 3, len(scan.first)))
 
 
 def _outcome_tiles(source, scan: _FirstPass, fn) -> list:
@@ -587,15 +578,12 @@ def _outcome_tiles(source, scan: _FirstPass, fn) -> list:
     vanishes on every row they read are skipped; the rest share one set of
     buffers.
     """
-    n = source.geometry.points
     tiles, largest = [], 0
-    for i0, i1 in _row_blocks(n):
-        lo, hi = _halo(i0, i1, n)
-        cols = _tile_columns(scan, lo, hi, n)
+    for i0, i1 in _row_blocks(source.geometry.points):
+        cols = _tile_columns(scan, i0, i1)
         if cols is not None:
             tiles.append((i0, i1, cols))
-            left, right = _halo(cols.start, cols.stop, n)
-            largest = max(largest, (hi - lo) * (right - left))
+            largest = max(largest, (i1 - i0 + 4) * (cols.stop - cols.start + 4))
     buffers = _Buffers(largest)
     results = []
     for i0, i1, cols in tiles:
@@ -612,7 +600,7 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     it (the rest stays +0.0), so besides the two results only tile-sized
     buffers are live: on fig2's 931^2 grids, the largest ``figure_data``
     passes it (6.9 MB of input; the suites pass at most the 769^2 grid of
-    ``negative-cases``), it allocates 18.4 MB at its peak, 13.9 MB of it the
+    ``negative-cases``), it allocates 16.1 MB at its peak, 13.9 MB of it the
     results. Raises GeometryError when an outcome value is not finite.
     """
     scan = _first_pass(grid)
@@ -702,13 +690,15 @@ def outcome_integrals(source) -> tuple[float, float]:
     """
     scan = _first_pass(source)
     r, c = scan.r, scan.c
+    # the stencils' input, zero-extended as the tiles' is
+    rz, cz = np.pad(r, 2), np.pad(c, 2)
     w, h = source.geometry.weights(), source.geometry.step
     xs = ps = source.geometry.axis()
     # an overflow here leaves an integral inf or nan, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         radial = float((0.5 * w * xs * xs) @ r + c @ (0.5 * w * (ps * ps - 1.0)))
-        drift = float((w * xs) @ _d1(r, h, 0) + _d1(c, h, 0) @ (w * ps))
-        laplacian = float(w @ _d2(r, h, 0) + _d2(c, h, 0) @ w)
+        drift = float((w * xs) @ _d1(rz, h, 0) + _d1(cz, h, 0) @ (w * ps))
+        laplacian = float(w @ _d2(rz, h, 0) + _d2(cz, h, 0) @ w)
         added = radial - 0.5 * drift + 0.125 * laplacian
         subtracted = added + float(w @ r) + drift
     if not (np.isfinite(added) and np.isfinite(subtracted)):

@@ -538,29 +538,39 @@ def test_doubling_resolution_shrinks_residual():
 # ------------------------------------------------------------ stencils
 
 @pytest.mark.parametrize("stencil", [_d1, _d2])
-@pytest.mark.parametrize("n", [6, 7, 41])  # 6 rows: the fewest the edge rows need
+@pytest.mark.parametrize("n", [5, 6, 7, 41])  # 5: the fewest that give an output
 def test_stencils_on_vectors_match_columns(stencil, n):
     f = np.exp(np.sin(0.3 * np.arange(n)))
+    assert stencil(f, 0.37, 0).shape == (n - 4,)
     assert np.array_equal(stencil(f, 0.37, 0), stencil(f[:, None], 0.37, 0)[:, 0])
+    assert np.array_equal(stencil(f, 0.37, 0), stencil(f[None, :], 0.37, 1)[0])
 
 
-def test_stencils_scale_vector_edge_rows():
-    # 4th-order stencils are exact on quadratics, edge rows included:
-    # f = k^2 = (x / h)^2 has f' = 2k / h and f'' = 2 / h^2
-    k = np.arange(40.0)
-    assert np.allclose(_d1(k * k, 0.5, 0), 4.0 * k, rtol=0, atol=1e-12)
-    assert np.allclose(_d2(k * k, 0.5, 0), np.full(40, 8.0), rtol=0, atol=1e-10)
+@pytest.mark.parametrize("degree", range(5))
+def test_central_stencils_are_exact_on_quartics(degree):
+    # the 4th-order central stencils differentiate polynomials of degree <= 4
+    # exactly; the input carries 2 extra points on each side of the outputs
+    h = 0.25
+    x = h * np.arange(-2, 43)
+    poly = np.polynomial.Polynomial(np.arange(1.0, degree + 2.0))
+    inner = x[2:-2]
+    scale = np.max(np.abs(poly(x)))
+    assert np.allclose(_d1(poly(x), h, 0), poly.deriv(1)(inner), rtol=0, atol=1e-12 * scale / h)
+    assert np.allclose(_d2(poly(x), h, 0), poly.deriv(2)(inner), rtol=0,
+                       atol=1e-12 * scale / h ** 2)
 
 
 # ------------------------------------------------------------ row blocks
 
 def full_array_outcomes(grid):
-    """The whole-grid stencil assembly that predates the row-block kernel:
-    the oracle the blocked outcomes must reproduce bit for bit."""
+    """The whole-grid stencil assembly that predates the row-block kernel, on
+    W padded with two zeros on each side (zero extension): the oracle the
+    blocked outcomes must reproduce bit for bit."""
     W, xs, ps = grid.values, grid.geometry.axis(), grid.geometry.axis()
     h = grid.geometry.step
-    laplacian = (_d2(W, h, 0) + _d2(W, h, 1)) * 0.125
-    drift = _d1(W, h, 0) * xs[:, None] + _d1(W, h, 1) * ps[None, :]
+    F = np.pad(W, 2)
+    laplacian = (_d2(F[:, 2:-2], h, 0) + _d2(F[2:-2], h, 1)) * 0.125
+    drift = _d1(F[:, 2:-2], h, 0) * xs[:, None] + _d1(F[2:-2], h, 1) * ps[None, :]
     radial = (0.5 * xs * xs)[:, None] + (0.5 * (ps * ps - 1.0))[None, :]
     added = laplacian - 0.5 * drift + radial * W
     return added, added + W + drift
@@ -714,8 +724,8 @@ CLIPPED_CASES = {
     # the squeezed axis of W underflows to 0.0 over most of the grid
     "sx4-th0": lambda: state_grid(GaussianWignerSpec.pure_state(4.0)),
     "sx4-th0.7854": lambda: state_grid(GaussianWignerSpec.pure_state(4.0, math.pi / 4)),
-    # support 3-6 columns (rows) from both edges: the one-sided stencils of
-    # the two edge columns reach it up to 5 away
+    # support 3-6 columns (rows) from both edges: at 3 the tiles' stencils
+    # read the zeros past the grid, from 4 on they stay inside it
     **{f"cols-from-edge-{k}": (lambda k=k: support_grid(129, slice(20, 109), slice(k, 129 - k)))
        for k in (3, 4, 5, 6)},
     **{f"rows-from-edge-{k}": (lambda k=k: support_grid(129, slice(k, 129 - k), slice(20, 109)))
