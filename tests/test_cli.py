@@ -1,16 +1,23 @@
 """CLI front end, driven in-process through main() for speed."""
 
+import functools
+import io
 import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqvac import (
     FockVector,
@@ -853,3 +860,123 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "wigner" in proc.stdout and "verify" in proc.stdout
+
+
+# ------------------------------------------------ finite or refused, end to end
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# half of the numbers are positive and finite, from 1e-300 to 1e300
+_NUMBERS = st.one_of(st.floats(-690.0, 690.0).map(math.exp), _ANY_FLOAT)
+_ODD_VALUES = st.one_of(_ANY_FLOAT, st.integers(-3, 70), st.none(), st.text(max_size=4),
+                        st.lists(st.floats(-2.0, 2.0), max_size=3))
+
+
+def _some_keys(obj: dict):
+    """obj as it is, or with one key dropped, or with one value replaced."""
+    keys = st.sampled_from(sorted(obj))
+    return st.one_of(
+        st.just(obj),
+        keys.map(lambda key: {k: v for k, v in obj.items() if k != key}),
+        st.tuples(keys, _ODD_VALUES).map(lambda kv: obj | {kv[0]: kv[1]}))
+
+
+@st.composite
+def _state_texts(draw):
+    """State JSON of every format, its numbers of any magnitude and sign."""
+    kind = draw(st.sampled_from(["fock-v1", "gauss-v1", "angavg-v1", "bogus"]))
+    if kind == "fock-v1":
+        amps = draw(st.lists(st.one_of(st.tuples(_NUMBERS, _NUMBERS).map(list),
+                                       st.lists(_ANY_FLOAT, max_size=3)), max_size=12))
+        obj = {"trunc": draw(st.one_of(st.just(len(amps)), st.integers(-1, 14))), "amps": amps}
+    elif kind == "gauss-v1":
+        count = draw(st.integers(0, 3))
+        obj = {"components": [draw(_some_keys({"weight": 1.0 / max(count, 1),
+                                               **{k: draw(_NUMBERS) for k in
+                                                  ("theta", "sigma_x", "sigma_p")}}))
+                              for _ in range(count)]}
+    else:
+        obj = {"sigma_x": draw(_NUMBERS)}
+    return json.dumps(draw(_some_keys({"format": kind, **obj})))
+
+
+@functools.cache
+def _grid_file_bytes() -> bytes:
+    """A 65-point grid file of a pure sigma_x = 2 state, made once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        save_grid(path, rasterize(GaussianWignerSpec.pure_state(2.0, 0.3), GridGeometry(12.0, 65)))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@st.composite
+def _grid_texts(draw):
+    """The 65-point grid file truncated, with bytes or digits flipped, a
+    header field replaced or a row duplicated."""
+    data = bytearray(_grid_file_bytes())
+    how = draw(st.sampled_from(["truncate", "flip", "digit", "header", "duplicate"]))
+    if how == "truncate":
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    if how in ("flip", "digit"):
+        digits = [i for i, byte in enumerate(data) if chr(byte).isdigit()]
+        for _ in range(draw(st.integers(1, 3))):
+            if how == "flip":
+                data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+            else:
+                data[draw(st.sampled_from(digits))] = ord(draw(st.sampled_from("0123456789")))
+        return bytes(data)
+    lines = bytes(data).split(b"\n")
+    if how == "header":
+        fields = lines[0].split(b" ")
+        token = draw(st.one_of(st.sampled_from(["nan", "inf", "-0", "1e308", "63", "33", "x", ""]),
+                               _ANY_FLOAT.map(repr), st.integers(-10, 9000).map(str)))
+        fields[draw(st.integers(0, len(fields) - 1))] = token.encode()
+        lines[0] = b" ".join(fields)
+    else:
+        row = draw(st.integers(1, len(lines) - 2))
+        lines.insert(row, lines[row])
+    return b"\n".join(lines)
+
+
+_NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _finite_or_refused(argv, tmp, out_path):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)  # an exception here, a warning included, fails the test
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+        assert out_path is None or not os.path.exists(out_path)
+        return
+    assert not _NOT_FINITE.search(out.replace(tmp, "")), out
+    if out_path is not None:
+        with open(out_path) as fh:
+            assert not _NOT_FINITE.search(fh.read())
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_state_texts(), points=st.sampled_from([None, 33, 65]))
+def test_any_state_file_gives_a_finite_grid_or_one_error_line(text, points):
+    with tempfile.TemporaryDirectory() as tmp:
+        state, out_path = os.path.join(tmp, "state.json"), os.path.join(tmp, "out.csv")
+        with open(state, "w") as fh:
+            fh.write(text)
+        argv = ["wigner", "--state", state, "-o", out_path]
+        _finite_or_refused(argv + ([] if points is None else ["--points", str(points)]),
+                           tmp, out_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=_grid_texts(), cmd=st.sampled_from(["add", "sub", "residual"]))
+def test_any_grid_file_gives_finite_output_or_one_error_line(data, cmd):
+    with tempfile.TemporaryDirectory() as tmp:
+        grid_path = os.path.join(tmp, "grid.csv")
+        with open(grid_path, "wb") as fh:
+            fh.write(data)
+        out_path = None if cmd == "residual" else os.path.join(tmp, "out.csv")
+        _finite_or_refused([cmd, "--grid", grid_path] + ([] if out_path is None else
+                                                         ["-o", out_path]), tmp, out_path)

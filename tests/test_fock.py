@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqvac import (
@@ -346,3 +346,28 @@ def test_quadrature_moments_density_matrix():
     assert quadrature_moments(tripled) == pytest.approx(quadrature_moments(wide), rel=1e-14)
     with pytest.raises(ConfigurationError):
         quadrature_moments(np.outer(wide.amps, wide.amps))
+
+
+# ------------------------------------------------------------- the converse
+
+_AMPLITUDE_PARTS = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(_AMPLITUDE_PARTS, _AMPLITUDE_PARTS), min_size=1, max_size=57))
+def test_outcome_residual_is_the_moment_formula(parts):
+    # for a pure state whose top levels are empty, <a^dag psi, a psi> = <a^2>,
+    # ||a psi||^2 = <n> and ||a^dag psi||^2 = <n> + 1, so the least-squares
+    # defect is sqrt(1 - |<a^2>|^2 / (<n> (<n> + 1))): zero exactly when a
+    # Bogoliubov operator annihilates psi
+    amps = np.array([complex(re, im) for re, im in parts] + [0.0] * 3)
+    assume(np.linalg.norm(amps) > 1e-3)
+    psi = amps / np.linalg.norm(amps)
+    n = np.arange(psi.size)
+    mean_n = float(np.sum(n * np.abs(psi) ** 2))
+    assume(mean_n > 1e-6)  # outcome_ratio refuses near-vacuum input
+    a_squared = complex(np.sum(np.conj(psi[:-2]) * psi[2:] * np.sqrt(n[2:] * (n[2:] - 1))))
+    defect_sq = 1.0 - abs(a_squared) ** 2 / (mean_n * (mean_n + 1.0))
+    res = outcome_ratio(FockVector(amps))
+    assert res.residual ** 2 == pytest.approx(defect_sq, abs=1e-12)
+    assert res.residual == pytest.approx(math.sqrt(max(defect_sq, 0.0)), abs=1e-6)
