@@ -187,10 +187,10 @@ def _log_density(c: GaussianComponent, x, p, out: np.ndarray) -> np.ndarray:
 
 def _exp(a: np.ndarray) -> np.ndarray:
     """exp(a) in place, +0.0 without calling exp wherever a < _EXP_UNDERFLOW,
-    exp's own result there; a nan is not below it, so it stays nan."""
-    low = a < _EXP_UNDERFLOW
-    np.exp(a, out=a, where=~low)
-    np.copyto(a, 0.0, where=low)
+    exp's own result there; a nan fails both comparisons and stays nan. The
+    two masks are made one after the other, so one is held at a time."""
+    np.exp(a, out=a, where=a >= _EXP_UNDERFLOW)
+    np.copyto(a, 0.0, where=a < _EXP_UNDERFLOW)
     return a
 
 
