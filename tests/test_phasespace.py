@@ -724,12 +724,12 @@ CLIPPED_CASES = {
     # the squeezed axis of W underflows to 0.0 over most of the grid
     "sx4-th0": lambda: state_grid(GaussianWignerSpec.pure_state(4.0)),
     "sx4-th0.7854": lambda: state_grid(GaussianWignerSpec.pure_state(4.0, math.pi / 4)),
-    # support 3-6 columns (rows) from both edges: at 3 the tiles' stencils
+    # support 1-6 columns (rows) from both edges: up to 3 the tiles' stencils
     # read the zeros past the grid, from 4 on they stay inside it
     **{f"cols-from-edge-{k}": (lambda k=k: support_grid(129, slice(20, 109), slice(k, 129 - k)))
-       for k in (3, 4, 5, 6)},
+       for k in (1, 2, 3, 4, 5, 6)},
     **{f"rows-from-edge-{k}": (lambda k=k: support_grid(129, slice(k, 129 - k), slice(20, 109)))
-       for k in (3, 4, 5, 6)},
+       for k in (1, 2, 3, 4, 5, 6)},
     # blocks 2-4 read only zeros; block 1 reads its last nonzero row, 62,
     # through its halo alone
     "zero-row-blocks": lambda: support_grid(4 * _BLOCK_ROWS + 1, slice(20, 63), slice(40, 90)),
