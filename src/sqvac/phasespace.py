@@ -26,9 +26,10 @@ A and S are linear in W and its stencils, so wherever every value a stencil
 reads is 0.0 both outcomes are exactly 0.0. A squeezed W underflows to 0.0
 over most of a wide grid (72% of the 3073^2 sigma_x = 4 grid), so the outcome
 passes compute each row block only over the columns within stencil reach of
-a nonzero W; an L1 sum over the shorter rows may differ in its last bit, as
-einsum groups its terms by row length. ``_outcome_tiles`` runs those blocks
-for ``photon_outcomes`` and ``l1_relative_residual``, the only L1 pass.
+a nonzero W. That changes no outcome value; an L1 sum over the shorter rows
+may differ in its last bit, as einsum groups its terms by row length. One
+helper, ``_outcome_tiles``, runs those blocks for ``photon_outcomes`` and
+``l1_relative_residual``, the only L1 pass.
 
 The passes read W from a row source: a held ``WignerGrid``, or a
 ``SampledSpec``, a gaussian spec on a geometry, sampled only in the windows a
@@ -93,7 +94,10 @@ def _d1(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np
     F, which carries 2 extra points on each side. Assembled in place, into an
     ``out`` that must not alias F: on fine grids each full-size temporary
     costs more in page faults than the arithmetic itself."""
-    G, O, out = _stencil_axes(F, axis, out)
+    G = np.moveaxis(F, axis, 0)
+    if out is None:
+        out = np.empty(F.shape[:axis] + (F.shape[axis] - 4,) + F.shape[axis + 1:])
+    O = np.moveaxis(out, axis, 0)
     np.subtract(G[3:-1], G[1:-3], out=O)
     O *= 8.0
     O += G[:-4]
@@ -106,7 +110,10 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None,
         scratch: np.ndarray | None = None) -> np.ndarray:
     """4th-order central second derivative, laid out as ``_d1``'s; ``scratch``,
     shaped like the result and aliasing neither F nor out, saves a temporary."""
-    G, O, out = _stencil_axes(F, axis, out)
+    G = np.moveaxis(F, axis, 0)
+    if out is None:
+        out = np.empty(F.shape[:axis] + (F.shape[axis] - 4,) + F.shape[axis + 1:])
+    O = np.moveaxis(out, axis, 0)
     np.add(G[1:-3], G[3:-1], out=O)
     O *= 16.0
     O -= G[:-4]
@@ -115,13 +122,6 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None,
                      out=None if scratch is None else np.moveaxis(scratch, axis, 0))
     O *= 1.0 / (12.0 * h * h)
     return out
-
-
-def _stencil_axes(F: np.ndarray, axis: int, out: np.ndarray | None):
-    """F and out with the differenced axis first, and out, made when not given."""
-    if out is None:
-        out = np.empty(F.shape[:axis] + (F.shape[axis] - 4,) + F.shape[axis + 1:])
-    return np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0), out
 
 
 @dataclass(frozen=True)
