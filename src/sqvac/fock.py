@@ -17,6 +17,8 @@ from .errors import ConfigurationError, DegenerateInputError, DomainError, Trunc
 
 #: Probability weight allowed past the truncation edge before operations refuse.
 TRUNCATION_BUDGET = 1e-10
+#: Below this <n>, outcome_ratio refuses its input as vacuum (gaussian's gap).
+_VACUUM_GAP = 1e-12
 
 
 @dataclass
@@ -43,17 +45,29 @@ class FockVector:
         return self.amps.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """||amps||, formed on ``_unit``'s amplitudes; inf past the float range."""
+        if not self.amps.any():
+            return 0.0
+        unit, e = _unit(self.amps)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.linalg.norm(unit), e))
 
     def normalized(self) -> "FockVector":
-        with np.errstate(over="ignore"):
-            n = self.norm()
-        if not np.isfinite(n):
-            raise DomainError(f"amplitude norm is {n!r}: the squared amplitudes "
-                              "overflow; rescale them")
-        if n < 1e-14:
-            raise DegenerateInputError("cannot normalize a zero vector")
-        return FockVector(self.amps / n)
+        unit, _ = _unit(self.amps)
+        return FockVector(unit / np.linalg.norm(unit))
+
+
+def _unit(amps: np.ndarray) -> tuple[np.ndarray, int]:
+    """The number basis's one scale rule and one zero-vector refusal: (amps 2^-e,
+    e), with 2^-e bringing the largest real or imaginary part into [0.5, 1).
+    The scaling is exact, so every ratio keeps its bits at any scale."""
+    if not amps.any():
+        raise DegenerateInputError("every amplitude is zero: a zero vector is no state")
+    e = int(np.frexp(max(np.abs(amps.real).max(), np.abs(amps.imag).max()))[1])
+    unit = amps.copy()
+    np.ldexp(unit.real, -e, out=unit.real)
+    np.ldexp(unit.imag, -e, out=unit.imag)
+    return unit, e
 
 
 def _refuse_loss(lost_weight: float, message: str, **details):
@@ -91,13 +105,9 @@ def create(state: FockVector) -> FockVector:
     The top input amplitude would leave the basis with weight
     trunc * |c_top|^2 / ||psi||^2, the same at any norm; if that exceeds the
     truncation budget the operation refuses. The zero vector, which has no
-    weight to lose a share of, is refused.
+    weight to lose a share of, is refused (``_unit``).
     """
-    peak = max(np.max(np.abs(state.amps.real)), np.max(np.abs(state.amps.imag)))
-    if peak == 0.0:
-        raise DegenerateInputError("create cannot measure its loss on a zero vector")
-    # the largest real or imaginary part scaled to 1: no square under- or overflows
-    unit = state.amps / peak
+    unit, _ = _unit(state.amps)
     lost = state.trunc * abs(unit[-1]) ** 2 / float(np.vdot(unit, unit).real)
     _refuse_loss(lost, f"create would lose weight {lost:.3e} past the basis edge; "
                        "enlarge trunc")
@@ -194,14 +204,15 @@ def outcome_ratio(state: FockVector) -> OutcomeRatio:
     are parallel (squeezed vacuum), c = -tanh(z) up to truncation noise.
 
     Raises:
-        DegenerateInputError: when a psi vanishes (vacuum input: the outcome
+        DegenerateInputError: when <n> is under _VACUUM_GAP (vacuum input: the
             ratio diverges there, the same exclusion as unit position width).
     """
-    added = create(state)
-    subbed = annihilate(state)
+    unit = FockVector(_unit(state.amps)[0])
+    added = create(unit)
+    subbed = annihilate(unit)
     sub_sq = float(np.vdot(subbed.amps, subbed.amps).real)
-    norm_sq = float(np.vdot(state.amps, state.amps).real)
-    if sub_sq < 1e-12 * max(norm_sq, 1e-300):
+    norm_sq = float(np.vdot(unit.amps, unit.amps).real)
+    if sub_sq < _VACUUM_GAP * norm_sq:
         raise DegenerateInputError(
             "outcome ratio undefined on (near-)vacuum input: the subtracted "
             "outcome vanishes, matching the unit-width exclusion"

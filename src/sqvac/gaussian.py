@@ -210,11 +210,9 @@ def wigner_value(spec, x, p, out=None):
         # only b s can overflow, past |b s| = 1.8e308, where i0e is below
         # 3.1e-155, under one ulp of W's peak 1/pi: i0e(+-inf) = 0 is W there
         with np.errstate(over="ignore"):
-            value = _exp(np.asarray(-spec.widths()[0] ** 2 * s)) * bessel_i0_scaled(b * s) / np.pi
-        if out is None:
-            return value
-        out[...] = value
-        return out
+            value = np.multiply(_exp(np.asarray(-spec.widths()[0] ** 2 * s)),
+                                bessel_i0_scaled(b * s), out=out)
+        return np.divide(value, np.pi, out=out)
     if not isinstance(spec, GaussianWignerSpec):
         raise ConfigurationError(f"wigner_value cannot handle {type(spec).__name__}")
     # exp in place; later components are added into the first one's buffer

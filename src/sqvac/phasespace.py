@@ -570,14 +570,15 @@ def _tile_columns(scan: _FirstPass, i0: int, i1: int) -> slice | None:
     return slice(max(j0 - 2, 0), min(j1 + 3, len(scan.first)))
 
 
-def _outcome_tiles(source, scan: _FirstPass, fn) -> list:
-    """fn(rows, cols, A, S, spare) for each row block of ``source``, in block
+def _outcome_tiles(source):
+    """(rows, cols, A, S, spare) for each row block of ``source``, in block
     order, where A and S are the block's outcomes over the column slice cols
     only (``_tile_columns``; outside it both are exactly zero) and spare is a
-    C-contiguous buffer of their shape that fn may overwrite. Blocks where W
-    vanishes on every row they read are skipped; the rest share one set of
-    buffers.
+    C-contiguous buffer of their shape that the caller may overwrite until
+    the next tile. Blocks where W vanishes on every row they read are
+    skipped; the rest share one set of buffers.
     """
+    scan = _first_pass(source)
     tiles, largest = [], 0
     for i0, i1 in _row_blocks(source.geometry.points):
         cols = _tile_columns(scan, i0, i1)
@@ -585,12 +586,9 @@ def _outcome_tiles(source, scan: _FirstPass, fn) -> list:
             tiles.append((i0, i1, cols))
             largest = max(largest, (i1 - i0 + 4) * (cols.stop - cols.start + 4))
     buffers = _Buffers(largest)
-    results = []
     for i0, i1, cols in tiles:
         added, subtracted = _outcome_tile(source, i0, i1, cols, buffers)
-        results.append(fn(slice(i0, i1), cols, added, subtracted,
-                          buffers.take("window", added.shape)))
-    return results
+        yield slice(i0, i1), cols, added, subtracted, buffers.take("window", added.shape)
 
 
 def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
@@ -601,21 +599,19 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     buffers are live: on fig2's 931^2 grids, the largest ``figure_data``
     passes it (6.9 MB of input; the suites pass at most the 769^2 grid of
     ``negative-cases``), it allocates 16.1 MB at its peak, 13.9 MB of it the
-    results. Raises GeometryError when an outcome value is not finite.
+    results. Raises GeometryError (the boundary's before either result is
+    allocated) when W is not decayed or an outcome value is not finite.
     """
-    scan = _first_pass(grid)
+    _first_pass(grid)
     added = np.zeros(grid.values.shape)
     subtracted = np.zeros(grid.values.shape)
-
-    def fill(rows, cols, block_added, block_subtracted, spare):
+    for rows, cols, block_added, block_subtracted, _ in _outcome_tiles(grid):
         # min and max propagate nan, and neither forms a tile-sized temporary
         if not all(np.isfinite(block.min()) and np.isfinite(block.max())
                    for block in (block_added, block_subtracted)):
             raise _outcomes_overflow()
         added[rows, cols] = block_added
         subtracted[rows, cols] = block_subtracted
-
-    _outcome_tiles(grid, scan, fill)
     return WignerGrid(grid.geometry, added), WignerGrid(grid.geometry, subtracted)
 
 
@@ -719,27 +715,21 @@ def l1_relative_residual(source, ratio: float) -> tuple[float, float]:
     and GeometryError, as ``photon_outcomes`` does, when an outcome value is
     not finite.
     """
-    scan = _first_pass(source)
     w = source.geometry.weights()
-
-    def sums(rows, cols, added, subtracted, spare):
+    num = den = peak = 0.0
+    for rows, cols, added, subtracted, spare in _outcome_tiles(source):
         # an inf or nan outcome leaves the largest gap inf or nan (inf - inf
         # is nan), so it is refused before any sum over it is formed
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.multiply(subtracted, ratio, out=spare)
             np.subtract(added, diff, out=diff)
             np.abs(diff, out=diff)
-        peak = float(diff.max())
-        if not np.isfinite(peak):
+        gap = float(diff.max())
+        if not np.isfinite(gap):
             raise _outcomes_overflow()
-        num = _simpson(diff, w[rows], w[cols])
-        return num, _simpson(np.abs(added, out=spare), w[rows], w[cols]), peak
-
-    num = den = peak = 0.0
-    for block_num, block_den, block_peak in _outcome_tiles(source, scan, sums):
-        num += block_num
-        den += block_den
-        peak = max(peak, block_peak)
+        peak = max(peak, gap)
+        num += _simpson(diff, w[rows], w[cols])
+        den += _simpson(np.abs(added, out=spare), w[rows], w[cols])
     _refuse_vanishing(den, "integral |A|", "the relative residual")
     return num / den, peak
 

@@ -588,18 +588,25 @@ def test_malformed_state_file_refused_without_output(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
-def test_overflowing_amplitude_norm_refused_without_output(tmp_path, capsys):
-    # every amplitude is finite, but their squares overflow the norm: one
-    # error line names it, and numpy warns of no overflow
-    state, out_path = tmp_path / "state.json", tmp_path / "out.csv"
-    state.write_text(json.dumps({"format": "fock-v1", "trunc": 3,
-                                 "amps": [[1e300, 0.0], [1e300, 0.0], [0.0, 0.0]]}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run(capsys, "wigner", "--state", str(state), "-o", str(out_path))
-    assert code == 2 and out == "" and caught == []
-    assert err == "error: amplitude norm is inf: the squared amplitudes overflow; rescale them\n"
-    assert not out_path.exists()
+@pytest.mark.parametrize("k", [1000, -1000, -1074], ids=["2^1000", "2^-1000", "subnormal"])
+def test_scaled_fock_file_gives_the_unscaled_bytes(tmp_path, capsys, k):
+    # the amplitudes times 2^k are exact, subnormal ones at 2^-1074 included,
+    # so the grid, its outcome and its residual are the unscaled state's byte
+    # for byte, with no numpy warning on the way (at 2^1000 the squared norm
+    # overflows)
+    amps = np.array([3.0, 2.0, -1.0j, 1.0, 0.0, 0.0])
+    results = []
+    for parts in (amps, np.ldexp(amps.real, k) + 1j * np.ldexp(amps.imag, k)):
+        state, grid, added = (tmp_path / name for name in ("state.json", "grid.csv", "add.csv"))
+        save_state(state, FockVector(parts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, "wigner", "--state", str(state), "-o", str(grid))[0] == 0
+            assert run(capsys, "add", "--grid", str(grid), "-o", str(added))[0] == 0
+            code, out, _ = run(capsys, "residual", "--grid", str(grid))
+        assert code == 0
+        results.append((grid.read_bytes(), added.read_bytes(), out))
+    assert results[1] == results[0]
 
 
 @pytest.mark.parametrize("amps", [

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqvac import (
@@ -11,6 +12,7 @@ from sqvac import (
     DegenerateInputError,
     DomainError,
     FockVector,
+    SqvacError,
     TruncationError,
     annihilate,
     bogoliubov_annihilate,
@@ -19,6 +21,7 @@ from sqvac import (
     outcome_ratio,
     quadrature_moments,
     squeezed_vacuum,
+    state_grid,
     suggested_truncation,
 )
 
@@ -75,10 +78,6 @@ def test_fock_vector_validation():
         squeezed_vacuum(math.nan)
     with pytest.raises(DomainError):
         coherent_state(math.inf, 40)
-    # finite amplitudes whose squares overflow: the norm is refused, not
-    # divided into zeros
-    with pytest.raises(DomainError, match="norm is inf"):
-        FockVector(np.array([1e300, 1e300, 0.0])).normalized()
 
 
 # ---------------------------------------------------------- ladder algebra
@@ -280,6 +279,21 @@ def test_outcome_ratio_vacuum_degenerate():
         outcome_ratio(basis_vector(0, 16))
 
 
+@pytest.mark.parametrize("mean_n,refused", [(1e-9, False), (1e-13, True)],
+                         ids=["accepted", "refused"])
+def test_fock_vacuum_gap_is_pinned(mean_n, refused):
+    # sqrt(1 - <n>)|0> + sqrt(<n>)|1>: ||a psi||^2 = <n> on the unit amplitudes,
+    # accepted at 1e-9 and refused at 1e-13 by the 1e-12 gap; a gap moved to
+    # 1e-6 refuses the first and one moved to 1e-15 accepts the second
+    psi = FockVector(np.array([math.sqrt(1.0 - mean_n), math.sqrt(mean_n), 0.0, 0.0]))
+    if refused:
+        with pytest.raises(DegenerateInputError, match="vacuum"):
+            outcome_ratio(psi)
+    else:
+        res = outcome_ratio(psi)
+        assert abs(res.ratio) < 1e-8 and res.residual == pytest.approx(1.0, abs=1e-8)
+
+
 def test_outcome_ratio_single_photon_orthogonal():
     # a|1> = |0> and a^dag|1> = sqrt(2)|2> are orthogonal: zero overlap,
     # full residual.
@@ -371,3 +385,63 @@ def test_outcome_residual_is_the_moment_formula(parts):
     res = outcome_ratio(FockVector(amps))
     assert res.residual ** 2 == pytest.approx(defect_sq, abs=1e-12)
     assert res.residual == pytest.approx(math.sqrt(max(defect_sq, 0.0)), abs=1e-6)
+
+
+# ------------------------------------------------------------ scale invariance
+
+_UNIT_PARTS = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0),
+                        st.floats(min_value=-1.0, max_value=-1e-6))
+
+
+def _scaled(amps, k):
+    """amps * 2^k, exact while every nonzero part stays in the normal range."""
+    return np.ldexp(amps.real, k) + 1j * np.ldexp(amps.imag, k)
+
+
+def _outcome(fn, state):
+    """fn(state) as exact text, or the refusal it raised: repr keeps every bit."""
+    try:
+        return repr(fn(state))
+    except SqvacError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(st.tuples(_UNIT_PARTS, _UNIT_PARTS), min_size=1, max_size=8),
+       k=st.integers(min_value=-1000, max_value=1000))
+# |0> + |1> at 2^-664 ~ 1e-200, once refused as near-vacuum, and at 2^1000
+@example(parts=[(1.0, 0.0), (1.0, 0.0)], k=-664)
+@example(parts=[(1.0, 0.0), (1.0, 0.0)], k=1000)
+def test_results_keep_their_bits_at_any_power_of_two(parts, k):
+    # |parts| in [1e-6, 1] times 2^k with |k| <= 1000 stay finite and normal,
+    # so 2^k psi is exactly psi scaled, and every result must be too; the
+    # empty top level keeps create's loss at zero
+    amps = np.array([complex(re, im) for re, im in parts] + [0.0])
+    assume(np.any(amps != 0.0))
+    psi, big = FockVector(amps), FockVector(_scaled(amps, k))
+    assert np.array_equal(big.normalized().amps.view(np.uint64),
+                          psi.normalized().amps.view(np.uint64))
+    assert repr(math.ldexp(big.norm(), -k)) == repr(psi.norm())
+    for fn in (quadrature_moments, outcome_ratio,
+               lambda state: state_grid(state, 33).values.tobytes()):
+        assert _outcome(fn, big) == _outcome(fn, psi)
+
+
+_ANY_PARTS = st.floats(min_value=-1.7e308, max_value=1.7e308)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(st.tuples(_ANY_PARTS, _ANY_PARTS), min_size=1, max_size=6))
+@example(parts=[(5e-324, -5e-324), (5e-324, 0.0)])
+@example(parts=[(1.7e308, 1.7e308), (-1.7e308, 1.7e308)])
+@example(parts=[(1.7e308, 5e-324), (1e-200, 0.0)])
+def test_outcome_ratio_finite_or_refused_at_any_magnitude(parts):
+    # an empty top level lets create pass, so the ratio itself is reached
+    amps = np.array([complex(re, im) for re, im in parts] + [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = outcome_ratio(FockVector(amps))
+        except (DegenerateInputError, TruncationError):
+            return
+    assert np.isfinite(res.ratio) and np.isfinite(res.residual)

@@ -519,6 +519,29 @@ def test_wigner_value_dispatches_angular_spec():
     np.testing.assert_array_equal(out, wigner_value(spec, x, p))
 
 
+@pytest.mark.parametrize("sx", [2.2, 1e-5, 1e77])
+def test_angular_average_written_in_place_keeps_its_bits(sx):
+    # exp(-w^2 s) i0e(b s) / pi in that order, into out or into a new array,
+    # bit for bit as the expression formed with temporaries; the far corner
+    # overflows b s at sigma_x = 1e77
+    spec = AngularAverageSpec(sx)
+    b = spec.radial_coefficients()[1]
+    axis = GridGeometry(policy_extent(spec.widths()[1]), 65).axis()
+    x, p = axis[:, None], axis[None, :]
+    s = x * x + p * p
+    with np.errstate(over="ignore"):
+        want = gaussian._exp(np.asarray(-spec.widths()[0] ** 2 * s)) \
+            * scipy.special.i0e(b * s) / np.pi
+    out = np.empty(s.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wigner_value(spec, x, p, out=out) is out
+        fresh = wigner_value(spec, x, p)
+    for got in (out, fresh):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert type(wigner_value(spec, 0.5, 0.25)) is np.float64
+
+
 def test_wigner_value_refuses_a_non_spec():
     for state in (squeezed_vacuum(0.5), GaussianComponent.pure(0.0, 2.0), 2.0):
         with pytest.raises(ConfigurationError,
