@@ -44,6 +44,7 @@ def atomic_write(path, chunks):
     The temp file is created by a plain exclusive open, so the output gets the
     mode the process umask gives any new file. If the chunks raise part-way,
     the temp file is removed and an existing target keeps its old content.
+    An OSError is raised again, same errno, naming the target, not the temp file.
     """
     path = os.fspath(path)
     d, name = os.path.split(path)
@@ -52,9 +53,11 @@ def atomic_write(path, chunks):
         with open(tmp, "x") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -20,7 +20,8 @@ runs, so the zeros stand for values already under 1e-12, and no edge needs a
 one-sided stencil. Integrals are tensor-product Simpson rules, which is why
 point counts must be odd. ``_simpson`` forms every grid sum but the purity,
 whose row sums ``grid_metrics`` forms block by block; both end in
-``_weigh_rows``, which refuses a sum that overflows.
+``_weigh_rows``. ``_refuse_overflow`` refuses every non-finite grid result: a
+sum, an outcome or its integral, a renormalized value, A / integral(A), a purity.
 
 A and S are linear in W and its stencils, so wherever every value a stencil
 reads is 0.0 both outcomes are exactly 0.0. A squeezed W underflows to 0.0
@@ -227,12 +228,10 @@ def _simpson(values: np.ndarray, wx: np.ndarray, wp: np.ndarray) -> float:
 
 
 def _weigh_rows(wx: np.ndarray, row_sums: np.ndarray) -> float:
-    """wx . row_sums, the last step of every grid sum. Raises GeometryError
-    when it overflows, the one refusal of a non-finite grid integral."""
+    """wx . row_sums, the last step of every grid sum; refuses an overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(wx @ row_sums)
-    if not np.isfinite(total):
-        raise GeometryError(f"a grid integral overflows to {total!r}: its values are too large")
+    _refuse_overflow("a grid integral is", total)
     return total
 
 
@@ -607,18 +606,11 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     subtracted = np.zeros(grid.values.shape)
     for rows, cols, block_added, block_subtracted, _ in _outcome_tiles(grid):
         # min and max propagate nan, and neither forms a tile-sized temporary
-        if not all(np.isfinite(block.min()) and np.isfinite(block.max())
-                   for block in (block_added, block_subtracted)):
-            raise _outcomes_overflow()
+        _refuse_overflow("the added and subtracted outcomes are", block_added.min(),
+                         block_added.max(), block_subtracted.min(), block_subtracted.max())
         added[rows, cols] = block_added
         subtracted[rows, cols] = block_subtracted
     return WignerGrid(grid.geometry, added), WignerGrid(grid.geometry, subtracted)
-
-
-def _outcomes_overflow() -> GeometryError:
-    """The one refusal of outcome values that are not finite."""
-    return GeometryError("the added and subtracted outcomes are not finite: the grid's "
-                         "x^2 + p^2 or its values overflow")
 
 
 def _refuse_vanishing(integral: float, quantity: str, undefined: str, cause: str = ""):
@@ -631,6 +623,13 @@ def _refuse_vanishing(integral: float, quantity: str, undefined: str, cause: str
             + (f": {cause}" if cause else ""))
 
 
+def _refuse_overflow(what: str, *values,
+                     cause: str = "the grid's x^2 + p^2 or its values overflow"):
+    """The one refusal of a non-finite grid result: GeometryError if a value is nan or +-inf."""
+    if not np.isfinite(values).all():
+        raise GeometryError(f"{what} not finite: {cause}")
+
+
 def renormalize(grid: WignerGrid) -> WignerGrid:
     """Scale a grid to unit integral; refuses on a vanishing integral, and
     with GeometryError when the scaled values overflow."""
@@ -639,9 +638,8 @@ def renormalize(grid: WignerGrid) -> WignerGrid:
     # the largest |value| / |total| is the largest scaled value, and a float
     # division overflows to inf without a warning
     peak = float(max(-grid.values.min(), grid.values.max()))
-    if not np.isfinite(peak / total):
-        raise GeometryError(f"renormalizing overflows: values up to {peak:.3e} over the "
-                            f"grid integral {total:.3e}")
+    _refuse_overflow("the renormalized grid is", peak / total,
+                     cause=f"values up to {peak:.3e} over the grid integral {total:.3e}")
     return WignerGrid(grid.geometry, grid.values / total)
 
 
@@ -697,11 +695,7 @@ def outcome_integrals(source) -> tuple[float, float]:
         laplacian = float(w @ _d2(rz, h, 0) + _d2(cz, h, 0) @ w)
         added = radial - 0.5 * drift + 0.125 * laplacian
         subtracted = added + float(w @ r) + drift
-    if not (np.isfinite(added) and np.isfinite(subtracted)):
-        raise GeometryError(
-            f"outcome integrals ({added!r}, {subtracted!r}) are not finite: the "
-            "grid's x^2 + p^2 or its values overflow"
-        )
+    _refuse_overflow("the outcome integrals are", added, subtracted)
     return added, subtracted
 
 
@@ -725,8 +719,7 @@ def l1_relative_residual(source, ratio: float) -> tuple[float, float]:
             np.subtract(added, diff, out=diff)
             np.abs(diff, out=diff)
         gap = float(diff.max())
-        if not np.isfinite(gap):
-            raise _outcomes_overflow()
+        _refuse_overflow("the added and subtracted outcomes are", gap)
         peak = max(peak, gap)
         num += _simpson(diff, w[rows], w[cols])
         den += _simpson(np.abs(added, out=spare), w[rows], w[cols])
@@ -757,9 +750,8 @@ def identity_residual(source) -> IdentityCheck:
     # float divisions: an overflow leaves inf, which is refused below
     origin = float(_outcome_tile(source, m, m + 1, slice(m, m + 1), _Buffers())[0][0, 0]) / ia
     max_gap = peak / abs(ia)
-    if not (np.isfinite(origin) and np.isfinite(max_gap)):
-        raise GeometryError(f"A / integral(A) overflows: the added integral {ia:.3e} is too "
-                            "small for the added outcome's values")
+    _refuse_overflow("A / integral(A) is", origin, max_gap, cause=f"the added integral "
+                     f"{ia:.3e} is too small for the added outcome's values")
     return IdentityCheck(residual, float(ratio), ia, isub, origin, max_gap)
 
 
@@ -779,6 +771,5 @@ def grid_metrics(grid: WignerGrid) -> float:
             row_sums[i0:i1] = np.einsum("ij,j->i", block, w)
     # a finite integral can still overflow when scaled by 2 pi
     purity = 2.0 * np.pi * _weigh_rows(w, row_sums)
-    if not np.isfinite(purity):
-        raise GeometryError(f"the purity overflows to {purity!r}: the grid's values are too large")
+    _refuse_overflow("the purity is", purity)
     return purity

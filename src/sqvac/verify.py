@@ -121,14 +121,22 @@ def _outcome_checks(label: str, source, closed_ratio: float) -> list:
     ]
 
 
-def _suite_pure_identity() -> list:
-    cases = []
+def _pure_specs():
+    """(label, spec) for the eight pure states of pure-identity and commutator."""
     for sx in (0.5, 2.0, 2.2, 4.0):
         for th in (0.0, math.pi / 4.0):
-            spec = GaussianWignerSpec.pure_state(sx, th)
-            cases += _outcome_checks(f"sx{sx:g}-th{th:.4g}", _streamed(spec),
-                                     spec_norm_ratio(spec))
-    return cases
+            yield f"sx{sx:g}-th{th:.4g}", GaussianWignerSpec.pure_state(sx, th)
+
+
+def _purity_table() -> tuple[np.ndarray, np.ndarray]:
+    """sigma_x = 1 + 0.1 k for k < 41 and the angular average's closed purities."""
+    sigmas = 1.0 + 0.1 * np.arange(41)
+    return sigmas, np.array([angular_average_purity(AngularAverageSpec(s)) for s in sigmas])
+
+
+def _suite_pure_identity() -> list:
+    return [case for label, spec in _pure_specs()
+            for case in _outcome_checks(label, _streamed(spec), spec_norm_ratio(spec))]
 
 
 def _suite_impure_difference() -> list:
@@ -156,9 +164,7 @@ def _suite_fock_ratio() -> list:
 
 
 def _commutator_inputs():
-    for sx in (0.5, 2.0, 2.2, 4.0):
-        for th in (0.0, math.pi / 4.0):
-            yield f"pure-sx{sx:g}-th{th:.4g}", GaussianWignerSpec.pure_state(sx, th)
+    yield from ((f"pure-{label}", spec) for label, spec in _pure_specs())
     yield "impure-sx4-sp0.5", GaussianWignerSpec.single(4.0, 0.5)
     yield "two-angle-mixture", GaussianWignerSpec.two_angle_mixture(0.5, 0.0, math.pi / 4.0, 2.2)
     yield "angular-average", AngularAverageSpec(2.2)
@@ -210,8 +216,7 @@ def _suite_angular_average() -> list:
     cases.append(_floor("elliptic-convention-alt-mismatch", abs(alt - grid_purity),
                         _TOLERANCES["elliptic_alt_floor"]))
 
-    sigmas = 1.0 + 0.1 * np.arange(41)
-    purities = np.array([angular_average_purity(AngularAverageSpec(s)) for s in sigmas])
+    purities = _purity_table()[1]
     # each step of 0.1 in sigma_x must lower the purity by at least purity_drop
     cases.append(_upper("purity-strictly-decreasing", float(np.max(np.diff(purities))),
                         -_TOLERANCES["purity_drop"]))
@@ -334,8 +339,7 @@ def figure_data(which: str, out_dir: str, seed: int | None = None) -> list:
     elif which == "fig3":
         radii = 0.05 * np.arange(121)
         values = wigner_value(AngularAverageSpec(2.2), radii, 0.0)
-        sigmas = 1.0 + 0.1 * np.arange(41)
-        purities = [angular_average_purity(AngularAverageSpec(s)) for s in sigmas]
+        sigmas, purities = _purity_table()
         return [_save_table(os.path.join(out_dir, "fig3_radial_profile.csv"),
                             ["columns: radius,log10_wigner (sigma_x=2.2)"] + tail,
                             (radii, np.log10(values))),

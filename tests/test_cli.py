@@ -220,6 +220,23 @@ def test_overflowing_outcomes_refused_with_one_error_line(tmp_path):
         assert not out_path.exists()
 
 
+def test_failed_write_names_its_target(tmp_path, capsys):
+    # a missing directory fails the temp file's open, an existing directory
+    # its rename; either way the error names -o's path, not the temp file
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_bytes(_grid_file_bytes())
+    (tmp_path / "adir").mkdir()
+    for target in (tmp_path / "missing" / "x.out", tmp_path / "adir"):
+        for argv in (["add", "--grid", str(grid_path)],
+                     ["state", "--kind", "pure", "--sigma-x", "2"]):
+            code, out, err = run(capsys, *argv, "-o", str(target))
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert err.rstrip().endswith(f"{str(target)!r}") and ".tmp-" not in err, err
+            assert sorted(os.listdir(tmp_path)) == ["adir", "grid.csv"]
+            assert os.listdir(tmp_path / "adir") == []
+
+
 def test_extreme_width_rasterizes_without_warnings(tmp_path, capsys, recwarn):
     # sigma_p = 1e-77: p^2 / sigma_p^2 overflows to inf away from p = 0, where
     # the density underflows to 0 anyway; no 513-point grid resolves the
@@ -987,3 +1004,41 @@ def test_any_grid_file_gives_finite_output_or_one_error_line(data, cmd):
         out_path = None if cmd == "residual" else os.path.join(tmp, "out.csv")
         _finite_or_refused([cmd, "--grid", grid_path] + ([] if out_path is None else
                                                          ["-o", out_path]), tmp, out_path)
+
+
+# flag values: every special float, huge and negative basis sizes, and point
+# counts that are negative, even or past 8193, each beside values that work;
+# valid counts stay at or below 129, so each example runs fast
+_FLAG_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                                          -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+                         st.floats(0.1, 5.0), st.floats())
+_FLAG_INTS = st.one_of(st.integers(-5, 60), st.integers(min_value=10**3, max_value=10**30),
+                       st.integers(max_value=-1))
+_POINTS = st.one_of(st.integers(16, 64).map(lambda k: 2 * k + 1), st.integers(-10**6, 129),
+                    st.integers(65, 10**9).map(lambda k: 2 * k),
+                    st.integers(4097, 10**9).map(lambda k: 2 * k + 1))
+
+
+@st.composite
+def _state_flags(draw):
+    """state of a random kind, each of its own flags left out or given a value."""
+    kind = draw(st.sampled_from(sorted(cli._KIND_FLAGS)))
+    argv = ["state", "--kind", kind]
+    for name in cli._KIND_FLAGS[kind]:
+        if draw(st.booleans()):
+            value = draw(_FLAG_INTS if name == "trunc" else _FLAG_FLOATS)
+            # --flag=value, so argparse reads -inf or -1e-300 as a value, not a flag
+            argv.append(f"--{name.replace('_', '-')}={value!r}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=st.one_of(_state_flags(), _POINTS.map(lambda n: ["wigner", f"--points={n}"])))
+def test_any_flag_value_gives_a_finite_file_or_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "wigner":
+            state = os.path.join(tmp, "state.json")
+            save_state(state, GaussianWignerSpec.pure_state(2.0))
+            argv = argv + ["--state", state]
+        out_path = os.path.join(tmp, "out")
+        _finite_or_refused(argv + ["-o", out_path], tmp, out_path)

@@ -198,9 +198,9 @@ def test_grid_integrals_refuse_overflow():
     # rather than renormalized into zeros or reported as an infinite purity
     grid = WignerGrid(GridGeometry(12.0, 257), np.full((257, 257), 1e306))
     for refused in (WignerGrid.integral, renormalize, grid_metrics):
-        with pytest.raises(GeometryError, match="overflows to inf"):
+        with pytest.raises(GeometryError, match="a grid integral is not finite"):
             refused(grid)
-    with pytest.raises(GeometryError, match="overflows"):
+    with pytest.raises(GeometryError, match="a grid integral is not finite"):
         _simpson(np.full((3, 3), 1e308), np.ones(3), np.ones(3))
 
 
