@@ -14,9 +14,10 @@ outcome weights <a a^dag> and <a^dag a>, and their ratio is the norm ratio used
 by the identity check.
 
 Derivatives are 4th-order central stencils (Fornberg, Math. Comp. 51, 699
-(1988)) on W zero-extended by two points past each edge: the outcome passes
-refuse a grid whose boundary values exceed BOUNDARY_DECAY before any stencil
-runs, so the zeros stand for values already under 1e-12, and no edge needs a
+(1988)) from each axis's unscaled even and odd parts, ``_even`` and ``_odd``,
+on W zero-extended by two points past each edge: the outcome passes refuse
+a grid whose boundary values exceed BOUNDARY_DECAY before any stencil runs,
+so the zeros stand for values already under 1e-12, and no edge needs a
 one-sided stencil. Integrals are tensor-product Simpson rules, which is why
 point counts must be odd. ``_simpson`` forms every grid sum but the purity,
 whose row sums ``grid_metrics`` forms block by block; both end in
@@ -90,27 +91,12 @@ _RASTER_POINTS = 65_536
 _MAX_WORKERS = 4
 
 
-def _d1(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """4th-order central first derivative along ``axis``, 4 shorter there than
-    F, which carries 2 extra points on each side. Assembled in place, into an
-    ``out`` that must not alias F: on fine grids each full-size temporary
-    costs more in page faults than the arithmetic itself."""
-    G = np.moveaxis(F, axis, 0)
-    if out is None:
-        out = np.empty(F.shape[:axis] + (F.shape[axis] - 4,) + F.shape[axis + 1:])
-    O = np.moveaxis(out, axis, 0)
-    np.subtract(G[3:-1], G[1:-3], out=O)
-    O *= 8.0
-    O += G[:-4]
-    O -= G[4:]
-    O *= 1.0 / (12.0 * h)
-    return out
-
-
-def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None) -> np.ndarray:
-    """4th-order central second derivative, laid out as ``_d1``'s; ``scratch``,
-    shaped like the result and aliasing neither F nor out, saves a temporary."""
+def _even(F: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Even part of the 4th-order central stencils along ``axis``, unscaled:
+    16 (F[+1] + F[-1]) - (F[+2] + F[-2]), 4 shorter there than F, which
+    carries 2 extra points on each side. Assembled in place, into an ``out``
+    that must not alias F: on fine grids each full-size temporary costs more
+    in page faults than the arithmetic itself."""
     G = np.moveaxis(F, axis, 0)
     if out is None:
         out = np.empty(F.shape[:axis] + (F.shape[axis] - 4,) + F.shape[axis + 1:])
@@ -119,9 +105,21 @@ def _d2(F: np.ndarray, h: float, axis: int, out: np.ndarray | None = None,
     O *= 16.0
     O -= G[:-4]
     O -= G[4:]
-    O -= np.multiply(G[2:-2], 30.0,
-                     out=None if scratch is None else np.moveaxis(scratch, axis, 0))
-    O *= 1.0 / (12.0 * h * h)
+    return out
+
+
+def _odd(F: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Odd part, laid out as ``_even``'s: 8 (F[+1] - F[-1]) - (F[+2] - F[-2]).
+    On the step h, odd / (12 h) and (even - 30 F) / (12 h^2) are the first
+    and second derivatives."""
+    G = np.moveaxis(F, axis, 0)
+    if out is None:
+        out = np.empty(F.shape[:axis] + (F.shape[axis] - 4,) + F.shape[axis + 1:])
+    O = np.moveaxis(out, axis, 0)
+    np.subtract(G[3:-1], G[1:-3], out=O)
+    O *= 8.0
+    O += G[:-4]
+    O -= G[4:]
     return out
 
 
@@ -170,7 +168,7 @@ def refined_geometry(spec) -> GridGeometry:
     """Finite-difference-grade geometry: step = (narrowest width)/16.
 
     The 4th-order stencil error scales like (step/width)^4; sixteen points per
-    width keeps the suites' identity residuals from 1.6e-6 to 1.4e-5, at
+    width keeps the suites' identity residuals from 1.6e-6 to 1.33e-5, at
     least seven times under the 1e-4 gate.
     """
     narrowest, widest = spec.widths()
@@ -522,37 +520,46 @@ def _outcome_tile(source, i0: int, i1: int, cols: slice, buffers: _Buffers
     """Rows i0:i1 and columns cols of the added and subtracted outcomes,
     bit-identical to a full-array assembly on W padded with two zeros.
 
-    The stencils run on ``_zero_extended``'s window. It and every temporary
-    live in the pass's ``buffers`` ("window", "acc", "drift", "other"), so a
-    pass allocates them once; the window is free again on return. An outcome
-    that overflows is left inf or nan, for the caller to refuse.
+    From the even and odd stencil parts e and o of each axis on the step h,
+
+        L = (e_x + e_p - 60 W) / (96 h^2) + (x^2 + p^2) / 2 * W
+        E = (x o_x + p o_p) / (24 h) + W / 2,   A = L - E,   S = L + E,
+
+    formed in place from L - W/2 and E - W/2, each axis's e - 30 W scaled
+    before the two are added: no outcome overflows that separately scaled
+    derivatives keep finite. Every temporary and ``_zero_extended``'s window
+    live in the pass's ``buffers``, allocated once a pass; the window is
+    free again on return. An outcome that overflows is left inf or nan, for
+    the caller to refuse.
     """
     h = source.geometry.step
     F = _zero_extended(source, slice(i0, i1), cols, buffers)
     W = F[2:-2, 2:-2]
     axis = source.geometry.axis()
     xs, ps = axis[i0:i1], axis[cols]
-    acc, drift, other = (buffers.take(name, W.shape) for name in ("acc", "drift", "other"))
+    even, odd, other = (buffers.take(name, W.shape) for name in ("even", "odd", "other"))
+    scale, half_slope = 1.0 / (96.0 * h * h), 1.0 / (24.0 * h)
     with np.errstate(over="ignore", invalid="ignore"):
-        # Laplacian / 8
-        _d2(F[:, 2:-2], h, 0, out=acc, scratch=drift)
-        acc += _d2(F[2:-2], h, 1, out=drift, scratch=other)
-        acc *= 0.125
-        # drift term x Wx + p Wp
-        _d1(F[:, 2:-2], h, 0, out=drift)
-        drift *= xs[:, None]
-        _d1(F[2:-2], h, 1, out=other)
-        other *= ps[None, :]
-        drift += other
-        # drift / 2 goes to the free buffer: drift itself is still needed for S
-        acc -= np.multiply(drift, 0.5, out=other)
-        # (x^2 + p^2 - 1)/2 * W
+        # L - W/2 into even
+        centre = np.multiply(W, 30.0, out=other)
+        for part, along, out in ((F[:, 2:-2], 0, even), (F[2:-2], 1, odd)):
+            _even(part, along, out=out)
+            out -= centre
+            out *= scale
+        even += odd
         radial = np.add((0.5 * xs * xs)[:, None], (0.5 * (ps * ps - 1.0))[None, :], out=other)
         radial *= W
-        acc += radial
-        subtracted = np.add(acc, W, out=other)
-        subtracted += drift
-    return acc, subtracted
+        even += radial
+        # E - W/2 into odd
+        _odd(F[:, 2:-2], 0, out=odd)
+        odd *= (half_slope * xs)[:, None]
+        odd_p = _odd(F[2:-2], 1, out=other)
+        odd_p *= (half_slope * ps)[None, :]
+        odd += odd_p
+        subtracted = np.add(even, odd, out=other)
+        subtracted += W
+        added = np.subtract(even, odd, out=even)
+    return added, subtracted
 
 
 def _tile_columns(scan: _FirstPass, i0: int, i1: int) -> slice | None:
@@ -671,15 +678,15 @@ def outcome_integrals(source) -> tuple[float, float]:
     or SampledSpec, forming neither.
 
     The Simpson weights are separable and each stencil acts along one axis, so
-    wx^T A wp needs only r = W wp, c = wx W and 1-d stencils on them:
+    wx^T A wp needs only r = W wp, c = wx W and the tile's stencil parts on
+    them, each scaled as the tile scales it:
 
-        integral W     = wx . r
-        radial term    = (wx x^2 / 2) . r + c . (wp (p^2 - 1) / 2)
-        drift term     = (wx x) . d1(r) + d1(c) . (wp p)
-        Laplacian / 8  = (wx . d2(r) + d2(c) . wp) / 8
+        integral W       = wx . r
+        integral L - W/2 = (wx . (e(r) - 30 r) + (e(c) - 30 c) . wp) / (96 h^2)
+                           + (wx x^2 / 2) . r + c . (wp (p^2 - 1) / 2)
+        integral E - W/2 = ((wx x) . o(r) + o(c) . (wp p)) / (24 h)
 
-    with integral(A) = radial - drift / 2 + Laplacian / 8 and
-    integral(S) = integral(A) + integral W + drift, r and c from the first
+    with A and S formed from them as in the tile, r and c from the first
     pass. Raises GeometryError when either integral is not finite.
     """
     scan = _first_pass(source)
@@ -688,13 +695,15 @@ def outcome_integrals(source) -> tuple[float, float]:
     rz, cz = np.pad(r, 2), np.pad(c, 2)
     w, h = source.geometry.weights(), source.geometry.step
     xs = ps = source.geometry.axis()
+    scale, half_slope = 1.0 / (96.0 * h * h), 1.0 / (24.0 * h)
     # an overflow here leaves an integral inf or nan, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        radial = float((0.5 * w * xs * xs) @ r + c @ (0.5 * w * (ps * ps - 1.0)))
-        drift = float((w * xs) @ _d1(rz, h, 0) + _d1(cz, h, 0) @ (w * ps))
-        laplacian = float(w @ _d2(rz, h, 0) + _d2(cz, h, 0) @ w)
-        added = radial - 0.5 * drift + 0.125 * laplacian
-        subtracted = added + float(w @ r) + drift
+        even = float(w @ ((_even(rz, 0) - 30.0 * r) * scale)
+                     + ((_even(cz, 0) - 30.0 * c) * scale) @ w
+                     + (0.5 * w * xs * xs) @ r + c @ (0.5 * w * (ps * ps - 1.0)))
+        odd = float((w * half_slope * xs) @ _odd(rz, 0) + _odd(cz, 0) @ (w * half_slope * ps))
+        added = even - odd
+        subtracted = even + odd + float(w @ r)
     _refuse_overflow("the outcome integrals are", added, subtracted)
     return added, subtracted
 

@@ -45,7 +45,7 @@ from sqvac import (
 )
 from sqvac import phasespace
 from sqvac.phasespace import (_BLOCK_ROWS, _MAX_WORKERS, BOUNDARY_DECAY,
-                              _d1, _d2, _row_blocks, _simpson,
+                              _even, _odd, _row_blocks, _simpson,
                               _worker_count)
 
 PURE2 = GaussianWignerSpec.pure_state(2.0)
@@ -438,6 +438,32 @@ def test_held_grid_is_finite_or_refused(grid):
         finite_or_refused(lambda: grid_metrics(grid))
 
 
+def _smooth_bump(amplitude, points, width):
+    k = np.arange(points) - points // 2
+    values = amplitude * np.outer(np.exp(-(k / width) ** 2), np.exp(-(k / width) ** 2))
+    values[np.abs(values) < 1e-13] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("grid", [
+    # W near the float range on a unit step: adding the two axes' unscaled
+    # stencils before scaling them overflows at the spike (60 W)
+    _centre_spike(16.0, 33, 4e306),
+    # smooth W on a step of 1e-149: folding -60 W / (96 h^2) into the radial
+    # coefficient scales W past the float range before it cancels
+    WignerGrid(GridGeometry(64e-149, 129), _smooth_bump(3e10, 129, 8.0)),
+], ids=["spike-4e306", "bump-on-fine-step"])
+def test_outcomes_stay_finite_where_the_derivatives_are(grid):
+    # separately scaled 4th-order derivatives keep these outcomes finite, so
+    # the even and odd parts must too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        added, subtracted = photon_outcomes(grid)
+        integrals = outcome_integrals(grid)
+    assert np.isfinite(added.values).all() and np.isfinite(subtracted.values).all()
+    assert np.isfinite(integrals).all()
+
+
 # ----------------------------------------------------------- photon outcomes
 
 def test_outcomes_need_decayed_boundary():
@@ -537,43 +563,77 @@ def test_doubling_resolution_shrinks_residual():
 
 # ------------------------------------------------------------ stencils
 
-@pytest.mark.parametrize("stencil", [_d1, _d2])
+# ids: the derivative each part forms, odd the first and even the second
+@pytest.mark.parametrize("stencil", [_odd, _even], ids=["_d1", "_d2"])
 @pytest.mark.parametrize("n", [5, 6, 7, 41])  # 5: the fewest that give an output
 def test_stencils_on_vectors_match_columns(stencil, n):
     f = np.exp(np.sin(0.3 * np.arange(n)))
-    assert stencil(f, 0.37, 0).shape == (n - 4,)
-    assert np.array_equal(stencil(f, 0.37, 0), stencil(f[:, None], 0.37, 0)[:, 0])
-    assert np.array_equal(stencil(f, 0.37, 0), stencil(f[None, :], 0.37, 1)[0])
+    assert stencil(f, 0).shape == (n - 4,)
+    assert np.array_equal(stencil(f, 0), stencil(f[:, None], 0)[:, 0])
+    assert np.array_equal(stencil(f, 0), stencil(f[None, :], 1)[0])
 
 
 @pytest.mark.parametrize("degree", range(5))
 def test_central_stencils_are_exact_on_quartics(degree):
     # the 4th-order central stencils differentiate polynomials of degree <= 4
-    # exactly; the input carries 2 extra points on each side of the outputs
+    # exactly: odd / (12 h) and (even - 30 f) / (12 h^2); the input carries 2
+    # extra points on each side of the outputs
     h = 0.25
     x = h * np.arange(-2, 43)
     poly = np.polynomial.Polynomial(np.arange(1.0, degree + 2.0))
     inner = x[2:-2]
     scale = np.max(np.abs(poly(x)))
-    assert np.allclose(_d1(poly(x), h, 0), poly.deriv(1)(inner), rtol=0, atol=1e-12 * scale / h)
-    assert np.allclose(_d2(poly(x), h, 0), poly.deriv(2)(inner), rtol=0,
-                       atol=1e-12 * scale / h ** 2)
+    assert np.allclose(_odd(poly(x), 0) / (12.0 * h), poly.deriv(1)(inner), rtol=0,
+                       atol=1e-12 * scale / h)
+    assert np.allclose((_even(poly(x), 0) - 30.0 * poly(inner)) / (12.0 * h * h),
+                       poly.deriv(2)(inner), rtol=0, atol=1e-12 * scale / h ** 2)
 
 
 # ------------------------------------------------------------ row blocks
 
 def full_array_outcomes(grid):
-    """The whole-grid stencil assembly that predates the row-block kernel, on
-    W padded with two zeros on each side (zero extension): the oracle the
-    blocked outcomes must reproduce bit for bit."""
+    """The tiles' assembly from the even and odd stencil parts, over the
+    whole grid at once, on W padded with two zeros on each side (zero
+    extension): the oracle the blocked outcomes must reproduce bit for bit."""
     W, xs, ps = grid.values, grid.geometry.axis(), grid.geometry.axis()
     h = grid.geometry.step
     F = np.pad(W, 2)
-    laplacian = (_d2(F[:, 2:-2], h, 0) + _d2(F[2:-2], h, 1)) * 0.125
-    drift = _d1(F[:, 2:-2], h, 0) * xs[:, None] + _d1(F[2:-2], h, 1) * ps[None, :]
+    scale, half_slope = 1.0 / (96.0 * h * h), 1.0 / (24.0 * h)
     radial = (0.5 * xs * xs)[:, None] + (0.5 * (ps * ps - 1.0))[None, :]
-    added = laplacian - 0.5 * drift + radial * W
-    return added, added + W + drift
+    even = ((_even(F[:, 2:-2], 0) - 30.0 * W) * scale + (_even(F[2:-2], 1) - 30.0 * W) * scale
+            + radial * W)
+    odd = (_odd(F[:, 2:-2], 0) * (half_slope * xs)[:, None]
+           + _odd(F[2:-2], 1) * (half_slope * ps)[None, :])
+    return even - odd, even + odd + W
+
+
+@pytest.mark.parametrize("make", [
+    lambda: state_grid(SKEW),
+    lambda: state_grid(coherent_state(0.8 + 0.6j, 40)),  # transformed, off-axis
+], ids=["skew", "coherent"])
+def test_outcomes_match_the_derivative_stencils(make):
+    # the module docstring's A and S on separately scaled 4th-order first and
+    # second derivatives: the even and odd parts change only the rounding
+    grid = make()
+    W, h = grid.values, grid.geometry.step
+    x, p = axes(grid)
+    F = np.pad(W, 2)
+
+    def d1(G):
+        return (8.0 * (G[3:-1] - G[1:-3]) + G[:-4] - G[4:]) / (12.0 * h)
+
+    def d2(G):
+        return (16.0 * (G[3:-1] + G[1:-3]) - G[:-4] - G[4:] - 30.0 * G[2:-2]) / (12.0 * h * h)
+
+    wx, wxx = d1(F[:, 2:-2]), d2(F[:, 2:-2])
+    wp, wpp = d1(F[2:-2].T).T, d2(F[2:-2].T).T
+    laplacian, drift = (wxx + wpp) / 8.0, (x * wx + p * wp) / 2.0
+    want_added = (x * x + p * p - 1.0) / 2.0 * W - drift + laplacian
+    want_subtracted = (x * x + p * p + 1.0) / 2.0 * W + drift + laplacian
+    added, subtracted = photon_outcomes(grid)
+    tol = 1e-14 * np.max(np.abs(want_added))
+    assert np.max(np.abs(added.values - want_added)) <= tol
+    assert np.max(np.abs(subtracted.values - want_subtracted)) <= tol
 
 
 def grid_of(spec, n):

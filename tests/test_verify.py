@@ -4,6 +4,8 @@ import filecmp
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,44 @@ def test_suite_passes(name):
     assert report.passed, [
         (c.label, c.measured, c.bound) for c in report.failures
     ]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="suite workers are forked")
+def test_suite_order_keeps_one_scipy_special_import():
+    # verify --suite all forks its workers from a CLI process that has not
+    # imported scipy.special, and hands them suites in SUITE_NAMES order;
+    # each worker that runs a suite needing it pays the import (0.2 s,
+    # 29 MB). Each suite here runs in a child forked from a fresh
+    # interpreter, as in a worker that has run nothing else.
+    import sqvac
+    src = os.path.dirname(os.path.dirname(sqvac.__file__))
+    code = (
+        "import os, sys\n"
+        "from sqvac.verify import SUITE_NAMES, run_suite\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "for name in SUITE_NAMES:\n"
+        "    pid = os.fork()\n"
+        "    if pid == 0:\n"
+        "        try:\n"
+        "            run_suite(name)\n"
+        "            print(name, 'scipy.special' in sys.modules, flush=True)\n"
+        "        finally:\n"
+        "            os._exit(0)\n"
+        "    os.waitpid(pid, 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    loads = dict(line.split() for line in proc.stdout.splitlines())
+    assert list(loads) == list(SUITE_NAMES)
+    special = [name for name in SUITE_NAMES if loads[name] == "True"]
+    assert special == ["commutator", "angular-average"]
+    # pure-identity, the longest, takes the first worker; the second runs
+    # negative-cases (its 769^2 grids) before the import, then both suites
+    # that import it back to back, so one worker imports it in any run
+    names = list(SUITE_NAMES)
+    first = names.index(special[0])
+    assert names[0] == "pure-identity"
+    assert names.index("negative-cases") < first
+    assert names[first:first + 2] == special
 
 
 def test_unknown_suite():
