@@ -2,7 +2,9 @@
 
 Everything here works in a finite basis |0>..|N-1> with explicit truncation
 budgets: operations that push probability weight past the basis edge refuse to
-run (TruncationError) instead of silently corrupting norms.
+run (TruncationError) instead of silently corrupting norms. Every state is built
+by one constructor, as the kernel of the shifted Bogoliubov operator
+a cosh r - a^dag sinh r - beta: the squeezed vacuum and the coherent state alike.
 
 Conventions: hbar = 1, quadratures x = (a + a^dag)/sqrt(2), p = i(a^dag - a)/sqrt(2),
 so the vacuum has <x^2> = <p^2> = 1/2.
@@ -126,57 +128,53 @@ def suggested_truncation(z: float) -> int:
     return int(np.ceil(size))
 
 
-def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
-    """Squeezed vacuum with position width sigma_x = exp(-z), unit norm.
-
-    Amplitudes occupy even levels only; they follow the two-step recurrence
-    c_{2m+2} / c_{2m} = -tanh(z) sqrt((2m+1)(2m+2)) / (2(m+1)) starting from
-    c_0 = 1/sqrt(cosh z). The untruncated state is normalized, so the retained
-    weight directly measures the truncation loss.
-
-    Args:
-        z: squeeze parameter, either sign (z > 0 narrows x, z < 0 widens it).
-        trunc: basis size; defaults to suggested_truncation(z).
-
-    Raises:
-        TruncationError: if the tail weight beyond ``trunc`` exceeds budget.
-        DomainError: if ``suggested_truncation(z)`` is not finite.
-    """
-    suggested = suggested_truncation(z)
-    if trunc is None:
-        trunc = suggested
+def _kernel_state(r: float, beta: complex, trunc: int, name: str,
+                  suggested: int | None = None) -> FockVector:
+    """The one number-basis constructor: the kernel of a cosh r - a^dag sinh r - beta,
+    at unit norm. beta = 0 is the squeezed vacuum of position width exp(r), r = 0 the
+    coherent state |beta>, and beta = alpha cosh r - alpha* sinh r is D(alpha) S|0> up
+    to a phase (Yuen's two-photon coherent state). It solves sqrt(n+1) c_{n+1} =
+    beta sech(r) c_n + sqrt(n) tanh(r) c_{n-1} from the untruncated state's c_0 =
+    exp(-(|beta|^2 + Re(beta^2) tanh r) / 2) sqrt(sech r), so 1 - sum |c_n|^2 is the
+    weight lost past the basis edge. The refusals quote the caller's ``name`` and
+    ``suggested``, a basis size that holds the state."""
     if trunc < 2:
-        raise ConfigurationError("squeezed_vacuum needs trunc >= 2")
-    c = np.zeros(trunc)
-    c[0] = 1.0 / np.sqrt(np.cosh(z))
-    t = np.tanh(z)
-    for j in range(2, trunc, 2):
-        m = (j - 2) // 2
-        c[j] = c[j - 2] * (-t) * np.sqrt((2 * m + 1) * (2 * m + 2)) / (2 * (m + 1))
-    tail = 1.0 - float(np.sum(c * c))
-    _refuse_loss(tail, f"trunc {trunc} keeps only 1 - {tail:.3e} of the squeezed vacuum; "
-                       f"suggested trunc >= {suggested}", suggested_trunc=suggested)
-    c /= np.linalg.norm(c)
-    return FockVector(c)
+        raise ConfigurationError(f"{name} needs trunc >= 2")
+    t, s = np.tanh(r), 1.0 / np.cosh(r)
+    c = np.zeros(trunc, dtype=complex)
+    # exp(-|beta|^2 / 2) underflows to 0.0 past |beta| ~ 38.6, long before the square
+    # overflows (an OverflowError past ~1.34e154); a basis of zeros is refused below
+    if abs(beta) < 1e100:
+        c[0] = np.exp(-(abs(beta) ** 2 + (beta * beta).real * t) / 2.0) * np.sqrt(s)
+    b, now, before = beta * s, c[0], 0.0
+    for n in range(1, trunc):
+        step = b * now
+        if t:  # at r = 0 adding this zero could flip the sign of a zero part
+            step = step + np.sqrt(n - 1) * t * before
+        before, now = now, step / np.sqrt(n)
+        c[n] = now
+    tail = 1.0 - float(np.sum(np.abs(c) ** 2))
+    hint = "" if suggested is None else f"; suggested trunc >= {suggested}"
+    _refuse_loss(tail, f"trunc {trunc} keeps only 1 - {tail:.3e} of the "
+                       f"{name.replace('_', ' ')}{hint}", suggested_trunc=suggested)
+    return FockVector(c / np.linalg.norm(c))
+
+
+def squeezed_vacuum(z: float, trunc: int | None = None) -> FockVector:
+    """Squeezed vacuum with position width sigma_x = exp(-z) (z of either sign),
+    unit norm, on ``trunc`` levels (default suggested_truncation(z)): the kernel
+    of a cosh z + a^dag sinh z, which occupies even levels only. Raises
+    TruncationError past the budget, DomainError if suggested_truncation does."""
+    suggested = suggested_truncation(z)
+    return _kernel_state(-z, 0.0, suggested if trunc is None else trunc,
+                         "squeezed_vacuum", suggested)
 
 
 def coherent_state(alpha: complex, trunc: int) -> FockVector:
-    """Displaced vacuum with amplitude alpha, renormalized after truncation."""
+    """Displaced vacuum with amplitude alpha, unit norm: the kernel of a - alpha."""
     if not np.isfinite(alpha):
         raise DomainError("coherent amplitude must be finite")
-    if trunc < 2:
-        raise ConfigurationError("coherent_state needs trunc >= 2")
-    amps = np.zeros(trunc, dtype=complex)
-    # exp(-|alpha|^2 / 2) underflows to 0.0 past |alpha| ~ 38.6, long before
-    # the square overflows (an OverflowError past ~1.34e154); a basis of zeros
-    # is refused below
-    size = abs(alpha)
-    amps[0] = np.exp(-size ** 2 / 2.0) if size < 1e100 else 0.0
-    for n in range(1, trunc):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    _refuse_loss(tail, f"trunc {trunc} keeps only 1 - {tail:.3e} of the coherent state")
-    return FockVector(amps / np.linalg.norm(amps))
+    return _kernel_state(0.0, alpha, trunc, "coherent_state")
 
 
 def bogoliubov_annihilate(z: float, state: FockVector) -> FockVector:

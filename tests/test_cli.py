@@ -717,7 +717,8 @@ def test_verify_subcommand(tmp_path, capsys):
 
 
 def test_verify_reports_failures(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(verify._TOLERANCES, "fock_ratio", 1e-30)
+    # a negative bound fails every ratio error, including one that is exactly 0.0
+    monkeypatch.setitem(verify._TOLERANCES, "fock_ratio", -1.0)
     code, out, _ = run(capsys, "verify", "--suite", "fock-ratio", "-o", str(tmp_path))
     assert code == 1
     assert "FAIL" in out and "measured=" in out

@@ -24,6 +24,7 @@ from sqvac import (
     state_grid,
     suggested_truncation,
 )
+from sqvac.fock import _kernel_state
 
 LN2 = math.log(2.0)
 
@@ -45,7 +46,7 @@ def rotated(state, theta):
 
 
 # Oracles: the squeeze and displacement unitaries as matrix exponentials of
-# their generators, an independent route to the recurrences in sqvac.fock.
+# their generators, an independent route to the recurrence in sqvac.fock.
 
 def lowering_matrix(trunc):
     """Matrix of the annihilation operator: a|n> = sqrt(n)|n-1>."""
@@ -63,6 +64,20 @@ def displacement_operator(alpha, trunc):
     """exp(alpha a^dag - alpha* a)."""
     a = lowering_matrix(trunc)
     return scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
+
+
+def kernel_shift(alpha, r):
+    """beta = alpha cosh r - alpha* sinh r: D(alpha) moves a cosh r - a^dag sinh r
+    to itself minus beta, so D(alpha) S(-r)|0> is the kernel of the shifted
+    operator, the state _kernel_state(r, beta, trunc) builds."""
+    return alpha * math.cosh(r) - np.conj(alpha) * math.sinh(r)
+
+
+def displaced_squeezed_column(alpha, r, trunc, wide):
+    """D(alpha) S(-r)|0> from the exponentials on ``wide`` levels, cut to ``trunc``
+    and normalized there, with the phase that makes its vacuum amplitude positive."""
+    col = (displacement_operator(alpha, wide) @ squeeze_operator(-r, wide)[:, 0])[:trunc]
+    return col * (abs(col[0]) / col[0]) / np.linalg.norm(col)
 
 
 # ------------------------------------------------------------- construction
@@ -138,10 +153,14 @@ def test_create_measures_its_loss_on_the_normalized_state(scale):
     (lambda: squeezed_vacuum(LN2, 32), 1.37e-8),
     (lambda: coherent_state(1.0, 11), 1.00e-8),
     (lambda: create(top_weighted(10, 1e-9)), 1.00e-8),
-], ids=["squeezed", "coherent", "create"])
+    # 1.077e-8 is the weight of D(alpha) S(-r)|0>'s exponential column past 24
+    # levels; only a displaced squeezed state reads c_0's Re(beta^2) tanh r term,
+    # which normalization hides everywhere else (dropped, the loss reads 0.18)
+    (lambda: _kernel_state(0.4, kernel_shift(0.8 - 0.6j, 0.4), 24, "displaced"), 1.077e-8),
+], ids=["squeezed", "coherent", "create", "displaced"])
 def test_truncation_budget_is_pinned(refused, lost):
     # losses of about 1e-8: refused at the 1e-10 budget, and a budget moved
-    # to 1e-6 accepts all three
+    # to 1e-6 accepts all four
     with pytest.raises(TruncationError) as exc:
         refused()
     assert exc.value.lost_weight == pytest.approx(lost, rel=5e-3)
@@ -250,6 +269,21 @@ def test_squeeze_operator_unitary():
 def test_displacement_matches_coherent_recurrence():
     col = displacement_operator(1.0, 40) @ np.eye(40)[0]
     assert np.max(np.abs(col - coherent_state(1.0, 40).amps)) < 1e-12
+
+
+@pytest.mark.parametrize("r,alpha,trunc,wide", [
+    (0.5, 1.0 + 0.5j, 64, 128),
+    (-0.5, -1.2 + 0.7j, 64, 128),
+    (0.9, 3.0j, 96, 192),
+    (-1.0, 2.0 - 2.0j, 128, 256),
+    (-1.2, 2.0 + 2.0j, 513, 576),  # the transform's 513-level cap
+])
+def test_kernel_state_is_the_displaced_squeezed_vacuum(r, alpha, trunc, wide):
+    # the constructor encodes only (a cosh r - a^dag sinh r - beta) psi = 0; the
+    # exponentials D(alpha) S(-r) build the same state with no recurrence
+    state = _kernel_state(r, kernel_shift(alpha, r), trunc, "displaced")
+    col = displaced_squeezed_column(alpha, r, trunc, wide)
+    assert np.max(np.abs(state.amps - col)) < 1e-12
 
 
 # ------------------------------------------------------------ outcome ratio
