@@ -21,7 +21,7 @@ from .phasespace import (GridGeometry, IdentityCheck, SampledSpec, WignerGrid, g
                          identity_residual, l1_relative_residual, outcome_integrals,
                          outcome_norm_ratio, photon_outcomes, policy_extent, rasterize,
                          refined_geometry, renormalize, state_grid, wigner_from_density)
-from .special import bessel_i0_scaled, elliptic_k, hermite_psi_table
+from .special import bessel_i0_scaled, hermite_psi_table
 from .verify import SUITE_NAMES, CaseResult, VerificationReport, figure_data, run_suite
 
 __version__ = "0.1.0"

@@ -182,7 +182,7 @@ def load_grid(path) -> tuple[WignerGrid, list[str]]:
     ``save_grid`` writes for that geometry. So a coordinate with the
     right value in other digits is refused, and so is a header naming more
     rows than a regular file's size could hold, or a byte anywhere in the
-    file that is not UTF-8 text.
+    file that is not UTF-8 text. A refused data line is named by its file line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -226,29 +226,49 @@ def _read_grid(fh, path) -> tuple[WignerGrid, list[str]]:
     flat = values.reshape(-1)
     done = 0
     lines = itertools.chain((line,), fh)  # the first data line was read with the comments
+    first = 2 + len(comments)  # the file line of the piece's first line
     while piece := list(itertools.islice(lines, _READ_ROWS)):
         try:
-            # blank lines are skipped; a piece of nothing else makes numpy warn
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(piece, delimiter=",", comments=None, dtype=_ROW_FIELDS,
-                                   ndmin=1)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
+            table = _parse_rows(piece)
+        except ValueError:
+            raise ConfigurationError(f"{path}: {_unparsed_line(piece, first)}") from None
         stop = done + table.size
         if stop > flat.size:
             raise ConfigurationError(f"{path}: expected {flat.size} rows, found more")
         rows, cols = np.divmod(np.arange(done, stop), n)
         if not (_same_text(table["x"], coords[rows]) and _same_text(table["p"], coords[cols])):
-            raise ConfigurationError(f"{path}: coordinate columns disagree with header layout")
+            row = np.flatnonzero((table["x"] != coords[rows]) | (table["p"] != coords[cols]))[0]
+            line = first + [k for k, text in enumerate(piece) if text != "\n"][row]
+            raise ConfigurationError(
+                f"{path}: line {line}: coordinate columns disagree with header layout")
         flat[done:stop] = table["value"]
-        done = stop
+        done, first = stop, first + len(piece)
     if done != flat.size:
         raise ConfigurationError(f"{path}: expected {flat.size} rows, found {done}")
     try:
         return WignerGrid(geometry, values), comments
     except ConfigurationError as exc:  # a non-finite value
         raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _parse_rows(piece: list[str]) -> np.ndarray:
+    # blank lines are skipped; a piece of nothing else makes numpy warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(piece, delimiter=",", comments=None, dtype=_ROW_FIELDS, ndmin=1)
+
+
+def _unparsed_line(piece: list[str], first: int) -> str:
+    """Why the first line of a piece numpy refused, the piece starting at
+    file line ``first``, is not a row x,p,value; a refusal's cost only."""
+    for line, text in enumerate(piece, first):
+        try:
+            _parse_rows([text])
+        except ValueError as exc:
+            fields = text.count(",") + 1
+            # numpy's message, up to its row within the one-line piece
+            return f"line {line}: " + (f"{fields} comma-separated fields where a row has 3"
+                                       if fields != 3 else str(exc).split(" at row")[0])
 
 
 def _coordinate_text(axis: np.ndarray) -> np.ndarray:

@@ -296,24 +296,23 @@ def _run_kept_task(task):
 
 class _Buffers:
     """Flat float buffers of one pass, one per name, each made on first use
-    with room for ``capacity`` values (the largest block of the pass) and
-    reused by every block of that pass.
+    with room for ``capacity`` values, the most the pass's geometry lets a
+    block take (a larger take fails in ``reshape``), and reused by every block.
 
     ``take`` carves a C-contiguous array of the asked shape from the front of
     one: einsum sums a strided view in a different order, so a reduction over
     a carved array keeps the bits it has over a fresh one.
     """
 
-    def __init__(self, capacity: int = 0):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self.flat = {}
 
     def take(self, name: str, shape: tuple) -> np.ndarray:
-        size = shape[0] * shape[1]
         buf = self.flat.get(name)
-        if buf is None or buf.size < size:
-            buf = self.flat[name] = np.empty(max(size, self.capacity))
-        return buf[:size].reshape(shape)
+        if buf is None:
+            buf = self.flat[name] = np.empty(self.capacity)
+        return buf[:shape[0] * shape[1]].reshape(shape)
 
 
 def rasterize(spec, geometry: GridGeometry) -> WignerGrid:
@@ -582,19 +581,16 @@ def _outcome_tiles(source):
     only (``_tile_columns``; outside it both are exactly zero) and spare is a
     C-contiguous buffer of their shape that the caller may overwrite until
     the next tile. Blocks where W vanishes on every row they read are
-    skipped; the rest share one set of buffers.
+    skipped; the rest share one set of buffers, sized by the geometry: no
+    window exceeds _BLOCK_ROWS + 4 rows of points + 4 values.
     """
     scan = _first_pass(source)
-    tiles, largest = [], 0
+    buffers = _Buffers((_BLOCK_ROWS + 4) * (source.geometry.points + 4))
     for i0, i1 in _row_blocks(source.geometry.points):
         cols = _tile_columns(scan, i0, i1)
         if cols is not None:
-            tiles.append((i0, i1, cols))
-            largest = max(largest, (i1 - i0 + 4) * (cols.stop - cols.start + 4))
-    buffers = _Buffers(largest)
-    for i0, i1, cols in tiles:
-        added, subtracted = _outcome_tile(source, i0, i1, cols, buffers)
-        yield slice(i0, i1), cols, added, subtracted, buffers.take("window", added.shape)
+            added, subtracted = _outcome_tile(source, i0, i1, cols, buffers)
+            yield slice(i0, i1), cols, added, subtracted, buffers.take("window", added.shape)
 
 
 def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
@@ -604,9 +600,10 @@ def photon_outcomes(grid: WignerGrid) -> tuple[WignerGrid, WignerGrid]:
     it (the rest stays +0.0), so besides the two results only tile-sized
     buffers are live: on fig2's 931^2 grids, the largest ``figure_data``
     passes it (6.9 MB of input; the suites pass at most the 769^2 grid of
-    ``negative-cases``), it allocates 16.1 MB at its peak, 13.9 MB of it the
-    results. Raises GeometryError (the boundary's before either result is
-    allocated) when W is not decayed or an outcome value is not finite.
+    ``negative-cases``), it allocates 16.1 MB at its peak: 13.9 MB of results
+    and 2.0 MB of tile buffers, sized by the geometry. Raises GeometryError
+    (the boundary's before either result is allocated) when W is not decayed
+    or an outcome value is not finite.
     """
     _first_pass(grid)
     added = np.zeros(grid.values.shape)
@@ -757,7 +754,7 @@ def identity_residual(source) -> IdentityCheck:
     residual, peak = l1_relative_residual(source, ratio)
     m = source.geometry.points // 2
     # float divisions: an overflow leaves inf, which is refused below
-    origin = float(_outcome_tile(source, m, m + 1, slice(m, m + 1), _Buffers())[0][0, 0]) / ia
+    origin = float(_outcome_tile(source, m, m + 1, slice(m, m + 1), _Buffers(25))[0][0, 0]) / ia
     max_gap = peak / abs(ia)
     _refuse_overflow("A / integral(A) is", origin, max_gap, cause=f"the added integral "
                      f"{ia:.3e} is too small for the added outcome's values")

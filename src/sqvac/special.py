@@ -2,9 +2,8 @@
 
 * ``bessel_i0_scaled`` -- exp(-|t|) I0(t), safe at arguments where I0 overflows
                           (scipy.special.i0e)
-* ``elliptic_k``       -- complete elliptic integral K(m), parameter m = k**2
-                          (scipy.special.ellipk, with a domain check)
-* ``elliptic_km1``     -- K(1 - p), accurate as p -> 0 where 1 - p rounds to 1
+* ``elliptic_km1``     -- the complete elliptic integral K(m) at parameter
+                          m = 1 - p, accurate as p -> 0 where 1 - p rounds to 1
                           (scipy.special.ellipkm1)
 * ``hermite_psi_table`` -- orthonormal Hermite functions (harmonic-oscillator
                           eigenfunctions) by stable upward recurrence
@@ -16,7 +15,7 @@ integral psi_m psi_n dx = delta_mn.
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 #: Largest Hermite degree accepted; the recurrence is stable far beyond this,
 #: the cap exists to catch runaway configuration values.
@@ -37,25 +36,6 @@ def bessel_i0_scaled(t):
     from scipy.special import i0e
 
     return i0e(t)
-
-
-def elliptic_k(m):
-    """Complete elliptic integral of the first kind, parameter convention.
-
-    K(m) = integral_0^{pi/2} dt / sqrt(1 - m sin^2 t), with m = k**2 the
-    *parameter* (so elliptic_k(0.5) = 1.8540746773013719).
-
-    Raises
-    ------
-    DomainError
-        For m < 0 or m >= 1 (K diverges at m = 1).
-    """
-    from scipy.special import ellipk
-
-    arr = np.asarray(m, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError("elliptic_k requires 0 <= m < 1 (parameter m = k^2)")
-    return ellipk(m)
 
 
 def elliptic_km1(p):

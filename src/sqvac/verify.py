@@ -47,7 +47,7 @@ from .gaussian import (AngularAverageSpec, GaussianComponent, GaussianWignerSpec
 from .phasespace import (SampledSpec, WignerGrid, _fork_map, grid_metrics, identity_residual,
                          outcome_integrals, photon_outcomes, rasterize, refined_geometry,
                          renormalize, state_grid)
-from .special import elliptic_k
+from .special import elliptic_km1
 
 _NEG_INV_PI = -1.0 / math.pi
 
@@ -216,7 +216,7 @@ def _suite_angular_average() -> list:
     # convention probe: evaluating K at modulus instead of parameter must NOT match
     s4 = sx ** 4
     m = ((1.0 - s4) / (1.0 + s4)) ** 2
-    alt = 4.0 * sx ** 2 * elliptic_k(math.sqrt(m)) / (math.pi * (1.0 + s4))
+    alt = 4.0 * sx ** 2 * elliptic_km1(1.0 - math.sqrt(m)) / (math.pi * (1.0 + s4))
     cases.append(_floor("elliptic-convention-alt-mismatch", abs(alt - grid_purity),
                         _TOLERANCES["elliptic_alt_floor"]))
 

@@ -314,6 +314,30 @@ def test_grid_refuses_malformed_rows(tmp_path, edit):
         load_grid(path)
 
 
+@pytest.mark.parametrize("edit", ["bad value", "short row", "coordinate"])
+def test_grid_refusal_names_the_file_line(tmp_path, edit):
+    # past the first _READ_ROWS data lines, after a comment and a blank line
+    # in each piece: neither the row within its piece nor the row count is
+    # the file line
+    path = tmp_path / "grid.csv"
+    save_grid(path, small_grid(), ["note"])
+    lines = path.read_text().splitlines()
+    lines.insert(10, "")
+    lines.insert(4150, "")
+    k = 4200  # file line k + 1
+    x, p, value = lines[k].split(",")
+    lines[k] = {"bad value": f"{x},{p},abc", "short row": f"{x},{p}",
+                "coordinate": f"{x},{p}0,{value}"}[edit]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError) as info:
+        load_grid(path)
+    cause = {"bad value": "could not convert string 'abc'", "short row": "2 comma-separated fields",
+             "coordinate": "coordinate columns disagree"}[edit]
+    message = str(info.value)
+    assert message.startswith(f"{path}: line {k + 1}: ") and cause in message
+    assert not re.search("at row|usecols", message)
+
+
 V1_GRID = os.path.join(os.path.dirname(__file__), "data", "wigner_v1_33.csv")
 
 

@@ -7,11 +7,10 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from sqvac import ConfigurationError, DomainError
+from sqvac import ConfigurationError
 from sqvac.special import (
     HERMITE_DEGREE_CAP,
     bessel_i0_scaled,
-    elliptic_k,
     elliptic_km1,
     hermite_psi_table,
 )
@@ -57,34 +56,29 @@ def test_i0_overflow_guard():
     assert 0.0 < bessel_i0_scaled(1e300) < 1.0
 
 
-# --------------------------------------------------------------- elliptic_k
+# ------------------------------------------------------------- elliptic_km1
+# K at parameter m (m = k^2) is read as elliptic_km1(1 - m)
 
 def test_elliptic_k_reference_points():
-    assert elliptic_k(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert elliptic_km1(1.0) == pytest.approx(math.pi / 2, rel=1e-15)
     # A&S 17.3: K(m=0.5) = 1.85407 46773 01372...
-    assert elliptic_k(0.5) == pytest.approx(1.8540746773013719, rel=1e-14)
+    assert elliptic_km1(0.5) == pytest.approx(1.8540746773013719, rel=1e-14)
 
 
 @pytest.mark.parametrize("m", [0.01, 0.2, 0.5, 0.9, 0.99, 0.999])
 def test_elliptic_k_matches_scipy(m):
     # scipy.special.ellipk uses the same parameter (m = k^2) convention
-    assert elliptic_k(m) == pytest.approx(scipy.special.ellipk(m), rel=1e-13)
+    assert elliptic_km1(1.0 - m) == pytest.approx(scipy.special.ellipk(m), rel=1e-13)
 
 
 def test_elliptic_k_array_input():
     ms = np.array([0.1, 0.4, 0.8])
-    np.testing.assert_allclose(elliptic_k(ms), scipy.special.ellipk(ms), rtol=1e-13)
-
-
-@pytest.mark.parametrize("m", [-0.1, 1.0, 1.5])
-def test_elliptic_k_rejects_out_of_domain(m):
-    with pytest.raises(DomainError):
-        elliptic_k(m)
+    np.testing.assert_allclose(elliptic_km1(1.0 - ms), scipy.special.ellipk(ms), rtol=1e-13)
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.01])
 def test_elliptic_km1_is_k_at_the_complement(p):
-    assert elliptic_km1(p) == pytest.approx(elliptic_k(1.0 - p), rel=1e-14)
+    assert elliptic_km1(p) == pytest.approx(scipy.special.ellipk(1.0 - p), rel=1e-14)
 
 
 # -------------------------------------------------------- hermite_psi_table
